@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .chains import analyze, graph_of
 from .clusters import epsilon_kl_clusters
@@ -227,9 +229,9 @@ def _mode_homophily(config, write, say):
             write(f"{trace_dir}/q_{t:03d}.csv", matrix=trace.beliefs[t])
     if config.params.get("plot", "false").lower() == "true" and m.shape[1] == 3:
         for t in range(1, len(trace.beliefs)):
-            p_t = trace.networks[t - 1]
-            links = [(i, j) for i in range(m.shape[0]) for j in range(m.shape[0])
-                     if i != j and p_t[i, j] > 0]
+            linked = trace.networks[t - 1] > 0
+            np.fill_diagonal(linked, False)
+            links = [tuple(ij) for ij in np.argwhere(linked).tolist()]
             svg = render_ternary(trace.beliefs[t], links, region_eps=cfg.eps_p)
             write(f"frames/step_{t:03d}.svg", text=svg)
     report = _groups_report(trace.final_groups)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homophily import kl_divergence
+from .homophily import _pairwise_kl, kl_divergence
 
 DEFAULT_FLOOR = 1e-12
 
@@ -247,12 +247,10 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
     pts = _floored(points, floor)
     n = pts.shape[0]
 
-    components = [[i] for i in range(n)]
-    direct = [(i, j) for i in range(n) for j in range(n) if i != j
-              and kl_divergence(pts[i], pts[j]) < epsilon]
-    comp_index = {i: i for i in range(n)}
-    merges = [(comp_index[i], comp_index[j]) for i, j in direct]
-    components = _merge_components(components, merges)
+    direct = _pairwise_kl(pts, 0.0) < epsilon     # pts are floored already
+    np.fill_diagonal(direct, False)
+    components = _merge_components([[i] for i in range(n)],
+                                   np.argwhere(direct).tolist())
 
     while True:
         merges = []

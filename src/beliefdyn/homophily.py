@@ -12,6 +12,12 @@ Each step rebuilds both structures from the current beliefs M:
 then beliefs update as Q_t = P_t Q_{t-1} H_t and become the M of the next
 step.  The loop stops when successive beliefs differ by less than ``tol``
 in max-norm, and reports the final network components as groups.
+
+Tie policy: a link needs KL < eps as computed by the array formula of
+``_pairwise_kl``, which rounds differently from a per-pair
+:func:`kl_divergence`, so a divergence within about 1e-15 of eps may
+resolve differently between the two.  The diagonal is set to exactly 0,
+so self links always hold.
 """
 
 from dataclasses import dataclass, field
@@ -128,26 +134,43 @@ def softmax_weights(divs, beta):
     return z / z.sum()
 
 
+def _pairwise_kl(x, floor):
+    """Matrix of KL(x_i, x_j) over the rows of x; the diagonal is exactly 0.
+
+    Rows are floored and renormalized as :func:`kl_divergence` does per
+    pair, then ``D = rowsum(X log X) - X (log X)^T`` gives every divergence
+    from one product.  Terms with x_ik = 0 contribute nothing; with
+    floor = 0, rows whose supports differ raise
+    :class:`InfiniteDivergenceError`, as some ordered pair of them then has
+    a zero in q where p has mass.
+    """
+    if floor > 0:
+        x = np.maximum(x, floor)
+        x = x / x.sum(axis=1, keepdims=True)
+    support = x > 0
+    if np.any(support != support[0]):
+        raise InfiniteDivergenceError("q vanishes where p has mass (floor = 0)")
+    log_x = np.log(np.where(support, x, 1.0))
+    divs = np.sum(x * log_x, axis=1)[:, None] - x @ log_x.T
+    np.fill_diagonal(divs, 0.0)
+    return divs
+
+
 def _homophily_structure(points, eps, cfg):
-    """Threshold-and-softmax structure over a list of distributions."""
-    n = len(points)
-    divs = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                divs[i, j] = kl_divergence(points[i], points[j], cfg.floor)
-    out = np.zeros((n, n))
-    for i in range(n):
-        linked = divs[i] < eps        # strict; self always qualifies at 0
-        out[i, linked] = softmax_weights(divs[i, linked], cfg.beta)
-    # mathematically already row-stochastic; renormalize to absorb drift
-    return row_normalize(out)
+    """Threshold-and-softmax structure over the rows of ``points``."""
+    divs = _pairwise_kl(points, cfg.floor)
+    linked = divs < eps           # strict; self always qualifies at 0
+    shift = np.where(linked, divs, np.inf).min(axis=1, keepdims=True)
+    out = np.where(linked, np.exp(-cfg.beta * (divs - shift)), 0.0)
+    # each row is softmax_weights over its linked set; row_normalize then
+    # absorbs rounding drift
+    return row_normalize(out / out.sum(axis=1, keepdims=True))
 
 
 def build_network(m, cfg):
     """Network structure over people from the rows of the beliefs."""
     m = validate_stochastic(m, tol=1e-7)
-    return _homophily_structure(list(m), cfg.eps_p, cfg)
+    return _homophily_structure(m, cfg.eps_p, cfg)
 
 
 def build_concepts(m, cfg):
@@ -158,7 +181,7 @@ def build_concepts(m, cfg):
     """
     m = validate_stochastic(m, tol=1e-7)
     mhat = col_normalize(m)
-    return _homophily_structure(list(mhat.T), cfg.eps_h, cfg)
+    return _homophily_structure(mhat.T, cfg.eps_h, cfg)
 
 
 def network_groups(p, threshold=0.0):

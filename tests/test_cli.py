@@ -107,6 +107,45 @@ def test_homophily_plot_frames(tmp_path):
     assert frames[0].read_text().startswith("<svg")
 
 
+# manifest output hashes of the homophily fixtures: faster structure
+# builds must leave every artifact byte-identical
+HOMOPHILY_FIXTURE_OUTPUTS = {
+    "five_person": {
+        "groups.txt":
+            "fbfb4e25722a5fb1c409f6a3210d96572b66df7e5cc7fc74f42d475ef8e73adf",
+        "q_final.csv":
+            "cf9ea57e64bf30238a10f7daa261c26263eba85c588a58aa5c0a0b7e1b8d9efa",
+    },
+    "triangle": {
+        "frames/step_001.svg":
+            "4b59db9847ecc56b1aca2a509b262ca95b91ffac7015c4f4fbc9b635a22ef68c",
+        "frames/step_002.svg":
+            "b9a5a4c038b72f5ce7490d4aa8beb154357cf9a7cf019e3499a2b8b8c2b688a1",
+        "frames/step_003.svg":
+            "b388f63d9aa40db16523ed41fa24f494464cf02bb5b731614033a3360306b6b4",
+        "frames/step_004.svg":
+            "d9533f7203acfd5306723649b6abd327a235a9db734fd4553d72fd6b421a0c0c",
+        "frames/step_005.svg":
+            "e78b684f95ee78e727a20cd333f11431f74b5b374a4891b626f987983a7917bf",
+        "frames/step_006.svg":
+            "e78b684f95ee78e727a20cd333f11431f74b5b374a4891b626f987983a7917bf",
+        "groups.txt":
+            "7c974008108d414836b4fdd713b7c55052995cd42d89cedcda351b999786ffbe",
+        "q_final.csv":
+            "dcaf8d8881d71b50c40ca6a5fc541caefd74da3371f96fad144e757176654166",
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(HOMOPHILY_FIXTURE_OUTPUTS))
+def test_homophily_fixture_outputs_pinned(tmp_path, fixture):
+    out = run_dir(tmp_path, fixture)
+    assert main(["run", str(FIXTURES / fixture / "homophily.cfg"),
+                 "--out", out, "--quiet"]) == 0
+    manifest = json.loads((Path(out) / "manifest.json").read_text())
+    assert manifest["outputs"] == HOMOPHILY_FIXTURE_OUTPUTS[fixture]
+
+
 def test_reruns_are_byte_identical(tmp_path):
     out_a = run_dir(tmp_path, "a")
     out_b = run_dir(tmp_path, "b")

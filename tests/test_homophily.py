@@ -2,6 +2,8 @@ from math import log
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beliefdyn import datasets
 from beliefdyn.clusters import epsilon_kl_clusters
@@ -10,6 +12,8 @@ from beliefdyn.homophily import (HomophilyConfig, InfiniteDivergenceError,
                                  build_concepts, build_network, belief_groups,
                                  kl_divergence, network_groups, run_homophily,
                                  softmax_weights)
+from beliefdyn.stochastic import col_normalize
+from util import loop_homophily_structure
 
 SIM_CFG = HomophilyConfig(eps_p=0.3, eps_h=0.25)
 
@@ -105,6 +109,64 @@ class TestBuildNetwork:
             m = rng.dirichlet(np.ones(4), size=5)
             p = build_network(m, SIM_CFG)
             assert np.all(p.diagonal() > 0)
+
+    def test_floor_zero_skips_shared_zero_terms(self):
+        m = np.array([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [0.2, 0.8, 0.0]])
+        cfg = HomophilyConfig(eps_p=0.3, eps_h=0.25, floor=0.0)
+        with np.errstate(all="raise"):
+            p = build_network(m, cfg)
+        expected, divs = loop_homophily_structure(list(m), cfg.eps_p, cfg)
+        assert np.all(np.isfinite(divs))
+        assert np.array_equal(p > 0, expected > 0)
+        assert np.abs(p - expected).max() < 1e-12
+
+    def test_floor_zero_infinite_divergence_raises(self):
+        m = np.array([[1.0, 0.0], [0.5, 0.5]])
+        cfg = HomophilyConfig(eps_p=0.3, eps_h=0.25, floor=0.0)
+        with pytest.raises(InfiniteDivergenceError):
+            loop_homophily_structure(list(m), cfg.eps_p, cfg)
+        with np.errstate(all="raise"), pytest.raises(InfiniteDivergenceError):
+            build_network(m, cfg)
+
+
+BAND = 1e-12
+
+
+@st.composite
+def belief_matrices(draw):
+    """Row-stochastic matrices with up to 30 rows, zeros included."""
+    r = draw(st.integers(1, 30))
+    s = draw(st.integers(2, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    raw = draw(hnp.arrays(float, (r, s), elements=entry))
+    assume(np.all(raw.sum(axis=1) > 0) and np.all(raw.sum(axis=0) > 0))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def assert_matches_loop(structure, points, eps, cfg):
+    try:
+        expected, divs = loop_homophily_structure(points, eps, cfg)
+    except InfiniteDivergenceError:
+        with pytest.raises(InfiniteDivergenceError):
+            structure()
+        return
+    got = structure()
+    clear = np.abs(divs - eps) > BAND
+    assert np.array_equal((got > 0)[clear], (expected > 0)[clear])
+    rows = clear.all(axis=1)
+    assert np.abs(got[rows] - expected[rows]).max(initial=0.0) < 1e-12
+    assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=belief_matrices(), floor=st.sampled_from([0.0, 1e-12]),
+       beta=st.sampled_from([0.0, 1.0, 8.0]),
+       eps=st.sampled_from([0.01, 0.1, 0.5, 3.0]))
+def test_array_structures_match_scalar_loop(m, floor, beta, eps):
+    cfg = HomophilyConfig(eps_p=eps, eps_h=eps, beta=beta, floor=floor)
+    assert_matches_loop(lambda: build_network(m, cfg), list(m), eps, cfg)
+    assert_matches_loop(lambda: build_concepts(m, cfg),
+                        list(col_normalize(m).T), eps, cfg)
 
 
 class TestBuildConcepts:

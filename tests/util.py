@@ -8,7 +8,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from beliefdyn.homophily import kl_divergence
+from beliefdyn.homophily import kl_divergence, softmax_weights
+from beliefdyn.stochastic import row_normalize
 
 
 def random_stochastic(rng, rows, cols=None, zeros=0.0):
@@ -26,6 +27,24 @@ def random_stochastic(rng, rows, cols=None, zeros=0.0):
         sums = a.sum(axis=1)
         if np.all(sums > 0):
             return a / sums[:, None]
+
+
+def loop_homophily_structure(points, eps, cfg):
+    """Threshold-and-softmax structure from one scalar KL call per pair.
+
+    Returns the structure and the divergence matrix it thresholded.
+    """
+    n = len(points)
+    divs = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                divs[i, j] = kl_divergence(points[i], points[j], cfg.floor)
+    out = np.zeros((n, n))
+    for i in range(n):
+        linked = divs[i] < eps        # strict; self always qualifies at 0
+        out[i, linked] = softmax_weights(divs[i, linked], cfg.beta)
+    return row_normalize(out), divs
 
 
 def closed_subsets(p, tol=1e-9):
