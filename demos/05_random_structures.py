@@ -10,7 +10,8 @@ the expectation of the limit equals the limit of the expectations.
 import numpy as np
 
 from beliefdyn import (MatrixFamily, delta_coefficient, diagnose_convergence,
-                       expectation_matrix, expected_limit, sample_trajectory)
+                       expectation_matrix, expected_limit, sample_trajectories,
+                       sample_trajectory)
 from beliefdyn.datasets import single_leaf_family, three_concept_structures
 
 np.set_printoptions(precision=3, suppress=True)
@@ -27,15 +28,14 @@ print(f"almost-sure consensus: {diag.almost_surely_rank_one} "
 sh = MatrixFamily([np.eye(3)])
 m = np.eye(3)
 print("\nrow spread of Q after seeded runs (horizon 300):")
-for seed in range(5):
-    run = sample_trajectory(fam, sh, m, seed, 300)
+for run in sample_trajectories(fam, sh, m, range(5), 300):
     counts = [run.word_p.count(k) for k in range(3)]
-    print(f"  seed={seed}  draws per member {counts}  "
+    print(f"  seed={run.seed}  draws per member {counts}  "
           f"delta={delta_coefficient(run.final_q):.2e}")
 
-print("\nsame seed, same words, same bits:")
+print("\nsame seed, same words, same bits, alone or among other seeds:")
 a = sample_trajectory(fam, sh, m, 11, 300)
-b = sample_trajectory(fam, sh, m, 11, 300)
+b = list(sample_trajectories(fam, sh, m, [3, 11, 7], 300))[1]
 print(f"  words equal: {a.word_p == b.word_p}, "
       f"finals identical: {np.array_equal(a.final_q, b.final_q)}")
 
@@ -50,8 +50,8 @@ print(e_limit)
 
 runs = 400
 mean = np.zeros((3, 3))
-for seed in range(runs):
-    mean += sample_trajectory(sh, pair, np.full((3, 3), 1 / 3), seed, 80).final_q
+for run in sample_trajectories(sh, pair, np.full((3, 3), 1 / 3), range(runs), 80):
+    mean += run.final_q
 mean /= runs
 print(f"Monte Carlo mean over {runs} seeds differs by "
       f"{np.abs(mean - e_limit).max():.1e}")

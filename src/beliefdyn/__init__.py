@@ -26,7 +26,8 @@ from .homophily import (HomophilyConfig, HomophilyTrace, StepLimitReached,
                         build_concepts, build_network, kl_divergence,
                         run_homophily, softmax_weights)
 from .sampling import (ConvergenceDiagnosis, SampledRun, diagnose_convergence,
-                       expectation_matrix, expected_limit, sample_trajectory)
+                       expectation_matrix, expected_limit, sample_trajectories,
+                       sample_trajectory)
 from .stochastic import (MatrixFamily, col_normalize, delta_coefficient,
                          ingest_rounded, matrix_power, max_abs_diff, multiply,
                          row_normalize, validate_stochastic)
@@ -46,7 +47,8 @@ __all__ = [
     "HomophilyConfig", "HomophilyTrace", "StepLimitReached", "build_concepts",
     "build_network", "kl_divergence", "run_homophily", "softmax_weights",
     "ConvergenceDiagnosis", "SampledRun", "diagnose_convergence",
-    "expectation_matrix", "expected_limit", "sample_trajectory",
+    "expectation_matrix", "expected_limit", "sample_trajectories",
+    "sample_trajectory",
     "MatrixFamily", "col_normalize", "delta_coefficient", "ingest_rounded",
     "matrix_power", "max_abs_diff", "multiply", "row_normalize",
     "validate_stochastic",

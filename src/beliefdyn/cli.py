@@ -31,7 +31,7 @@ from .homogeneous import evolve, limit_q
 from .homophily import HomophilyConfig, StepLimitReached, run_homophily
 from .matrixio import (format_value, load_family, read_matrix, write_matrix,
                        ParseError)
-from .sampling import diagnose_convergence, expectation_matrix, sample_trajectory
+from .sampling import diagnose_convergence, expectation_matrix, sample_trajectories
 from .stochastic import delta_coefficient, ingest_rounded
 from .ternary import render_ternary
 
@@ -181,9 +181,8 @@ def _mode_sample(config, write, say):
     seeds = [int(s) for s in str(config.params.get("seeds", config.seed)).split(",")]
     deltas = []
     stabilized = None
-    for seed in seeds:
-        run = sample_trajectory(sp, sh, m, seed, horizon)
-        write(f"q_seed{seed}.csv", matrix=run.final_q)
+    for run in sample_trajectories(sp, sh, m, seeds, horizon):
+        write(f"q_seed{run.seed}.csv", matrix=run.final_q)
         deltas.append(delta_coefficient(run.final_q))
         stabilized = run.stabilized_at
     write("expectation_p.csv", matrix=expectation_matrix(sp))

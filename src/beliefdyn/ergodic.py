@@ -49,8 +49,9 @@ def ergodic_coefficient(p):
     if n < 2:
         raise TooSmallError("ergodic coefficient needs at least a 2x2 matrix")
     g = 1.0
-    for i, j in combinations(range(n), 2):
-        g = min(g, float(np.minimum(a[i], a[j]).sum()))
+    for i in range(n - 1):
+        # overlaps of row i with every later row, each summed as its own row
+        g = min(g, float(np.minimum(a[i], a[i + 1:]).sum(axis=1).min()))
     return g
 
 

@@ -10,6 +10,13 @@ Runs are reproducible: the network and concept index sequences come from
 two independent sub-streams of one :class:`~beliefdyn.rng.Xoshiro256StarStar`
 seed, so a given (seed, families, horizon) triple always yields the same
 words and the same final beliefs, bit for bit.
+
+:func:`sample_trajectories` advances many seeds together: one generator
+lane per seed and one ``(seeds, people, concepts)`` stack of beliefs.  Each
+step multiplies the lanes that drew the same member in one stacked
+``matmul``, which computes every lane's ``(P_t @ Q) @ H_t`` as the same 2-D
+products a single-seed run computes, so a seed's words, final beliefs and
+stabilization step do not depend on which other seeds run beside it.
 """
 
 from dataclasses import dataclass
@@ -21,7 +28,7 @@ from .ergodic import exists_scrambling_product
 from .homogeneous import limit_q
 from .rng import CONCEPT_STREAM, NETWORK_STREAM, Xoshiro256StarStar
 from .stochastic import (DimensionMismatchError, MatrixFamily, as_matrix,
-                         max_abs_diff, validate_stochastic)
+                         validate_stochastic)
 
 
 @dataclass
@@ -46,8 +53,25 @@ def _as_family(f):
     return f if isinstance(f, MatrixFamily) else MatrixFamily(f)
 
 
-def sample_trajectory(sp, sh, m, seed, steps, tol=1e-9):
-    """Run one i.i.d.-sampled trajectory of the changing-structure model.
+def _apply(members, word, stack, left):
+    """Multiply each lane of ``stack`` by the member its ``word`` entry names.
+
+    Lanes that drew the same member go through one stacked ``matmul``, which
+    runs one 2-D product per lane, so each lane's product is the one a
+    single-seed run computes.
+    """
+    out = np.empty_like(stack)
+    for k, member in enumerate(members):
+        lanes = np.flatnonzero(word == k)
+        if lanes.size == len(word):
+            return member @ stack if left else stack @ member
+        if lanes.size:
+            out[lanes] = member @ stack[lanes] if left else stack[lanes] @ member
+    return out
+
+
+def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
+    """Run one i.i.d.-sampled trajectory per seed, all seeds together.
 
     Parameters
     ----------
@@ -55,12 +79,17 @@ def sample_trajectory(sp, sh, m, seed, steps, tol=1e-9):
         Families for the network and concept structures (members square).
     m : array_like
         Initial beliefs, rows = people, columns = concepts.
-    seed : int
-        64-bit reproducibility seed.
+    seeds : sequence of int
+        64-bit reproducibility seeds, one lane each.
     steps : int
-        Horizon; the run always executes the full horizon.
+        Horizon; every run executes the full horizon.
     tol : float
         Stabilization marker threshold on successive max-norm differences.
+
+    Yields one :class:`SampledRun` per seed, in order.  Each run is bit for
+    bit the one a single-seed run produces: the generator lanes draw each
+    seed's own words, and every lane's step is ``(P_t @ Q) @ H_t`` as a 2-D
+    product.
     """
     sp = _as_family(sp).require_square()
     sh = _as_family(sh).require_square()
@@ -68,21 +97,36 @@ def sample_trajectory(sp, sh, m, seed, steps, tol=1e-9):
     if m.shape != (sp.shape[0], sh.shape[0]):
         raise DimensionMismatchError(
             f"beliefs {m.shape} incompatible with families {sp.shape} / {sh.shape}")
-    rng_p = Xoshiro256StarStar(seed, stream=NETWORK_STREAM)
-    rng_h = Xoshiro256StarStar(seed, stream=CONCEPT_STREAM)
-    word_p, word_h = [], []
-    q = m
-    stabilized = None
-    for t in range(1, steps + 1):
-        i = rng_p.next_index(sp.weights)
-        j = rng_h.next_index(sh.weights)
-        word_p.append(i)
-        word_h.append(j)
-        nxt = sp.members[i] @ q @ sh.members[j]
-        if stabilized is None and tol > 0 and max_abs_diff(nxt, q) < tol:
-            stabilized = t
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        return
+    rng_p = Xoshiro256StarStar(seeds, stream=NETWORK_STREAM)
+    rng_h = Xoshiro256StarStar(seeds, stream=CONCEPT_STREAM)
+    horizon = max(steps, 0)
+    words_p = np.empty((horizon, len(seeds)), np.min_scalar_type(len(sp) - 1))
+    words_h = np.empty((horizon, len(seeds)), np.min_scalar_type(len(sh) - 1))
+    q = np.repeat(m[None], len(seeds), axis=0)
+    stabilized = np.zeros(len(seeds), dtype=int)      # 0 = not yet
+    track = tol > 0
+    for t in range(1, horizon + 1):
+        words_p[t - 1] = rng_p.next_index(sp.weights)
+        words_h[t - 1] = rng_h.next_index(sh.weights)
+        nxt = _apply(sh.members, words_h[t - 1],
+                     _apply(sp.members, words_p[t - 1], q, left=True), left=False)
+        if track:
+            diff = np.abs(nxt - q).max(axis=(1, 2))
+            stabilized[(stabilized == 0) & (diff < tol)] = t
+            track = not stabilized.all()
         q = nxt
-    return SampledRun(int(seed), steps, tuple(word_p), tuple(word_h), q, stabilized)
+    for k, seed in enumerate(seeds):
+        yield SampledRun(seed, steps, tuple(words_p[:, k].tolist()),
+                         tuple(words_h[:, k].tolist()), q[k].copy(),
+                         int(stabilized[k]) or None)
+
+
+def sample_trajectory(sp, sh, m, seed, steps, tol=1e-9):
+    """Run one i.i.d.-sampled trajectory: :func:`sample_trajectories` on one seed."""
+    return next(sample_trajectories(sp, sh, m, [seed], steps, tol))
 
 
 def diagnose_convergence(family, max_patterns=100_000):

@@ -24,7 +24,7 @@ from beliefdyn.homogeneous import evolve, limit_q
 from beliefdyn.homophily import (HomophilyConfig, StepLimitReached,
                                  build_network, network_groups, run_homophily)
 from beliefdyn.sampling import (diagnose_convergence, expected_limit,
-                                sample_trajectory)
+                                sample_trajectories, sample_trajectory)
 from beliefdyn.stochastic import MatrixFamily, delta_coefficient, multiply
 from util import (brute_force_indecomposable, grid_min_kl_to_point,
                   minimal_closed_subsets, random_stochastic)
@@ -143,8 +143,8 @@ def test_c05_one_leaf_criterion_and_sampled_runs():
     anti = diagnose_convergence(MatrixFamily([np.eye(2)]))
     sh = MatrixFamily([np.eye(3)])
     m = np.eye(3)
-    deltas = [delta_coefficient(
-        sample_trajectory(fam, sh, m, seed, 500).final_q) for seed in range(200)]
+    deltas = [delta_coefficient(run.final_q)
+              for run in sample_trajectories(fam, sh, m, range(200), 500)]
     worst = max(deltas)
     ok = (diag.almost_surely_rank_one and not anti.almost_surely_rank_one
           and worst < 1e-4)
@@ -159,9 +159,8 @@ def test_c06_block_certificate():
     nu = cert.block
     horizon = 10 * nu + 40
     violations = 0
-    for seed in range(25):
-        run = sample_trajectory(fam, MatrixFamily([np.eye(3)]), np.eye(3),
-                                seed, horizon)
+    for run in sample_trajectories(fam, MatrixFamily([np.eye(3)]), np.eye(3),
+                                   range(25), horizon):
         prods = []
         prod = np.eye(3)
         for idx in run.word_p:
@@ -354,8 +353,8 @@ def test_c12_property_suites():
                       and np.array_equal(a.final_q, b.final_q))
     runs = 2000
     finals = np.empty((runs, 3, 3))
-    for seed in range(runs):
-        finals[seed] = sample_trajectory(sp, pair, m3, seed, 100).final_q
+    for run in sample_trajectories(sp, pair, m3, range(runs), 100):
+        finals[run.seed] = run.final_q
     mean = finals.mean(axis=0)
     se = finals.std(axis=0, ddof=1) / np.sqrt(runs)
     expected = expected_limit(sp, pair, m3)

@@ -146,6 +146,33 @@ def test_homophily_fixture_outputs_pinned(tmp_path, fixture):
     assert manifest["outputs"] == HOMOPHILY_FIXTURE_OUTPUTS[fixture]
 
 
+# manifest output hashes of the README's `sample --seeds 0,1,2 --horizon 400`
+# run: advancing all seeds together must leave every artifact byte-identical
+SAMPLE_FIXTURE_OUTPUTS = {
+    "expectation_h.csv":
+        "ecbc5735746a86e97e470c77d2611b76f6be40abf6940c3f7bfb64a86f98cfbe",
+    "expectation_p.csv":
+        "e15a6ba2444d4a5eecfae11601079674a39949aaeba6444e3b5280d3c45892b5",
+    "q_seed0.csv":
+        "c4005822978a447040842e6864d99296fb4559a69ad85c52af56b9dd35e83f79",
+    "q_seed1.csv":
+        "6fdaefa321c4243225a83a65adf38e3bf53ed393a44343083f5ee33ad826095a",
+    "q_seed2.csv":
+        "ca5b9fee06bd295bc6e3ed5730163be160f144ba1a14d5495e65035e84ed3349",
+    "summary.json":
+        "5f3f294e443bacff95541c300a9a040799cf07e8df5eac5b4dc20b4ff468c2f3",
+}
+
+
+def test_sample_fixture_outputs_pinned(tmp_path):
+    out = run_dir(tmp_path, "sample")
+    assert main(["run", str(FIXTURES / "single_leaf" / "sample.cfg"),
+                 "--out", out, "--quiet"]) == 0
+    manifest = json.loads((Path(out) / "manifest.json").read_text())
+    assert manifest["outputs"] == SAMPLE_FIXTURE_OUTPUTS
+    assert manifest["stabilized_at"] == 6
+
+
 def test_reruns_are_byte_identical(tmp_path):
     out_a = run_dir(tmp_path, "a")
     out_b = run_dir(tmp_path, "b")

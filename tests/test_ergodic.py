@@ -12,8 +12,8 @@ from beliefdyn.ergodic import (NotConvergentFamilyError, NotSIAError,
 from beliefdyn.chains import one_leaf_connected
 from beliefdyn.homogeneous import evolve, limit_q
 from beliefdyn.stochastic import MatrixFamily, delta_coefficient, matrix_power
-from util import (enumerate_word_products, power_iteration_subdominant,
-                  random_stochastic)
+from util import (enumerate_word_products, pair_loop_ergodic_coefficient,
+                  power_iteration_subdominant, random_stochastic)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -36,6 +36,19 @@ class TestErgodicCoefficient:
         assert is_scrambling(h1)
         assert not is_scrambling(h2)
         assert is_scrambling(h3)
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.5, 0.9])
+    def test_matches_pair_loop_exactly(self, zeros):
+        rng = np.random.default_rng(int(zeros * 10))
+        for n in [2, 3, 4, 5, 8, 13, 31, 64, 100]:
+            p = random_stochastic(rng, n, zeros=zeros)
+            assert ergodic_coefficient(p) == pair_loop_ergodic_coefficient(p)
+
+    def test_word_products_match_pair_loop_exactly(self):
+        members = [random_stochastic(np.random.default_rng(k), 12, zeros=0.7)
+                   for k in range(3)]
+        for _, prod in enumerate_word_products(members, 4):
+            assert ergodic_coefficient(prod) == pair_loop_ergodic_coefficient(prod)
 
     def test_too_small(self):
         from beliefdyn.ergodic import TooSmallError

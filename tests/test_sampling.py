@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets
 from beliefdyn.homogeneous import evolve, limit_q
-from beliefdyn.rng import Xoshiro256StarStar, _splitmix64
+from beliefdyn.rng import MASK64, Xoshiro256StarStar, _nonzero_state, _splitmix64
 from beliefdyn.sampling import (diagnose_convergence, expectation_matrix,
-                                expected_limit, sample_trajectory)
-from beliefdyn.stochastic import MatrixFamily, delta_coefficient
+                                expected_limit, sample_trajectories,
+                                sample_trajectory)
+from beliefdyn.stochastic import MatrixFamily, delta_coefficient, max_abs_diff
+from util import ScalarXoshiro256StarStar, loop_sample_trajectory, random_stochastic
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,129 @@ class TestRngGolden:
         assert 0.75 < float(np.mean(draws)) < 0.85
 
 
+class TestRngLanes:
+    """Each lane of a many-seed generator draws what a one-seed generator does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=6),
+           stream=st.integers(0, 3),
+           weights=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=6))
+    def test_lanes_match_scalar_oracle(self, seeds, stream, weights):
+        lanes = Xoshiro256StarStar(seeds, stream)
+        single = Xoshiro256StarStar(seeds[0], stream)
+        oracles = [ScalarXoshiro256StarStar(seed, stream) for seed in seeds]
+        first = ScalarXoshiro256StarStar(seeds[0], stream)
+        for _ in range(64):
+            assert lanes.next_uint64().tolist() == [g.next_uint64() for g in oracles]
+            assert single.next_uint64() == first.next_uint64()
+        assert lanes.next_float().tolist() == [g.next_float() for g in oracles]
+        assert single.next_float() == first.next_float()
+        w = np.array(weights)
+        for _ in range(64):
+            assert lanes.next_index(w).tolist() == [g.next_index(w) for g in oracles]
+            assert single.next_index(w) == first.next_index(w)
+
+    def test_scalar_seed_draws_python_scalars(self):
+        g = Xoshiro256StarStar(3, stream=1)
+        assert type(g.next_uint64()) is int
+        assert type(g.next_float()) is float
+        assert type(g.next_index([1.0, 2.0])) is int
+
+    def test_all_zero_lane_is_bumped(self):
+        # no seed is known to reach the all-zero state, so build one directly
+        zero = np.zeros(2, dtype=np.uint64)
+        state = _nonzero_state([np.array([0, 7], dtype=np.uint64), zero.copy(),
+                                zero.copy(), np.array([0, 9], dtype=np.uint64)])
+        assert [w.tolist() for w in state] == [[1, 7], [0, 0], [0, 0], [0, 9]]
+        lanes = Xoshiro256StarStar([0, 0])
+        lanes._s = state
+        oracles = [ScalarXoshiro256StarStar(0), ScalarXoshiro256StarStar(0)]
+        oracles[0]._s = [1, 0, 0, 0]
+        oracles[1]._s = [7, 0, 0, 9]
+        for _ in range(64):
+            assert lanes.next_uint64().tolist() == [g.next_uint64() for g in oracles]
+
+
+    def test_uniform_at_a_running_sum_draws_the_next_index(self):
+        # invert the ** scrambler so the first output is 2^63, i.e. the
+        # uniform is exactly 0.5: u = 0.5 * 2 equals the first running sum,
+        # and (as in the running-sum loop) u < acc picks index 1
+        y = (1 << 63) * pow(9, -1, 1 << 64) & MASK64
+        s1 = ((y >> 7) | (y << 57)) & MASK64
+        s1 = s1 * pow(5, -1, 1 << 64) & MASK64
+        lanes = Xoshiro256StarStar([0])
+        lanes._s = [np.array([w], dtype=np.uint64) for w in (3, s1, 5, 7)]
+        oracle = ScalarXoshiro256StarStar(0)
+        oracle._s = [3, s1, 5, 7]
+        assert oracle.next_index([1.0, 1.0]) == 1
+        assert lanes.next_index(np.array([1.0, 1.0])).tolist() == [1]
+
+
+def _random_family(rng, n, members, zeros):
+    return MatrixFamily([random_stochastic(rng, n, zeros=zeros) for _ in range(members)],
+                        weights=0.1 + rng.random(members))
+
+
+class TestSampleTrajectories:
+    """The all-seeds run is bit for bit the per-seed scalar loop."""
+
+    @staticmethod
+    def assert_matches_loop(sp, sh, m, seeds, steps, tol=1e-9):
+        runs = list(sample_trajectories(sp, sh, m, seeds, steps, tol))
+        assert [run.seed for run in runs] == seeds
+        for run in runs:
+            ref = loop_sample_trajectory(sp, sh, m, run.seed, steps, tol)
+            assert run.word_p == ref.word_p and run.word_h == ref.word_h
+            assert np.array_equal(run.final_q, ref.final_q)
+            assert run.stabilized_at == ref.stabilized_at
+            assert run.horizon == steps
+        return runs
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_random_families_match_loop(self, case):
+        rng = np.random.default_rng(100 + case)
+        r, c = (int(x) for x in rng.integers(2, 8, size=2))
+        sp = _random_family(rng, r, int(rng.integers(1, 5)), zeros=0.5)
+        sh = _random_family(rng, c, int(rng.integers(1, 5)), zeros=0.5)
+        m = random_stochastic(rng, r, c, zeros=0.3)
+        seeds = [int(x) for x in rng.integers(-2 ** 62, 2 ** 62, size=40)]
+        self.assert_matches_loop(sp, sh, m, seeds, 60)
+
+    def test_some_lanes_stabilize_and_some_do_not(self):
+        # with a static concept identity, a network identity draw leaves Q
+        # unchanged: a lane stabilizes at its first such draw, and a lane
+        # without one never does within the short horizon
+        rng = np.random.default_rng(7)
+        sp = MatrixFamily([np.eye(5), random_stochastic(rng, 5, zeros=0.4)],
+                          weights=[0.25, 0.75])
+        sh = MatrixFamily([np.eye(3)])
+        m = random_stochastic(rng, 5, 3)
+        runs = self.assert_matches_loop(sp, sh, m, list(range(-20, 60)), 6)
+        marks = {run.stabilized_at for run in runs}
+        assert None in marks and len(marks) > 2
+        runs = self.assert_matches_loop(sp, sh, m, list(range(20)), 6, tol=0.0)
+        assert all(run.stabilized_at is None for run in runs)
+
+    def test_edge_inputs(self):
+        sp = datasets.single_leaf_family()
+        sh = MatrixFamily([np.eye(2)])
+        m = np.full((3, 2), 0.5)
+        assert list(sample_trajectories(sp, sh, m, [], 10)) == []
+        (run,) = sample_trajectories(sp, sh, m, [4], 0)
+        assert run.word_p == () and run.stabilized_at is None
+        assert np.array_equal(run.final_q, m)
+        self.assert_matches_loop(sp, sh, m, [2 ** 64 + 5, 5, -1, 5], 30)
+
+    def test_step_difference_equal_to_tol_does_not_stabilize(self):
+        rng = np.random.default_rng(3)
+        p = random_stochastic(rng, 4)
+        m = random_stochastic(rng, 4, 3)
+        tol = max_abs_diff(p @ m, m)
+        runs = self.assert_matches_loop(MatrixFamily([p]), MatrixFamily([np.eye(3)]),
+                                        m, [1, 2], 40, tol=tol)
+        assert all(run.stabilized_at == 2 for run in runs)
+
+
 class TestSampleTrajectory:
     def test_seed_determinism(self, scrambling_pair):
         m = np.full((3, 3), 1 / 3)
@@ -78,8 +204,8 @@ class TestSampleTrajectory:
 
     def test_all_scrambling_members_contract(self, scrambling_pair):
         m = np.eye(3)
-        for seed in range(100):
-            run = sample_trajectory(scrambling_pair, scrambling_pair, m, seed, 300)
+        for run in sample_trajectories(scrambling_pair, scrambling_pair, m,
+                                       range(100), 300):
             assert delta_coefficient(run.final_q) < 1e-6
 
     def test_snapshot_stochasticity(self, scrambling_pair):
@@ -138,8 +264,8 @@ class TestExpectation:
         sp = MatrixFamily([np.eye(3)])
         runs = 2000
         finals = np.empty((runs, 3, 3))
-        for seed in range(runs):
-            finals[seed] = sample_trajectory(sp, scrambling_pair, m, seed, 100).final_q
+        for run in sample_trajectories(sp, scrambling_pair, m, range(runs), 100):
+            finals[run.seed] = run.final_q
         mean = finals.mean(axis=0)
         se = finals.std(axis=0, ddof=1) / np.sqrt(runs)
         expected = expected_limit(sp, scrambling_pair, m)
@@ -152,9 +278,8 @@ class TestExpectation:
         sp = MatrixFamily([a, b])
         m = np.eye(3)
         sh = MatrixFamily([np.eye(3)])
-        finals = np.array([
-            sample_trajectory(sp, sh, m, seed, 200).final_q[2, 0]
-            for seed in range(60)])
+        finals = np.array([run.final_q[2, 0]
+                           for run in sample_trajectories(sp, sh, m, range(60), 200)])
         assert not diagnose_convergence(sp).almost_surely_rank_one
         assert finals.std() > 0.05
         # the expected limit is still well-defined
@@ -166,6 +291,5 @@ class TestExpectation:
         fam = datasets.single_leaf_family()
         m = np.full((2, 3), 1 / 3)
         sp = MatrixFamily([np.eye(2)])
-        for seed in range(25):
-            run = sample_trajectory(sp, fam, m, seed, 400)
+        for run in sample_trajectories(sp, fam, m, range(25), 400):
             assert np.all(run.final_q[:, 0] < 1e-6)

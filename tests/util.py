@@ -4,12 +4,14 @@ Everything here recomputes quantities by enumeration or iteration, kept
 deliberately independent of the library's own algorithms.
 """
 
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import numpy as np
 
 from beliefdyn.homophily import kl_divergence, softmax_weights
-from beliefdyn.stochastic import row_normalize
+from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
+from beliefdyn.sampling import SampledRun
+from beliefdyn.stochastic import max_abs_diff, row_normalize
 
 
 def random_stochastic(rng, rows, cols=None, zeros=0.0):
@@ -45,6 +47,86 @@ def loop_homophily_structure(points, eps, cfg):
         linked = divs[i] < eps        # strict; self always qualifies at 0
         out[i, linked] = softmax_weights(divs[i, linked], cfg.beta)
     return row_normalize(out), divs
+
+
+def _scalar_splitmix64(state):
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = z ^ (z >> 31)
+    return state, z
+
+
+def _scalar_rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & MASK64
+
+
+class ScalarXoshiro256StarStar:
+    """xoshiro256** on Python integers, one seed at a time."""
+
+    def __init__(self, seed, stream=0):
+        state = (int(seed) ^ ((stream * 0x9E3779B97F4A7C15) & MASK64)) & MASK64
+        s = []
+        for _ in range(4):
+            state, out = _scalar_splitmix64(state)
+            s.append(out)
+        if not any(s):
+            s[0] = 1
+        self._s = s
+
+    def next_uint64(self):
+        s = self._s
+        result = (_scalar_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
+        t = (s[1] << 17) & MASK64
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = _scalar_rotl(s[3], 45)
+        return result
+
+    def next_float(self):
+        return (self.next_uint64() >> 11) * (2.0 ** -53)
+
+    def next_index(self, weights):
+        total = float(sum(weights))
+        u = self.next_float() * total
+        acc = 0.0
+        for i, w in enumerate(weights):
+            acc += float(w)
+            if u < acc:
+                return i
+        return len(weights) - 1
+
+
+def loop_sample_trajectory(sp, sh, m, seed, steps, tol=1e-9):
+    """One seed's sampled run, one scalar draw and one product per step."""
+    rng_p = ScalarXoshiro256StarStar(seed, stream=NETWORK_STREAM)
+    rng_h = ScalarXoshiro256StarStar(seed, stream=CONCEPT_STREAM)
+    word_p, word_h = [], []
+    q = np.array(m, dtype=float)
+    stabilized = None
+    for t in range(1, steps + 1):
+        i = rng_p.next_index(sp.weights)
+        j = rng_h.next_index(sh.weights)
+        word_p.append(i)
+        word_h.append(j)
+        nxt = sp.members[i] @ q @ sh.members[j]
+        if stabilized is None and tol > 0 and max_abs_diff(nxt, q) < tol:
+            stabilized = t
+        q = nxt
+    return SampledRun(int(seed), steps, tuple(word_p), tuple(word_h), q, stabilized)
+
+
+def pair_loop_ergodic_coefficient(p):
+    """min over row pairs of sum_j min(p_ij, p_kj), one pair at a time."""
+    a = np.asarray(p, dtype=float)
+    g = 1.0
+    for i, j in combinations(range(a.shape[0]), 2):
+        g = min(g, float(np.minimum(a[i], a[j]).sum()))
+    return g
 
 
 def closed_subsets(p, tol=1e-9):
