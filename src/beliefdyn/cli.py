@@ -255,6 +255,8 @@ def _mode_clusters(config, write, say):
     write("clusters.txt", text=report + "\n")
     say(report)
     say(f"internal_condition_holds={partition.internal_condition_holds}")
+    say(f"frank_wolfe_iterations={partition.iterations} "
+        f"max_duality_gap={partition.max_gap:.3e}")
     return {}
 
 

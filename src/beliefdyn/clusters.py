@@ -7,10 +7,22 @@ distinct belief groups a homophily dynamic can end with.
 
 The construction mirrors how groups can ever merge: first link points
 whose pairwise divergence is below eps, then repeatedly merge components
-whose convex hulls come within eps of each other.  Hull-to-point distances
-are convex programs solved with Frank-Wolfe over the hull weights;
-hull-to-hull uses alternating minimization with multiple starts, certified
-in tests against a brute-force barycentric grid.
+whose convex hulls come within eps of each other.  A merge round decides
+only the pairs with a component that changed in the round before; the
+other pairs were already decided "not below".
+
+Hull distances are one convex program.  KL(q, p) is jointly convex in
+(q, p), and Conv(A) x Conv(B) is the convex hull of the stacked vertex
+pairs (a_i, b_j), so min KL(q, p) over q in Conv(A), p in Conv(B) is one
+Frank-Wolfe run over the weights of those pairs; hull-to-point is the case
+with one vertex in B.  Every iterate is feasible and, by convexity, its
+duality gap bounds the minimum from below: it lies in [value - gap, value].
+
+Tie policy of the decision "min KL < eps": it is "below" as soon as
+value < eps and "not below" as soon as value - gap >= eps; otherwise the
+solver runs until gap <= tol and decides by value < eps, so a minimum
+within tol of eps may resolve either way.  Tests check the solver against
+a brute-force barycentric grid and an alternating-minimization heuristic.
 """
 
 from dataclasses import dataclass
@@ -36,6 +48,8 @@ class ClusterPartition:
     clusters: tuple          # tuple of sorted index tuples
     epsilon: float
     internal_condition_holds: bool = None
+    iterations: int = 0      # Frank-Wolfe iterations over all decisions
+    max_gap: float = 0.0     # largest final duality gap among them
 
     def __len__(self):
         return len(self.clusters)
@@ -72,45 +86,50 @@ def _line_search(deriv, steps=60):
     return 0.5 * (lo + hi)
 
 
-def _frank_wolfe(vertices, grad_q, value_q, tol, max_iter, w0=None):
-    """Minimize a convex function of q = w @ vertices over the weight simplex.
+def _frank_wolfe(vertices, grad, value, tol, max_iter, epsilon=None):
+    """Minimize a convex function of x = w @ vertices over the weight simplex.
 
-    Frank-Wolfe with away steps: the plain variant zigzags sublinearly once
-    the optimum lies on a face, while away steps drain weight from bad
-    vertices directly and converge linearly on these objectives.
-    ``grad_q(q)`` and ``value_q(q)`` evaluate the objective in q-space.
-    Returns (value, weights); raises NonConvergenceError if the duality gap
-    stays above tol at the iteration cap.
+    Frank-Wolfe with away steps, started at the best vertex: the plain
+    variant zigzags sublinearly once the optimum lies on a face, while away
+    steps drain weight from bad vertices directly and converge linearly on
+    these objectives.  The minimum lies in [value(x) - gap, value(x)].  Stops
+    when gap <= tol or, given ``epsilon``, as soon as that interval lies on
+    one side of epsilon, so ``value < epsilon`` answers "is the minimum
+    below epsilon?".  ``value`` must also evaluate the rows of a 2-D x.
+    Returns (value, gap, iterations); raises NonConvergenceError if it does
+    not stop within max_iter iterations.
     """
     v = np.asarray(vertices, dtype=float)
-    k = v.shape[0]
-    w = np.full(k, 1.0 / k) if w0 is None else np.asarray(w0, dtype=float).copy()
-    q = w @ v
+    w = np.zeros(v.shape[0])
+    w[int(np.argmin(value(v)))] = 1.0
+    x = w @ v
     gap = np.inf
-    for _ in range(max_iter):
-        scores = v @ grad_q(q)
+    for it in range(max_iter):
+        val = float(value(x))
+        scores = v @ grad(x)
         s = int(np.argmin(scores))
         mean_score = float(w @ scores)
         gap = mean_score - float(scores[s])
-        if gap <= tol:
-            return value_q(q), w
+        if gap <= tol or (epsilon is not None
+                          and (val < epsilon or val - gap >= epsilon)):
+            return val, gap, it
         active = np.flatnonzero(w > 0)
         a = int(active[np.argmax(scores[active])])
         away_gap = float(scores[a]) - mean_score
 
         if gap >= away_gap:
-            direction = v[s] - q
+            direction = v[s] - x
             gamma_max = 1.0
         else:
-            direction = q - v[a]
+            direction = x - v[a]
             gamma_max = w[a] / (1.0 - w[a]) if w[a] < 1.0 else 1.0
 
-        def deriv(t, q=q, direction=direction, gamma_max=gamma_max):
-            return float(direction @ grad_q(q + t * gamma_max * direction))
+        def deriv(t, x=x, direction=direction, gamma_max=gamma_max):
+            return float(direction @ grad(x + t * gamma_max * direction))
 
         step = _line_search(deriv) * gamma_max
         if step <= 0.0:
-            return value_q(q), w
+            return val, gap, it
         if gap >= away_gap:
             w = (1.0 - step) * w
             w[s] += step
@@ -119,95 +138,48 @@ def _frank_wolfe(vertices, grad_q, value_q, tol, max_iter, w0=None):
             w[a] -= step
             w = np.maximum(w, 0.0)
         w = w / w.sum()
-        q = w @ v
+        x = w @ v
     raise NonConvergenceError(max_iter, gap)
+
+
+def _min_kl(va, vb, tol, max_iter=10_000, epsilon=None):
+    """min KL(q, p) over q in Conv(va), p in Conv(vb) as (value, gap, iterations).
+
+    One Frank-Wolfe run over x = (q, p) on the stacked vertex pairs
+    (a_i, b_j); ``epsilon`` makes it the certified test "minimum < epsilon".
+    """
+    if va.shape[1] != vb.shape[1]:
+        raise ValueError("the two point sets have different dimensions")
+    if va.shape[0] == 1 and vb.shape[0] == 1:
+        return kl_divergence(va[0], vb[0], floor=0.0), 0.0, 0
+    d = va.shape[1]
+    pairs = np.hstack([np.repeat(va, vb.shape[0], axis=0),
+                       np.tile(vb, (va.shape[0], 1))])
+
+    def value(x):
+        q, p = x[..., :d], x[..., d:]
+        return np.sum(q * (_safe_log(q) - _safe_log(p)), axis=-1)
+
+    def grad(x):
+        q, p = x[:d], x[d:]
+        return np.concatenate([_safe_log(q) - _safe_log(p) + 1.0,
+                               -q / np.maximum(p, 1e-300)])
+
+    return _frank_wolfe(pairs, grad, value, tol, max_iter, epsilon)
 
 
 def min_kl_hull_to_point(hull, target, tol=1e-6, floor=DEFAULT_FLOOR,
                          max_iter=10_000):
     """min over q in Conv(hull) of KL(q, target), to additive accuracy tol."""
-    v = _floored(hull, floor)
-    t = _floored(np.asarray(target, dtype=float)[None, :], floor)[0]
-    if v.shape[1] != t.shape[0]:
-        raise ValueError("hull points and target have different dimensions")
-    if v.shape[0] == 1:
-        return kl_divergence(v[0], t, floor=0.0)
-    log_t = _safe_log(t)
-
-    def value(q):
-        return float(np.sum(q * (_safe_log(q) - log_t)))
-
-    def grad(q):
-        return _safe_log(q) - log_t + 1.0
-
-    val, _ = _frank_wolfe(v, grad, value, tol, max_iter)
+    t = np.asarray(target, dtype=float)[None, :]
+    val, _, _ = _min_kl(_floored(hull, floor), _floored(t, floor), tol, max_iter)
     return max(val, 0.0)
 
 
-def _min_kl_point_to_hull(source, hull, tol, max_iter, w0=None):
-    """min over p in Conv(hull) of KL(source, p); convex in the weights."""
-    v = np.asarray(hull, dtype=float)
-    src = np.asarray(source, dtype=float)
-
-    def value(p):
-        mask = src > 0
-        return float(np.sum(src[mask] * (np.log(src[mask]) - _safe_log(p[mask]))))
-
-    def grad(p):
-        return -src / np.maximum(p, 1e-300)
-
-    val, w = _frank_wolfe(v, grad, value, tol, max_iter, w0=w0)
-    return max(val, 0.0), w
-
-
-def min_kl_hull_to_hull(a, b, tol=1e-6, floor=DEFAULT_FLOOR, max_iter=10_000,
-                        rounds=60):
-    """min over q in Conv(a), p in Conv(b) of KL(q, p).
-
-    Alternates the two convex subproblems from several deterministic
-    starting pairs (barycenters plus the closest vertex pairs) and keeps
-    the best value.
-    """
-    va = _floored(a, floor)
-    vb = _floored(b, floor)
-    ka, kb = va.shape[0], vb.shape[0]
-    if ka == 1 and kb == 1:
-        return kl_divergence(va[0], vb[0], floor=0.0)
-
-    pair_kl = np.array([[kl_divergence(va[i], vb[j]) for j in range(kb)]
-                        for i in range(ka)])
-    order = np.dstack(np.unravel_index(np.argsort(pair_kl, axis=None),
-                                       pair_kl.shape))[0]
-    starts = [(np.full(ka, 1.0 / ka), np.full(kb, 1.0 / kb))]
-    for i, j in order[:4]:
-        wa = np.zeros(ka)
-        wa[i] = 1.0
-        wb = np.zeros(kb)
-        wb[j] = 1.0
-        starts.append((wa, wb))
-
-    best = np.inf
-    for wa, wb in starts:
-        q = wa @ va
-        p = wb @ vb
-        prev = np.inf
-        for _ in range(rounds):
-            # q-step: KL(q, p) convex in q
-            log_p = _safe_log(p)
-            val, wa = _frank_wolfe(
-                va,
-                lambda q_: _safe_log(q_) - log_p + 1.0,
-                lambda q_: float(np.sum(q_ * (_safe_log(q_) - log_p))),
-                tol, max_iter, w0=wa)
-            q = wa @ va
-            # p-step: KL(q, p) convex in p
-            val, wb = _min_kl_point_to_hull(q, vb, tol, max_iter, w0=wb)
-            p = wb @ vb
-            if prev - val < 0.1 * tol:
-                break
-            prev = val
-        best = min(best, val)
-    return max(best, 0.0)
+def min_kl_hull_to_hull(a, b, tol=1e-6, floor=DEFAULT_FLOOR, max_iter=10_000):
+    """min over q in Conv(a), p in Conv(b) of KL(q, p), to additive accuracy tol."""
+    val, _, _ = _min_kl(_floored(a, floor), _floored(b, floor), tol, max_iter)
+    return max(val, 0.0)
 
 
 def _merge_components(components, merges):
@@ -240,38 +212,45 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
 
     ``internal_condition_holds`` additionally reports whether every point
     sits within epsilon of the hull of its cluster's other members, which
-    the constructive partition does not enforce.
+    the constructive partition does not enforce.  ``iterations`` and
+    ``max_gap`` report the Frank-Wolfe work behind all these decisions.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     pts = _floored(points, floor)
     n = pts.shape[0]
+    iterations, max_gap = 0, 0.0
+
+    def below(va, vb):
+        nonlocal iterations, max_gap
+        val, gap, its = _min_kl(va, vb, tol, epsilon=epsilon)
+        iterations += its
+        max_gap = max(max_gap, gap)
+        return val < epsilon
 
     direct = _pairwise_kl(pts, 0.0) < epsilon     # pts are floored already
     np.fill_diagonal(direct, False)
     components = _merge_components([[i] for i in range(n)],
                                    np.argwhere(direct).tolist())
+    changed = [True] * len(components)
 
     while True:
         merges = []
         for ci in range(len(components)):
             for cj in range(ci + 1, len(components)):
+                if not (changed[ci] or changed[cj]):
+                    continue    # both unchanged: decided "not below" last round
                 va = pts[components[ci]]
                 vb = pts[components[cj]]
-                if (min_kl_hull_to_hull(va, vb, tol, floor) < epsilon
-                        or min_kl_hull_to_hull(vb, va, tol, floor) < epsilon):
+                if below(va, vb) or below(vb, va):
                     merges.append((ci, cj))
         if not merges:
             break
+        previous = set(map(tuple, components))
         components = _merge_components(components, merges)
+        changed = [tuple(c) not in previous for c in components]
 
-    internal = True
-    for comp in components:
-        if len(comp) < 2:
-            continue
-        for i in comp:
-            rest = [j for j in comp if j != i]
-            if min_kl_hull_to_point(pts[rest], pts[i], tol, floor) >= epsilon:
-                internal = False
+    internal = all(below(pts[[j for j in comp if j != i]], pts[[i]])
+                   for comp in components if len(comp) > 1 for i in comp)
     return ClusterPartition(tuple(tuple(c) for c in components),
-                            float(epsilon), internal)
+                            float(epsilon), internal, iterations, max_gap)

@@ -69,6 +69,25 @@ def test_clusters_subcommand(tmp_path, capsys):
                  "--out", out]) == 0
     text = (Path(out) / "clusters.txt").read_text()
     assert text.split(" ")[0].isdigit()
+    solver = capsys.readouterr().out.splitlines()[-1]
+    assert solver.startswith("frank_wolfe_iterations=")
+    assert "max_duality_gap=" in solver
+
+
+# manifest output hashes of `fixtures/five_person/clusters.cfg`, recorded
+# before the cluster merges were decided by one certified joint solve
+CLUSTERS_FIXTURE_OUTPUTS = {
+    "clusters.txt":
+        "fbfb4e25722a5fb1c409f6a3210d96572b66df7e5cc7fc74f42d475ef8e73adf",
+}
+
+
+def test_clusters_fixture_outputs_pinned(tmp_path):
+    out = run_dir(tmp_path, "clusters")
+    assert main(["run", str(FIXTURES / "five_person" / "clusters.cfg"),
+                 "--out", out, "--quiet"]) == 0
+    manifest = json.loads((Path(out) / "manifest.json").read_text())
+    assert manifest["outputs"] == CLUSTERS_FIXTURE_OUTPUTS
 
 
 def test_certify_homogeneous(tmp_path, capsys):

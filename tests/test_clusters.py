@@ -2,14 +2,18 @@ from math import log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets
-from beliefdyn.clusters import (epsilon_kl_clusters, min_kl_hull_to_hull,
+from beliefdyn.clusters import (DEFAULT_FLOOR, _floored, _min_kl,
+                                epsilon_kl_clusters, min_kl_hull_to_hull,
                                 min_kl_hull_to_point)
-from beliefdyn.homophily import kl_divergence
-from util import grid_min_kl_hull_to_hull, grid_min_kl_to_point
+from beliefdyn.homophily import HomophilyConfig, run_homophily
+from util import (alternating_min_kl_hull_to_hull, grid_min_kl_hull_to_hull,
+                  grid_min_kl_to_point, loop_epsilon_kl_clusters)
 
 TOL = 1e-6
+GRID = 10     # weight-grid resolution of the property test's brute-force oracle
 
 
 class TestHullToPoint:
@@ -70,6 +74,29 @@ class TestHullToHull:
             grid = grid_min_kl_hull_to_hull(a, b, resolution=40)
             assert val <= grid + 1e-9
             assert grid - val <= 4e-3
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(3, 5), ka=st.integers(1, 5), kb=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1),
+           offset=st.sampled_from([-0.1, -1e-3, -1e-5, 1e-5, 1e-3, 0.1]))
+    def test_joint_solve_matches_oracles_and_certifies(self, d, ka, kb, seed,
+                                                       offset):
+        rng = np.random.default_rng(seed)
+        a = rng.dirichlet(np.ones(d), size=ka)
+        b = rng.dirichlet(np.ones(d), size=kb)
+        val = min_kl_hull_to_hull(a, b, TOL)
+        # the heuristic's value is feasible, so it bounds the minimum above
+        alternating = alternating_min_kl_hull_to_hull(a, b, TOL, max_iter=1000)
+        assert val <= alternating + TOL
+        # a grid point is feasible; the optimum is near some grid point
+        grid = grid_min_kl_hull_to_hull(a, b, GRID)
+        assert grid - 1.0 / GRID <= val <= grid + TOL
+        eps = val + offset
+        decided, _, _ = _min_kl(_floored(a, DEFAULT_FLOOR),
+                                _floored(b, DEFAULT_FLOOR), TOL,
+                                epsilon=eps)
+        if abs(val - eps) > TOL:
+            assert (decided < eps) == (val < eps)
 
     def test_asymmetry_directions_differ(self):
         a = np.array([[0.9, 0.05, 0.05]])
@@ -136,7 +163,6 @@ class TestEpsilonKlClusters:
                 assert min(abs(v - eps) for v in vals) < 5e-3
 
     def test_cluster_count_bounds_fresh_dirichlet_runs(self):
-        from beliefdyn.homophily import HomophilyConfig, run_homophily
         rng = np.random.default_rng(55)
         for _ in range(6):
             m = rng.dirichlet(np.ones(3), size=4)
@@ -145,3 +171,23 @@ class TestEpsilonKlClusters:
                                   max_steps=200)
             trace = run_homophily(m, cfg)
             assert len(part) <= len(trace.final_groups)
+
+    @pytest.mark.parametrize("n, seed", [(24, 9), (20, 11)])
+    def test_partition_matches_merge_loop_oracle(self, n, seed):
+        # several merge rounds: later rounds decide only pairs with a
+        # component that changed, yet must end at the loop's partition
+        m = np.random.default_rng(seed).dirichlet(np.ones(3), size=n)
+        part = epsilon_kl_clusters(m, 0.1)
+        assert len(part) > 1
+        assert part.clusters == loop_epsilon_kl_clusters(m, 0.1)
+
+    @pytest.mark.parametrize("seed", [4, 10])
+    def test_sixty_points_finish_within_homophily_bound(self, seed):
+        # once raised NonConvergenceError: an internal-condition solve stalled
+        # at gap 7.5e-6 > tol while its value sat far below eps
+        m = np.random.default_rng(seed).dirichlet(np.ones(4), size=60)
+        part = epsilon_kl_clusters(m, 0.05)
+        cfg = HomophilyConfig(eps_p=0.05, eps_h=0.1, freeze_concepts=True,
+                              max_steps=200)
+        assert len(part) <= len(run_homophily(m, cfg).final_groups)
+        assert part.iterations > 0 and 0.0 <= part.max_gap < np.inf

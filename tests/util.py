@@ -8,6 +8,8 @@ from itertools import combinations, product as iter_product
 
 import numpy as np
 
+from beliefdyn.clusters import (_floored, _line_search, _safe_log,
+                                min_kl_hull_to_hull)
 from beliefdyn.homophily import kl_divergence, softmax_weights
 from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
 from beliefdyn.sampling import SampledRun
@@ -189,24 +191,127 @@ def _compositions(total, parts):
 
 def grid_min_kl_to_point(hull, target, resolution=50, floor=1e-12):
     """Brute-force min KL(q, target) over a barycentric weight grid."""
-    hull = np.asarray(hull, dtype=float)
-    best = np.inf
-    for comp in _compositions(resolution, hull.shape[0]):
-        w = np.asarray(comp, dtype=float) / resolution
-        best = min(best, kl_divergence(w @ hull, target, floor))
-    return best
+    return grid_min_kl_hull_to_hull(hull, [target], resolution, floor)
 
 
 def grid_min_kl_hull_to_hull(a, b, resolution=25, floor=1e-12):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Brute-force min KL(q, p) over barycentric weight grids on both hulls."""
+    def grid(v):
+        w = np.array(list(_compositions(resolution, len(v))), dtype=float)
+        x = np.maximum(w / resolution @ np.asarray(v, dtype=float), floor)
+        return x / x.sum(axis=1, keepdims=True)
+
+    q, p = grid(a), grid(b)
+    # every pair at once: KL(q_i, p_j) = sum q_i log q_i - q_i . log p_j
+    return float(np.min(np.sum(q * np.log(q), axis=1)[:, None] - q @ np.log(p).T))
+
+
+def _away_step_frank_wolfe(vertices, grad_q, value_q, tol, max_iter, w0):
+    """Away-step Frank-Wolfe over hull weights, warm-started at ``w0``.
+
+    At the iteration cap it returns its last iterate: a feasible point, so
+    its value still bounds the minimum from above.
+    """
+    v = np.asarray(vertices, dtype=float)
+    w = np.asarray(w0, dtype=float).copy()
+    q = w @ v
+    for _ in range(max_iter):
+        scores = v @ grad_q(q)
+        s = int(np.argmin(scores))
+        mean_score = float(w @ scores)
+        gap = mean_score - float(scores[s])
+        if gap <= tol:
+            return value_q(q), w
+        active = np.flatnonzero(w > 0)
+        a = int(active[np.argmax(scores[active])])
+        away_gap = float(scores[a]) - mean_score
+        if gap >= away_gap:
+            direction = v[s] - q
+            gamma_max = 1.0
+        else:
+            direction = q - v[a]
+            gamma_max = w[a] / (1.0 - w[a]) if w[a] < 1.0 else 1.0
+
+        def deriv(t, q=q, direction=direction, gamma_max=gamma_max):
+            return float(direction @ grad_q(q + t * gamma_max * direction))
+
+        step = _line_search(deriv) * gamma_max
+        if step <= 0.0:
+            return value_q(q), w
+        if gap >= away_gap:
+            w = (1.0 - step) * w
+            w[s] += step
+        else:
+            w = (1.0 + step) * w
+            w[a] -= step
+            w = np.maximum(w, 0.0)
+        w = w / w.sum()
+        q = w @ v
+    return value_q(q), w
+
+
+def alternating_min_kl_hull_to_hull(a, b, tol=1e-6, floor=1e-12,
+                                    max_iter=10_000, rounds=60):
+    """min over q in Conv(a), p in Conv(b) of KL(q, p) by alternation.
+
+    Minimizes over q with p fixed, then over p with q fixed (each a convex
+    Frank-Wolfe solve), from five deterministic starts: the barycenters and
+    the four closest vertex pairs.  Keeps the best value.  A heuristic: it
+    reaches the joint minimum here only because KL is jointly convex.
+    """
+    va, vb = _floored(a, floor), _floored(b, floor)
+    ka, kb = va.shape[0], vb.shape[0]
+    if ka == 1 and kb == 1:
+        return kl_divergence(va[0], vb[0])
+    pair_kl = np.array([[kl_divergence(x, y) for y in vb] for x in va])
+    starts = [(np.full(ka, 1.0 / ka), np.full(kb, 1.0 / kb))]
+    for i, j in zip(*np.unravel_index(np.argsort(pair_kl, axis=None)[:4],
+                                      pair_kl.shape)):
+        starts.append((np.eye(ka)[i], np.eye(kb)[j]))
+
     best = np.inf
-    for ca in _compositions(resolution, a.shape[0]):
-        q = np.asarray(ca, dtype=float) / resolution @ a
-        for cb in _compositions(resolution, b.shape[0]):
-            p = np.asarray(cb, dtype=float) / resolution @ b
-            best = min(best, kl_divergence(q, p, floor))
-    return best
+    for wa, wb in starts:
+        p = wb @ vb
+        prev = np.inf
+        for _ in range(rounds):
+            log_p = _safe_log(p)
+            val, wa = _away_step_frank_wolfe(
+                va, lambda q_: _safe_log(q_) - log_p + 1.0,
+                lambda q_: float(np.sum(q_ * (_safe_log(q_) - log_p))),
+                tol, max_iter, wa)
+            q = wa @ va
+            val, wb = _away_step_frank_wolfe(
+                vb, lambda p_: -q / np.maximum(p_, 1e-300),
+                lambda p_: float(np.sum(q * (_safe_log(q) - _safe_log(p_)))),
+                tol, max_iter, wb)
+            p = wb @ vb
+            if prev - val < 0.1 * tol:
+                break
+            prev = val
+        best = min(best, val)
+    return max(best, 0.0)
+
+
+def loop_epsilon_kl_clusters(points, epsilon):
+    """eps-KL clusters by merging any two components whose hulls come within
+    epsilon (either direction, by value), until no pair does.
+
+    Merging only enlarges hulls, so every merge order ends at the same
+    partition; this one re-decides every pair after each merge.
+    """
+    points = np.asarray(points, dtype=float)
+    comps = [[i] for i in range(len(points))]
+    merged = True
+    while merged:
+        merged = False
+        for x, y in combinations(range(len(comps)), 2):
+            a, b = points[comps[x]], points[comps[y]]
+            if (min_kl_hull_to_hull(a, b) < epsilon
+                    or min_kl_hull_to_hull(b, a) < epsilon):
+                comps[x] = sorted(comps[x] + comps.pop(y))
+                merged = True
+                break
+    return tuple(sorted(map(tuple, comps)))
 
 
 def power_iteration_subdominant(p, iters=4000, settle=200, seed=1):
