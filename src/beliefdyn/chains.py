@@ -29,9 +29,6 @@ class TransitionGraph:
             a[i, j] = True
         return a
 
-    def successors(self, i):
-        return sorted(j for (u, j) in self.edges if u == i)
-
 
 @dataclass(frozen=True)
 class Condensation:
@@ -40,12 +37,6 @@ class Condensation:
     classes: tuple            # tuple of sorted state tuples
     dag_edges: frozenset      # edges between class indices, no self-edges
     leaf_classes: tuple       # indices of classes with no outgoing dag edge
-
-    def class_of(self, state):
-        for ci, members in enumerate(self.classes):
-            if state in members:
-                return ci
-        raise KeyError(state)
 
 
 @dataclass(frozen=True)

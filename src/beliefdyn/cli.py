@@ -98,10 +98,11 @@ def _writer(out):
         p = out / name
         p.parent.mkdir(parents=True, exist_ok=True)
         if matrix is not None:
-            write_matrix(p, matrix)
+            data = write_matrix(p, matrix)
         else:
-            p.write_text(text)
-        written[name] = hashlib.sha256(p.read_bytes()).hexdigest()
+            data = text.encode()
+            p.write_bytes(data)
+        written[name] = hashlib.sha256(data).hexdigest()
         return p
 
     return out, write, written
@@ -128,8 +129,8 @@ def _certificate_text(cert):
     return "\n".join(lines) + "\n"
 
 
-def _mode_analyze(config, write, say):
-    p = _load(config.params["p"])
+def _mode_analyze(config, inputs, write, say):
+    p = inputs["p"]
     threshold = float(config.params.get("zero_threshold", "0"))
     result = analyze(p, zero_threshold=threshold)
     cond, states = result
@@ -152,10 +153,8 @@ def _mode_analyze(config, write, say):
     return {}
 
 
-def _mode_evolve(config, write, say):
-    p = _load(config.params["p"])
-    m = _load(config.params["m"])
-    h = _load(config.params["h"])
+def _mode_evolve(config, inputs, write, say):
+    p, m, h = inputs["p"], inputs["m"], inputs["h"]
     steps = int(config.params.get("steps", "200"))
     tol = float(config.params.get("tol", "1e-9"))
     trace = evolve(p, m, h, steps, tol)
@@ -173,10 +172,8 @@ def _mode_evolve(config, write, say):
     return info
 
 
-def _mode_sample(config, write, say):
-    sp = load_family(config.params["sp_dir"])
-    sh = load_family(config.params["sh_dir"])
-    m = _load(config.params["m"])
+def _mode_sample(config, inputs, write, say):
+    sp, sh, m = inputs["sp_dir"], inputs["sh_dir"], inputs["m"]
     horizon = int(config.params.get("horizon", "300"))
     seeds = [int(s) for s in str(config.params.get("seeds", config.seed)).split(",")]
     deltas = []
@@ -201,8 +198,8 @@ def _mode_sample(config, write, say):
     return {"stabilized_at": stabilized}
 
 
-def _mode_homophily(config, write, say):
-    m = _load(config.params["m"])
+def _mode_homophily(config, inputs, write, say):
+    m = inputs["m"]
     cfg = HomophilyConfig(
         eps_p=float(config.params["eps_p"]),
         eps_h=float(config.params["eps_h"]),
@@ -240,8 +237,8 @@ def _mode_homophily(config, write, say):
     return {"stabilized_at": trace.stabilized_at}
 
 
-def _mode_clusters(config, write, say):
-    m = _load(config.params["m"])
+def _mode_clusters(config, inputs, write, say):
+    m = inputs["m"]
     axis = config.params.get("axis", "rows")
     if axis == "cols":
         from .stochastic import col_normalize
@@ -260,15 +257,13 @@ def _mode_clusters(config, write, say):
     return {}
 
 
-def _mode_certify(config, write, say):
+def _mode_certify(config, inputs, write, say):
     kind = config.params.get("kind", "homogeneous")
     if kind == "homogeneous":
-        p = _load(config.params["p"])
-        h = _load(config.params["h"])
-        m = _load(config.params["m"]) if "m" in config.params else None
-        cert = homogeneous_rate_certificate(p, h, m=m)
+        cert = homogeneous_rate_certificate(inputs["p"], inputs["h"],
+                                            m=inputs.get("m"))
     elif kind == "inhomogeneous":
-        family = load_family(config.params["family_dir"])
+        family = inputs["family_dir"]
         nu = config.params.get("nu", "auto")
         cert = inhomogeneous_rate_certificate(
             family, nu=None if nu == "auto" else int(nu))
@@ -294,14 +289,13 @@ def run(config):
     """Execute one RunConfig; returns the manifest path.
 
     Fails fast: all referenced input files are parsed before any output is
-    produced.
+    produced, and the mode runs on those parsed inputs.
     """
-    for key in ("p", "m", "h"):
-        if key in config.params:
-            _load(config.params[key])
+    inputs = {key: _load(config.params[key])
+              for key in ("p", "m", "h") if key in config.params}
     for key in ("sp_dir", "sh_dir", "family_dir"):
         if key in config.params:
-            load_family(config.params[key])
+            inputs[key] = load_family(config.params[key])
 
     out = config.out if config.out is not None else Path.cwd() / "beliefdyn-out"
     out, write, written = _writer(out)
@@ -310,7 +304,7 @@ def run(config):
         if not config.quiet:
             print(message)
 
-    info = _RUNNERS[config.mode](config, write, say)
+    info = _RUNNERS[config.mode](config, inputs, write, say)
 
     manifest = {
         "tool": f"beliefdyn {__version__}",

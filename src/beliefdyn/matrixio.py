@@ -1,8 +1,15 @@
 """CSV matrix files and weighted family directories.
 
 Matrix format: an optional header line ``# rows=R cols=C`` followed by R
-comma-separated rows of decimals.  Values are written with 12 significant
-digits so that rewriting a parsed file is byte-stable.
+comma-separated rows of decimals.
+
+Writing is a byte contract.  ``write_matrix`` writes the header, then each
+row with every value as ``"%.12g" % value`` (12 significant digits, so
+rewriting a parsed file is byte-stable; ``nan``, ``inf`` and ``-0`` as
+Python prints them), each line ending in a newline; a matrix with no rows
+is its header line alone.  One ``%`` fills a whole-matrix template, and
+the bytes written are returned, so callers hash them without reading the
+file back.
 
 A family directory holds one ``.csv`` per member (ordered by file name)
 and an optional ``weights.txt`` of ``index weight`` lines, 0-based against
@@ -17,6 +24,7 @@ import numpy as np
 from .stochastic import MatrixFamily
 
 _HEADER = re.compile(r"#\s*rows=(\d+)\s+cols=(\d+)\s*$")
+_VALUE = "%.12g"
 
 
 class ParseError(ValueError):
@@ -27,15 +35,20 @@ class ParseError(ValueError):
 
 
 def format_value(x):
-    return "%.12g" % float(x)
+    return _VALUE % float(x)
 
 
 def write_matrix(path, m):
+    """Write ``m`` as CSV; returns the bytes written."""
     m = np.asarray(m, dtype=float)
-    lines = ["# rows=%d cols=%d" % m.shape]
-    for row in m:
-        lines.append(",".join(format_value(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "# rows=%d cols=%d\n" % m.shape
+    rows, cols = m.shape
+    if rows:
+        template = "\n".join([",".join([_VALUE] * cols)] * rows) + "\n"
+        text += template % tuple(m.ravel().tolist())
+    data = text.encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_matrix(path):

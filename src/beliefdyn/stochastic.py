@@ -98,10 +98,7 @@ def validate_stochastic(m, tol=DEFAULT_TOL):
     NegativeEntryError, RowSumError
     """
     a = as_matrix(m)
-    neg = np.argwhere(a < 0)
-    if len(neg):
-        i, j = map(int, neg[0])
-        raise NegativeEntryError(i, j, float(a[i, j]))
+    _reject_negative(a)
     sums = a.sum(axis=1)
     bad = np.argwhere(np.abs(sums - 1.0) > tol)
     if len(bad):

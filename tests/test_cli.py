@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -190,6 +191,54 @@ def test_sample_fixture_outputs_pinned(tmp_path):
     manifest = json.loads((Path(out) / "manifest.json").read_text())
     assert manifest["outputs"] == SAMPLE_FIXTURE_OUTPUTS
     assert manifest["stabilized_at"] == 6
+
+
+# manifest output hashes of the `two_camp` runs, recorded before matrices
+# were formatted by one `%` per matrix: every CSV artifact goes through
+# that writer and must stay byte-identical
+TWO_CAMP_LIMIT = "193e99325503c4d54d9d478b3dc53d2c476c22a4e700bb58acf3e4af2ced3820"
+TWO_CAMP_FIXTURE_OUTPUTS = {
+    "analyze": {
+        "analysis.jsonl":
+            "20e157579e38a01ec4a64a6f3b669e4f53ff6456ddd59bc8473489c2f2033dba",
+    },
+    "evolve": {"q_final.csv": TWO_CAMP_LIMIT, "q_limit.csv": TWO_CAMP_LIMIT},
+}
+
+
+def _two_camp_outputs(tmp_path, argv):
+    out = run_dir(tmp_path, "two_camp")
+    assert main(argv + ["--out", out, "--quiet"]) == 0
+    return json.loads((Path(out) / "manifest.json").read_text())["outputs"]
+
+
+@pytest.mark.parametrize("mode", sorted(TWO_CAMP_FIXTURE_OUTPUTS))
+def test_two_camp_fixture_outputs_pinned(tmp_path, mode):
+    outputs = _two_camp_outputs(
+        tmp_path, ["run", str(FIXTURES / "two_camp" / f"{mode}.cfg")])
+    assert outputs == TWO_CAMP_FIXTURE_OUTPUTS[mode]
+
+
+def _two_camp_flags(*names):
+    return [arg for name in names
+            for arg in (f"--{name}", str(FIXTURES / "two_camp" / f"{name}.csv"))]
+
+
+def test_two_camp_certificate_pinned(tmp_path):
+    outputs = _two_camp_outputs(
+        tmp_path, ["certify", "--kind", "homogeneous", *_two_camp_flags("p", "h", "m")])
+    assert outputs == {
+        "certificate.txt":
+            "893316e70a90922e4b5a162ef366348da984a39276b9d695ce508de131591c8b",
+    }
+
+
+def test_two_camp_trace_outputs_pinned(tmp_path):
+    outputs = _two_camp_outputs(
+        tmp_path, ["evolve", *_two_camp_flags("p", "m", "h"), "--trace", "--limit"])
+    assert len(outputs) == 203
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert digest == "2a7d77ca22df2a9a136a20488617e7750a42bf63a0fba31be2326080aa394989"
 
 
 def test_reruns_are_byte_identical(tmp_path):

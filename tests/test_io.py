@@ -1,9 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beliefdyn.matrixio import (ParseError, load_family, read_matrix,
                                 read_weights, write_matrix)
-from util import random_stochastic
+from util import loop_write_matrix, random_stochastic
 
 
 def test_round_trip_preserves_values(tmp_path):
@@ -96,3 +101,48 @@ def test_bundled_fixture_parses():
     assert m.shape == (5, 5)
     fam = load_family(root / "scrambling_pair")
     assert len(fam) == 2
+
+
+def test_ragged_row_after_equal_token_total(tmp_path):
+    # 9 tokens make a 3x3 total, but row 2 already has 5 of them
+    path = tmp_path / "ragged.csv"
+    path.write_text("1,2,3\n4,5,6,7,8\n9\n")
+    with pytest.raises(ParseError) as err:
+        read_matrix(path)
+    assert err.value.line == 2
+    assert str(err.value).endswith("ragged row")
+
+
+def test_write_matrix_with_no_rows_is_header_alone(tmp_path):
+    path = tmp_path / "empty.csv"
+    data = write_matrix(path, np.zeros((0, 3)))
+    assert path.read_bytes() == data == b"# rows=0 cols=3\n"
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                  float("nan"), float("inf"), float("-inf")]
+
+matrices = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    elements=st.one_of(st.sampled_from(SPECIAL_VALUES),
+                       st.floats(width=64),
+                       st.floats(0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=matrices)
+def test_csv_io_matches_element_oracle(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, loop, again = (Path(tmp) / name for name in ("a", "b", "c"))
+        data = write_matrix(fast, m)
+        loop_write_matrix(loop, m)
+        assert fast.read_bytes() == data == loop.read_bytes()
+        if m.size == 0:
+            with pytest.raises(ParseError, match="no data rows"):
+                read_matrix(fast)
+            return
+        expected = [[float("%.12g" % x) for x in row] for row in m.tolist()]
+        read = read_matrix(fast)
+        assert np.array_equal(read, np.array(expected), equal_nan=True)
+        assert write_matrix(again, read) == data

@@ -5,6 +5,7 @@ deliberately independent of the library's own algorithms.
 """
 
 from itertools import combinations, product as iter_product
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +32,15 @@ def random_stochastic(rng, rows, cols=None, zeros=0.0):
         sums = a.sum(axis=1)
         if np.all(sums > 0):
             return a / sums[:, None]
+
+
+def loop_write_matrix(path, m):
+    """CSV writer that formats one element at a time."""
+    m = np.asarray(m, dtype=float)
+    lines = ["# rows=%d cols=%d" % m.shape]
+    for row in m:
+        lines.append(",".join("%.12g" % float(x) for x in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def loop_homophily_structure(points, eps, cfg):
