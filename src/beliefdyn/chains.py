@@ -13,7 +13,7 @@ from math import gcd, inf
 
 import numpy as np
 
-from .stochastic import MatrixFamily, NotSquareError, require_square
+from .stochastic import NotSquareError, _as_family, require_square
 
 
 @dataclass(frozen=True)
@@ -196,15 +196,7 @@ def analyze(p, zero_threshold=0.0):
     ``is_indecomposable`` (at most one leaf class) and ``is_aperiodic``
     (every period equal to 1) hang off the result.
     """
-    a = require_square(p)
-    adj = a > zero_threshold
-    comps = _strongly_connected_components(adj)
-    condensation, class_of = _condense(adj, comps)
-    leaf_set = set(condensation.leaf_classes)
-    recurrent = tuple(class_of[s] in leaf_set for s in range(a.shape[0]))
-    class_period = [_class_periods(adj, comp) for comp in condensation.classes]
-    periods = tuple(class_period[class_of[s]] for s in range(a.shape[0]))
-    return ChainAnalysis(condensation, StateClassification(recurrent, periods))
+    return analyze_pattern(require_square(p) > zero_threshold)
 
 
 def analyze_pattern(adj):
@@ -223,9 +215,7 @@ def analyze_pattern(adj):
 
 def union_graph(family, zero_threshold=0.0):
     """Union of the members' positivity graphs over a shared vertex set."""
-    if not isinstance(family, MatrixFamily):
-        family = MatrixFamily(family)
-    family.require_square()
+    family = _as_family(family).require_square()
     edges = set()
     for m in family.members:
         edges |= graph_of(m, zero_threshold).edges
@@ -236,29 +226,8 @@ def one_leaf_connected(family, zero_threshold=0.0):
     """Union-graph criterion: condensation weakly connected with one leaf.
 
     This is the structural test for almost-sure consensus of products drawn
-    from the family.
+    from the family.  Every class of a finite condensation reaches a leaf,
+    so a single leaf already makes the condensation weakly connected.
     """
-    g = union_graph(family, zero_threshold)
-    analysis = analyze_pattern(g.adjacency())
-    cond = analysis.condensation
-    if len(cond.leaf_classes) != 1:
-        return False
-    # weak connectivity of the condensation
-    k = len(cond.classes)
-    if k == 1:
-        return True
-    neighbours = {ci: set() for ci in range(k)}
-    for ci, cj in cond.dag_edges:
-        neighbours[ci].add(cj)
-        neighbours[cj].add(ci)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in neighbours[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return len(seen) == k
+    adjacency = union_graph(family, zero_threshold).adjacency()
+    return analyze_pattern(adjacency).is_indecomposable

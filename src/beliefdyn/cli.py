@@ -9,8 +9,9 @@ configuration reproduces every artifact byte for byte.
 
 Config files are plain text: one ``key=value`` per line, ``#`` comments.
 The only required key is ``mode``; the remaining keys match the
-subcommand flags (``beliefdyn <mode> --help``).  Paths are resolved
-relative to the config file.
+subcommand flags (``beliefdyn <mode> --help``), plus the homophily keys
+``freeze_network`` and ``freeze_concepts``, which have no flag.  Paths are
+resolved relative to the config file.
 """
 
 import argparse
@@ -32,10 +33,8 @@ from .homophily import HomophilyConfig, StepLimitReached, run_homophily
 from .matrixio import (format_value, load_family, read_matrix, write_matrix,
                        ParseError)
 from .sampling import diagnose_convergence, expectation_matrix, sample_trajectories
-from .stochastic import delta_coefficient, ingest_rounded
+from .stochastic import col_normalize, delta_coefficient, ingest_rounded
 from .ternary import render_ternary
-
-MODES = ("analyze", "evolve", "sample", "homophily", "clusters", "certify")
 
 
 @dataclass
@@ -129,9 +128,9 @@ def _certificate_text(cert):
     return "\n".join(lines) + "\n"
 
 
-def _mode_analyze(config, inputs, write, say):
+def _mode_analyze(v, inputs, write, say):
     p = inputs["p"]
-    threshold = float(config.params.get("zero_threshold", "0"))
+    threshold = v["zero_threshold"]
     result = analyze(p, zero_threshold=threshold)
     cond, states = result
     records = [
@@ -153,32 +152,28 @@ def _mode_analyze(config, inputs, write, say):
     return {}
 
 
-def _mode_evolve(config, inputs, write, say):
+def _mode_evolve(v, inputs, write, say):
     p, m, h = inputs["p"], inputs["m"], inputs["h"]
-    steps = int(config.params.get("steps", "200"))
-    tol = float(config.params.get("tol", "1e-9"))
-    trace = evolve(p, m, h, steps, tol)
+    trace = evolve(p, m, h, v["steps"], v["tol"])
     write("q_final.csv", matrix=trace.final)
-    if config.params.get("trace", "false").lower() == "true":
+    if v["trace"]:
         for k, snap in enumerate(trace.snapshots):
             write(f"trace/q_{k:04d}.csv", matrix=snap)
     info = {"stabilized_at": trace.stabilized_at}
-    if config.params.get("limit", "false").lower() == "true":
+    if v["limit"]:
         report = limit_q(p, m, h)
         write("q_limit.csv", matrix=report.limit)
         say(f"limit case: {report.case} homogeneous: {report.homogeneous}")
         info["case"] = report.case
-    say(f"evolved {steps} steps, stabilized_at={trace.stabilized_at}")
+    say(f"evolved {v['steps']} steps, stabilized_at={trace.stabilized_at}")
     return info
 
 
-def _mode_sample(config, inputs, write, say):
+def _mode_sample(v, inputs, write, say):
     sp, sh, m = inputs["sp_dir"], inputs["sh_dir"], inputs["m"]
-    horizon = int(config.params.get("horizon", "300"))
-    seeds = [int(s) for s in str(config.params.get("seeds", config.seed)).split(",")]
     deltas = []
     stabilized = None
-    for run in sample_trajectories(sp, sh, m, seeds, horizon):
+    for run in sample_trajectories(sp, sh, m, v["seeds"], v["horizon"]):
         write(f"q_seed{run.seed}.csv", matrix=run.final_q)
         deltas.append(delta_coefficient(run.final_q))
         stabilized = run.stabilized_at
@@ -187,8 +182,8 @@ def _mode_sample(config, inputs, write, say):
     diag_p = diagnose_convergence(sp)
     diag_h = diagnose_convergence(sh)
     summary = {
-        "seeds": seeds,
-        "horizon": horizon,
+        "seeds": v["seeds"],
+        "horizon": v["horizon"],
         "max_final_delta": max(deltas),
         "network_almost_surely_rank_one": diag_p.almost_surely_rank_one,
         "concept_almost_surely_rank_one": diag_h.almost_surely_rank_one,
@@ -198,32 +193,23 @@ def _mode_sample(config, inputs, write, say):
     return {"stabilized_at": stabilized}
 
 
-def _mode_homophily(config, inputs, write, say):
+def _mode_homophily(v, inputs, write, say):
     m = inputs["m"]
-    cfg = HomophilyConfig(
-        eps_p=float(config.params["eps_p"]),
-        eps_h=float(config.params["eps_h"]),
-        beta=float(config.params.get("beta", "1")),
-        tol=float(config.params.get("tol", "1e-9")),
-        max_steps=int(config.params.get("max_steps", "100")),
-        freeze_concepts=config.params.get("freeze_concepts", "false").lower() == "true",
-        freeze_network=config.params.get("freeze_network", "false").lower() == "true",
-    )
+    cfg = HomophilyConfig(**{key: v[key] for key in (
+        "eps_p", "eps_h", "beta", "tol", "max_steps", "freeze_concepts", "freeze_network")})
     try:
         trace = run_homophily(m, cfg)
     except StepLimitReached as exc:
         trace = exc.trace
         say("warning: step limit reached before stabilization")
     write("q_final.csv", matrix=trace.beliefs[-1])
-    trace_dir = config.params.get("trace_out", "").strip()
-    if trace_dir and trace_dir.lower() != "false":
-        if trace_dir.lower() == "true":
-            trace_dir = "trace"
+    trace_dir = v["trace_out"]
+    if trace_dir:
         for t in range(1, len(trace.beliefs)):
             write(f"{trace_dir}/p_{t:03d}.csv", matrix=trace.networks[t - 1])
             write(f"{trace_dir}/h_{t:03d}.csv", matrix=trace.concepts[t - 1])
             write(f"{trace_dir}/q_{t:03d}.csv", matrix=trace.beliefs[t])
-    if config.params.get("plot", "false").lower() == "true" and m.shape[1] == 3:
+    if v["plot"] and m.shape[1] == 3:
         for t in range(1, len(trace.beliefs)):
             linked = trace.networks[t - 1] > 0
             np.fill_diagonal(linked, False)
@@ -237,17 +223,10 @@ def _mode_homophily(config, inputs, write, say):
     return {"stabilized_at": trace.stabilized_at}
 
 
-def _mode_clusters(config, inputs, write, say):
+def _mode_clusters(v, inputs, write, say):
     m = inputs["m"]
-    axis = config.params.get("axis", "rows")
-    if axis == "cols":
-        from .stochastic import col_normalize
-        points = col_normalize(m).T
-    else:
-        points = m
-    epsilon = float(config.params["epsilon"])
-    tol = float(config.params.get("tol", "1e-6"))
-    partition = epsilon_kl_clusters(points, epsilon, tol)
+    points = col_normalize(m).T if v["axis"] == "cols" else m
+    partition = epsilon_kl_clusters(points, v["epsilon"], v["tol"])
     report = _groups_report(partition.clusters)
     write("clusters.txt", text=report + "\n")
     say(report)
@@ -257,16 +236,13 @@ def _mode_clusters(config, inputs, write, say):
     return {}
 
 
-def _mode_certify(config, inputs, write, say):
-    kind = config.params.get("kind", "homogeneous")
+def _mode_certify(v, inputs, write, say):
+    kind = v["kind"]
     if kind == "homogeneous":
         cert = homogeneous_rate_certificate(inputs["p"], inputs["h"],
                                             m=inputs.get("m"))
     elif kind == "inhomogeneous":
-        family = inputs["family_dir"]
-        nu = config.params.get("nu", "auto")
-        cert = inhomogeneous_rate_certificate(
-            family, nu=None if nu == "auto" else int(nu))
+        cert = inhomogeneous_rate_certificate(inputs["family_dir"], nu=v["nu"])
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
     text = _certificate_text(cert)
@@ -275,22 +251,95 @@ def _mode_certify(config, inputs, write, say):
     return {}
 
 
-_RUNNERS = {
-    "analyze": _mode_analyze,
-    "evolve": _mode_evolve,
-    "sample": _mode_sample,
-    "homophily": _mode_homophily,
-    "clusters": _mode_clusters,
-    "certify": _mode_certify,
+def _seed_list(text):
+    return [int(s) for s in text.split(",")]
+
+
+def _trace_dir(text):
+    """Subdirectory for per-step CSVs: ``true`` is ``trace``; empty or ``false`` is none."""
+    text = text.strip()
+    return {"": None, "false": None, "true": "trace"}.get(text.lower(), text)
+
+
+def _nu(text):
+    return None if text == "auto" else int(text)
+
+
+_REQUIRED = object()    # no default: the flag must be given
+_SEED = object()        # defaults to the run's seed
+
+# Each mode's runner, subcommand help and parameters.  A parameter is
+# (key, type, default): its flag is --key with dashes for underscores, and
+# ``type`` reads its recorded text (a bool is a switch, a tuple lists the
+# choices).  A flag run records every default; a None default leaves the
+# key unrecorded until it is given.
+_MODES = {
+    "analyze": (_mode_analyze, "classes, leaves, periods, predicates", (
+        ("p", str, _REQUIRED), ("zero_threshold", float, 0.0))),
+    "evolve": (_mode_evolve, "static-structure evolution", (
+        ("p", str, _REQUIRED), ("m", str, _REQUIRED), ("h", str, _REQUIRED),
+        ("steps", int, 200), ("tol", float, 1e-9), ("trace", bool, False),
+        ("limit", bool, False))),
+    "sample": (_mode_sample, "i.i.d. sampled structures", (
+        ("sp_dir", str, _REQUIRED), ("sh_dir", str, _REQUIRED), ("m", str, _REQUIRED),
+        ("seeds", _seed_list, _SEED), ("horizon", int, 300))),
+    "homophily": (_mode_homophily, "belief-driven dynamic structures", (
+        ("m", str, _REQUIRED), ("eps_p", float, _REQUIRED), ("eps_h", float, _REQUIRED),
+        ("beta", float, 1.0), ("tol", float, 1e-9), ("max_steps", int, 100),
+        ("trace_out", _trace_dir, None), ("plot", bool, False),
+        ("freeze_network", bool, False), ("freeze_concepts", bool, False))),
+    "clusters": (_mode_clusters, "eps-KL cluster lower bound", (
+        ("m", str, _REQUIRED), ("epsilon", float, _REQUIRED),
+        ("axis", ("rows", "cols"), "rows"), ("tol", float, 1e-6))),
+    "certify": (_mode_certify, "convergence-rate certificates", (
+        ("kind", ("homogeneous", "inhomogeneous"), "homogeneous"),
+        ("p", str, None), ("h", str, None), ("m", str, None),
+        ("family_dir", str, None), ("nu", _nu, "auto"))),
 }
+MODES = tuple(_MODES)
+
+# config-file keys with no flag
+_CONFIG_ONLY = ("freeze_network", "freeze_concepts")
+
+_HELP = {
+    "limit": "also write the closed-form limit",
+    "trace_out": "write per-step P/H/Q CSVs into this subdirectory",
+}
+
+
+def _text(value):
+    """A parameter as a run records it: ``str``, with bools lowercased."""
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _values(config):
+    """The run's parameters read by type, each absent one at its default."""
+    values = {}
+    for key, typ, default in _MODES[config.mode][2]:
+        if key in config.params:
+            text = config.params[key]
+        elif default is _REQUIRED:
+            raise ValueError(f"mode {config.mode} needs {key}")
+        elif default is None:
+            values[key] = None
+            continue
+        else:
+            text = _text(config.seed if default is _SEED else default)
+        if typ is bool:
+            values[key] = text.lower() == "true"
+        else:
+            values[key] = text if isinstance(typ, tuple) else typ(text)
+    return values
 
 
 def run(config):
     """Execute one RunConfig; returns the manifest path.
 
-    Fails fast: all referenced input files are parsed before any output is
-    produced, and the mode runs on those parsed inputs.
+    Fails fast: the parameters are read and all referenced input files are
+    parsed before any output is produced, and the mode runs on those
+    parsed inputs.
     """
+    values = _values(config)
     inputs = {key: _load(config.params[key])
               for key in ("p", "m", "h") if key in config.params}
     for key in ("sp_dir", "sh_dir", "family_dir"):
@@ -304,7 +353,7 @@ def run(config):
         if not config.quiet:
             print(message)
 
-    info = _RUNNERS[config.mode](config, inputs, write, say)
+    info = _MODES[config.mode][0](values, inputs, write, say)
 
     manifest = {
         "tool": f"beliefdyn {__version__}",
@@ -347,70 +396,24 @@ def build_parser():
     s.add_argument("config")
     _add_common(s)
 
-    s = subs.add_parser("analyze", help="classes, leaves, periods, predicates")
-    s.add_argument("--p", required=True)
-    s.add_argument("--zero-threshold", type=float, default=0.0)
-    _add_common(s)
-
-    s = subs.add_parser("evolve", help="static-structure evolution")
-    s.add_argument("--p", required=True)
-    s.add_argument("--m", required=True)
-    s.add_argument("--h", required=True)
-    s.add_argument("--steps", type=int, default=200)
-    s.add_argument("--tol", type=float, default=1e-9)
-    s.add_argument("--trace", action="store_true")
-    s.add_argument("--limit", action="store_true", help="also write the closed-form limit")
-    _add_common(s)
-
-    s = subs.add_parser("sample", help="i.i.d. sampled structures")
-    s.add_argument("--sp-dir", required=True)
-    s.add_argument("--sh-dir", required=True)
-    s.add_argument("--m", required=True)
-    s.add_argument("--seeds", default="0")
-    s.add_argument("--horizon", type=int, default=300)
-    _add_common(s)
-
-    s = subs.add_parser("homophily", help="belief-driven dynamic structures")
-    s.add_argument("--m", required=True)
-    s.add_argument("--eps-p", type=float, required=True)
-    s.add_argument("--eps-h", type=float, required=True)
-    s.add_argument("--beta", type=float, default=1.0)
-    s.add_argument("--tol", type=float, default=1e-9)
-    s.add_argument("--max-steps", type=int, default=100)
-    s.add_argument("--trace-out", nargs="?", const="trace", default=None,
-                   help="write per-step P/H/Q CSVs into this subdirectory")
-    s.add_argument("--plot", action="store_true")
-    _add_common(s)
-
-    s = subs.add_parser("clusters", help="eps-KL cluster lower bound")
-    s.add_argument("--m", required=True)
-    s.add_argument("--epsilon", type=float, required=True)
-    s.add_argument("--axis", choices=("rows", "cols"), default="rows")
-    s.add_argument("--tol", type=float, default=1e-6)
-    _add_common(s)
-
-    s = subs.add_parser("certify", help="convergence-rate certificates")
-    s.add_argument("--kind", choices=("homogeneous", "inhomogeneous"),
-                   default="homogeneous")
-    s.add_argument("--p")
-    s.add_argument("--h")
-    s.add_argument("--m")
-    s.add_argument("--family-dir")
-    s.add_argument("--nu", default="auto")
-    _add_common(s)
-
+    for mode, (_, help_text, params) in _MODES.items():
+        s = subs.add_parser(mode, help=help_text)
+        for key, typ, default in params:
+            if key in _CONFIG_ONLY:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if typ is bool:
+                s.add_argument(flag, action="store_true", help=_HELP.get(key))
+            elif typ is _trace_dir:
+                s.add_argument(flag, nargs="?", const="trace", help=_HELP[key])
+            else:
+                s.add_argument(
+                    flag, required=default is _REQUIRED,
+                    default=None if default in (_REQUIRED, _SEED) else default,
+                    type=typ if typ in (int, float) else None,
+                    choices=typ if isinstance(typ, tuple) else None)
+        _add_common(s)
     return parser
-
-
-_FLAG_KEYS = {
-    "analyze": ["p", "zero_threshold"],
-    "evolve": ["p", "m", "h", "steps", "tol", "trace", "limit"],
-    "sample": ["sp_dir", "sh_dir", "m", "seeds", "horizon"],
-    "homophily": ["m", "eps_p", "eps_h", "beta", "tol", "max_steps",
-                  "trace_out", "plot"],
-    "clusters": ["m", "epsilon", "axis", "tol"],
-    "certify": ["kind", "p", "h", "m", "family_dir", "nu"],
-}
 
 
 def main(argv=None):
@@ -424,11 +427,12 @@ def main(argv=None):
             config.quiet = args.quiet
         else:
             params = {}
-            for key in _FLAG_KEYS[args.command]:
-                value = getattr(args, key)
-                if value is None:
-                    continue
-                params[key] = str(value).lower() if isinstance(value, bool) else str(value)
+            for key, _, default in _MODES[args.command][2]:
+                value = getattr(args, key, None)
+                if value is None and default is _SEED:
+                    value = args.seed
+                if value is not None:
+                    params[key] = _text(value)
             config = RunConfig(
                 mode=args.command, params=params,
                 out=Path(args.out) if args.out else None,

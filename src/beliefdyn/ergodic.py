@@ -9,13 +9,13 @@ base is needed.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product as iter_product
+from itertools import product as iter_product
 
 import numpy as np
 
 from . import chains
-from .stochastic import (MatrixFamily, NotSquareError, delta_coefficient,
-                         matrix_power, require_square)
+from .stochastic import (_as_family, delta_coefficient, matrix_power,
+                         require_square)
 
 
 class TooSmallError(ValueError):
@@ -69,31 +69,16 @@ def is_sia(p):
 
     Operationally: exactly one closed class, and that class aperiodic.
     Transient states with no return path do not spoil the limit, so their
-    infinite period is ignored here.
+    infinite period is ignored here.  ``p`` may be a matrix or a boolean
+    positivity pattern.
     """
-    analysis = chains.analyze(require_square(p))
-    return analysis.is_indecomposable and analysis.recurrent_aperiodic
-
-
-def _pattern(m, threshold=0.0):
-    return np.asarray(m) > threshold
-
-
-def _pattern_key(pat):
-    return pat.tobytes()
-
-
-def _pattern_sia(pat):
-    analysis = chains.analyze_pattern(pat)
+    analysis = chains.analyze(p)
     return analysis.is_indecomposable and analysis.recurrent_aperiodic
 
 
 def _pattern_scrambling(pat):
-    n = pat.shape[0]
-    for i, j in combinations(range(n), 2):
-        if not np.any(pat[i] & pat[j]):
-            return False
-    return True
+    """Every two rows share a positive column (rows are never empty)."""
+    return bool((pat @ pat.T).all())
 
 
 def _explore_patterns(family, max_patterns):
@@ -103,11 +88,11 @@ def _explore_patterns(family, max_patterns):
     once, so any witness extracted from the stream is canonical.
     """
     family.require_square()
-    gens = [_pattern(m) for m in family.members]
+    gens = [m > 0 for m in family.members]
     seen = set()
     frontier = []
     for idx, g in enumerate(gens):
-        key = _pattern_key(g)
+        key = g.tobytes()
         if key not in seen:
             seen.add(key)
             frontier.append(((idx,), g))
@@ -117,8 +102,8 @@ def _explore_patterns(family, max_patterns):
         nxt = []
         for word, pat in frontier:
             for idx, g in enumerate(gens):
-                new = pat.astype(np.uint8) @ g.astype(np.uint8) > 0
-                key = _pattern_key(new)
+                new = pat @ g
+                key = new.tobytes()
                 if key in seen:
                     continue
                 if len(seen) >= max_patterns:
@@ -151,12 +136,10 @@ def all_products_sia(family, max_patterns=100_000):
     the first offending word, or a truthy one once the finite semigroup is
     exhausted.
     """
-    if not isinstance(family, MatrixFamily):
-        family = MatrixFamily(family)
     count = 0
-    for word, pat in _explore_patterns(family, max_patterns):
+    for word, pat in _explore_patterns(_as_family(family), max_patterns):
         count += 1
-        if not _pattern_sia(pat):
+        if not is_sia(pat):
             return SiaVerdict(False, word, count)
     return SiaVerdict(True, None, count)
 
@@ -168,9 +151,7 @@ def exists_scrambling_product(family, max_patterns=100_000):
     if the pattern semigroup holds no scrambling element.  A witness exists
     if and only if the union-graph condensation is connected with one leaf.
     """
-    if not isinstance(family, MatrixFamily):
-        family = MatrixFamily(family)
-    for word, pat in _explore_patterns(family, max_patterns):
+    for word, pat in _explore_patterns(_as_family(family), max_patterns):
         if _pattern_scrambling(pat):
             return word
     return None
@@ -184,10 +165,13 @@ def subdominant_modulus(p):
     a = require_square(p)
     if not is_sia(a):
         raise NotSIAError("subdominant modulus is defined for SIA matrices")
+    return _second_modulus(a)
+
+
+def _second_modulus(a):
+    """Largest eigenvalue modulus once the one closest to 1 is dropped."""
     eigs = np.linalg.eigvals(a)
-    # drop the single eigenvalue closest to 1
-    drop = int(np.argmin(np.abs(eigs - 1.0)))
-    rest = np.delete(eigs, drop)
+    rest = np.delete(eigs, int(np.argmin(np.abs(eigs - 1.0))))
     if rest.size == 0:
         return 0.0
     return float(np.max(np.abs(rest)))
@@ -234,12 +218,12 @@ def _slowest_class_modulus(p):
     if not analysis.recurrent_aperiodic:
         raise NotSIAError("a periodic closed class has no geometric rate")
     if analysis.is_indecomposable:
-        return subdominant_modulus(a), None
+        return _second_modulus(a), None
     worst = 0.0
     for ci in analysis.condensation.leaf_classes:
         members = list(analysis.condensation.classes[ci])
-        block = a[np.ix_(members, members)]
-        worst = max(worst, subdominant_modulus(block))
+        # a closed aperiodic class is SIA on its own
+        worst = max(worst, _second_modulus(a[np.ix_(members, members)]))
     # empirical decay of the transient part (not certified by theory)
     pinf = matrix_power(a, 512)
     e8 = float(np.abs(matrix_power(a, 8) - pinf).max())
@@ -302,15 +286,13 @@ def inhomogeneous_rate_certificate(family, nu=None, max_patterns=100_000,
     exceed nu_star(N) = (3^N - 2^(N+1) + 1)/2.  gamma is then minimized
     over the real-valued products of all words of length nu.
     """
-    if not isinstance(family, MatrixFamily):
-        family = MatrixFamily(family)
-    family.require_square()
+    family = _as_family(family).require_square()
     n_states = family.shape[0]
     cap = nu_star(n_states)
 
-    gens = [_pattern(m) for m in family.members]
+    gens = [m > 0 for m in family.members]
     if nu is None:
-        level = {_pattern_key(g): g for g in gens}
+        level = {g.tobytes(): g for g in gens}
         found = None
         for length in range(1, cap + 1):
             if all(_pattern_scrambling(pat) for pat in level.values()):
@@ -319,8 +301,8 @@ def inhomogeneous_rate_certificate(family, nu=None, max_patterns=100_000,
             nxt = {}
             for pat in level.values():
                 for g in gens:
-                    new = pat.astype(np.uint8) @ g.astype(np.uint8) > 0
-                    nxt[_pattern_key(new)] = new
+                    new = pat @ g
+                    nxt[new.tobytes()] = new
                     if len(nxt) > max_patterns:
                         raise BudgetExceededError(len(nxt))
             level = nxt

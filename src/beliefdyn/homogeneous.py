@@ -94,6 +94,15 @@ def stationary_distribution(p, tol=1e-10):
         raise NotIndecomposableError("stationary distribution is not unique")
     if not analysis.recurrent_aperiodic:
         raise NotAperiodicError("recurrent class is periodic")
+    return _stationary(a, tol)
+
+
+def _stationary(a, tol=None):
+    """Solve pi a = pi from (a^T - I) with its last equation set to sum(pi) = 1.
+
+    With ``tol``, a solution that is negative or leaves a residual above
+    ``tol`` is rejected.
+    """
     n = a.shape[0]
     system = a.T - np.eye(n)
     system[-1, :] = 1.0
@@ -104,27 +113,10 @@ def stationary_distribution(p, tol=1e-10):
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    if np.any(pi < -1e-12) or max_abs_diff((pi @ a)[None, :], pi[None, :]) > tol:
+    if tol is not None and (np.any(pi < -1e-12)
+                            or max_abs_diff((pi @ a)[None, :], pi[None, :]) > tol):
         raise SingularSystemError("solve did not produce a valid stationary vector")
     pi = np.maximum(pi, 0.0)
-    return pi / pi.sum()
-
-
-def _class_stationary(a, members):
-    """Stationary distribution of one closed class, as a vector over members."""
-    block = a[np.ix_(members, members)]
-    n = len(members)
-    if n == 1:
-        return np.ones(1)
-    system = block.T - np.eye(n)
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    pi = np.maximum(np.where(np.abs(pi) < 1e-15, 0.0, pi), 0.0)
     return pi / pi.sum()
 
 
@@ -142,23 +134,17 @@ def absorption_probabilities(p, analysis=None):
     leaves = cond.leaf_classes
     n = a.shape[0]
     out = np.zeros((n, len(leaves)))
-    leaf_members = {c: cond.classes[c] for c in leaves}
     transient = [s for s in range(n) if not analysis.classification.recurrent[s]]
     for k, c in enumerate(leaves):
-        for s in leaf_members[c]:
-            out[s, k] = 1.0
+        out[list(cond.classes[c]), k] = 1.0
     if transient:
-        t_index = {s: i for i, s in enumerate(transient)}
-        T = a[np.ix_(transient, transient)]
-        lhs = np.eye(len(transient)) - T
+        lhs = np.eye(len(transient)) - a[np.ix_(transient, transient)]
         for k, c in enumerate(leaves):
-            b = a[np.ix_(transient, list(leaf_members[c]))].sum(axis=1)
+            b = a[np.ix_(transient, list(cond.classes[c]))].sum(axis=1)
             try:
-                x = np.linalg.solve(lhs, b)
+                out[transient, k] = np.linalg.solve(lhs, b)
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(str(exc)) from exc
-            for s in transient:
-                out[s, k] = x[t_index[s]]
     return out
 
 
@@ -169,17 +155,20 @@ def limit_structure(p):
     classes' stationary rows.  Returns (matrix, periodic_flag).
     """
     a = require_square(p)
-    analysis = chains.analyze(a)
+    return _limit(a, chains.analyze(a))
+
+
+def _limit(a, analysis):
+    """:func:`limit_structure` of ``a`` from its analysis."""
     cond = analysis.condensation
-    periodic = not analysis.recurrent_aperiodic
     absorb = absorption_probabilities(a, analysis)
     n = a.shape[0]
     out = np.zeros((n, n))
     for k, c in enumerate(cond.leaf_classes):
         members = list(cond.classes[c])
-        pi = _class_stationary(a, members)
+        pi = _stationary(a[np.ix_(members, members)])
         out[:, members] += absorb[:, [k]] * pi[None, :]
-    return out, periodic
+    return out, not analysis.recurrent_aperiodic
 
 
 def limit_q(p, m, h, tol=1e-9):
@@ -192,8 +181,8 @@ def limit_q(p, m, h, tol=1e-9):
             f"beliefs {m.shape} incompatible with network {p.shape} / concepts {h.shape}")
     p_analysis = chains.analyze(p)
     h_analysis = chains.analyze(h)
-    p_inf, p_periodic = limit_structure(p)
-    h_inf, h_periodic = limit_structure(h)
+    p_inf, p_periodic = _limit(p, p_analysis)
+    h_inf, h_periodic = _limit(h, h_analysis)
     limit = p_inf @ m @ h_inf
     periodic = p_periodic or h_periodic
     if periodic:

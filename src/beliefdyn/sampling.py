@@ -27,7 +27,7 @@ from .chains import one_leaf_connected
 from .ergodic import exists_scrambling_product
 from .homogeneous import limit_q
 from .rng import CONCEPT_STREAM, NETWORK_STREAM, Xoshiro256StarStar
-from .stochastic import (DimensionMismatchError, MatrixFamily, as_matrix,
+from .stochastic import (DimensionMismatchError, _as_family, as_matrix,
                          validate_stochastic)
 
 
@@ -47,10 +47,6 @@ class SampledRun:
 class ConvergenceDiagnosis:
     almost_surely_rank_one: bool
     witness: tuple = None     # scrambling word over the family, when one exists
-
-
-def _as_family(f):
-    return f if isinstance(f, MatrixFamily) else MatrixFamily(f)
 
 
 def _apply(members, word, stack, left):

@@ -233,3 +233,8 @@ class MatrixFamily:
         if self.shape[0] != self.shape[1]:
             raise NotSquareError(f"family members must be square, got {self.shape}")
         return self
+
+
+def _as_family(family):
+    """``family`` itself when it is a MatrixFamily, else a family of its members."""
+    return family if isinstance(family, MatrixFamily) else MatrixFamily(family)

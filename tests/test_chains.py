@@ -2,13 +2,14 @@ from math import inf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets
 from beliefdyn.chains import (analyze, analyze_pattern, graph_of,
                               one_leaf_connected, union_graph)
 from beliefdyn.stochastic import MatrixFamily, NotSquareError
-from util import (brute_force_indecomposable, brute_force_period,
-                  minimal_closed_subsets, random_stochastic)
+from util import (bfs_one_leaf_connected, brute_force_indecomposable,
+                  brute_force_period, minimal_closed_subsets, random_stochastic)
 
 DRAIN = np.array([[0.0, 0.7, 0.3], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -82,6 +83,21 @@ def test_one_leaf_connected_cases():
     assert not one_leaf_connected(MatrixFamily([np.eye(2)]))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert one_leaf_connected(MatrixFamily([swap]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 3), density=st.floats(0.0, 0.6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_leaf_connected_matches_bfs_oracle(n, k, density, seed):
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(k):
+        pattern = rng.random((n, n)) < density
+        # a row with no link keeps its self-loop, so the member is stochastic
+        pattern[np.arange(n), np.arange(n)] |= ~pattern.any(axis=1)
+        members.append(pattern / pattern.sum(axis=1, keepdims=True))
+    family = MatrixFamily(members)
+    assert one_leaf_connected(family) == bfs_one_leaf_connected(family)
 
 
 def test_condensation_acyclic_random():

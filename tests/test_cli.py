@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beliefdyn.cli import main, parse_config, replay_manifest, run
+from beliefdyn.homophily import HomophilyConfig, run_homophily
 from beliefdyn.matrixio import read_matrix
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -290,3 +291,104 @@ def test_missing_input_fails_before_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# `config` and `config_hash` of one flag run per subcommand, recorded before
+# the flags, their defaults and the typed reads came from one per-mode
+# table; paths are given relative to the repository root
+FLAG_RUNS = {
+    "analyze": (
+        ["analyze", "--p", "fixtures/two_camp/p.csv"],
+        {"p": "fixtures/two_camp/p.csv", "zero_threshold": "0.0"},
+        "5080dffab5d61c3906ecdb7bd4897e6884f2df23e73378e7e66c98276d38ee71"),
+    "evolve": (
+        ["evolve", "--p", "fixtures/two_camp/p.csv", "--m", "fixtures/two_camp/m.csv",
+         "--h", "fixtures/two_camp/h.csv", "--limit"],
+        {"h": "fixtures/two_camp/h.csv", "limit": "true", "m": "fixtures/two_camp/m.csv",
+         "p": "fixtures/two_camp/p.csv", "steps": "200", "tol": "1e-09", "trace": "false"},
+        "d8466f7fd9e7e9094cd8c8a1bfa372c6b4c2d2749482c307fe0922c6080fcacf"),
+    "sample": (
+        ["sample", "--sp-dir", "fixtures/single_leaf", "--sh-dir", "fixtures/identity3",
+         "--m", "fixtures/identity3/member0.csv", "--horizon", "50"],
+        {"horizon": "50", "m": "fixtures/identity3/member0.csv", "seeds": "0",
+         "sh_dir": "fixtures/identity3", "sp_dir": "fixtures/single_leaf"},
+        "bf2cba26cd14ea0b51893c5d79af58c172e7101855ad8d65a9aca11272920a55"),
+    "homophily": (
+        ["homophily", "--m", "fixtures/five_person/m.csv", "--eps-p", "0.3",
+         "--eps-h", "0.25", "--trace-out"],
+        {"beta": "1.0", "eps_h": "0.25", "eps_p": "0.3", "m": "fixtures/five_person/m.csv",
+         "max_steps": "100", "plot": "false", "tol": "1e-09", "trace_out": "trace"},
+        "cd2ed18316e363a188cd9abf7ef9d80aabd572ca3690775466d588b2bb786f2f"),
+    "clusters": (
+        ["clusters", "--m", "fixtures/five_person/m.csv", "--epsilon", "0.3"],
+        {"axis": "rows", "epsilon": "0.3", "m": "fixtures/five_person/m.csv",
+         "tol": "1e-06"},
+        "95d4d8bc294c97d38f13395d612b950a2810c13394b254dd466d7ee31a6a1a5b"),
+    "certify": (
+        ["certify", "--kind", "inhomogeneous", "--family-dir", "fixtures/scrambling_pair"],
+        {"family_dir": "fixtures/scrambling_pair", "kind": "inhomogeneous", "nu": "auto"},
+        "b6ca0d455d68eca63efa4738fb632ae28e1700132e333409414632b3b2c59375"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FLAG_RUNS))
+def test_flag_run_config_pinned(tmp_path, monkeypatch, mode):
+    argv, params, config_hash = FLAG_RUNS[mode]
+    monkeypatch.chdir(FIXTURES.parent)
+    assert main(argv + ["--out", str(tmp_path / mode), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / mode / "manifest.json").read_text())
+    assert manifest["config"] == {**params, "mode": mode, "seed": "0"}
+    assert manifest["config_hash"] == config_hash
+
+
+SAMPLE_FLAGS = ["sample", "--sp-dir", str(FIXTURES / "single_leaf"),
+                "--sh-dir", str(FIXTURES / "identity3"),
+                "--m", str(FIXTURES / "identity3" / "member0.csv"), "--horizon", "50"]
+
+
+def test_sample_seed_flag_without_seeds_runs_that_seed(tmp_path):
+    out = tmp_path / "flags"
+    assert main(SAMPLE_FLAGS + ["--seed", "5", "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["seeds"] == "5"
+    assert "q_seed5.csv" in manifest["outputs"]
+    assert "q_seed0.csv" not in manifest["outputs"]
+    cfg = tmp_path / "seed5.cfg"
+    cfg.write_text(f"mode=sample\nsp_dir={FIXTURES / 'single_leaf'}\n"
+                   f"sh_dir={FIXTURES / 'identity3'}\n"
+                   f"m={FIXTURES / 'identity3' / 'member0.csv'}\nhorizon=50\nseed=5\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "cfg"), "--quiet"]) == 0
+    from_config = json.loads((tmp_path / "cfg" / "manifest.json").read_text())
+    assert from_config["outputs"]["q_seed5.csv"] == manifest["outputs"]["q_seed5.csv"]
+
+
+HOMOPHILY_FLAGS = ["homophily", "--m", str(FIXTURES / "five_person" / "m.csv"),
+                   "--eps-p", "0.3", "--eps-h", "0.25"]
+
+
+@pytest.mark.parametrize("route, setting, trace_dir", [
+    ("flag", ["--trace-out"], "trace"),
+    ("flag", ["--trace-out", "steps"], "steps"),
+    ("config", "trace_out=true", "trace"),
+    ("config", "trace_out=false", None),
+])
+def test_homophily_trace_out(tmp_path, route, setting, trace_dir):
+    out = tmp_path / "out"
+    if route == "flag":
+        argv = HOMOPHILY_FLAGS + setting
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode=homophily\nm={FIXTURES / 'five_person' / 'm.csv'}\n"
+                       f"eps_p=0.3\neps_h=0.25\n{setting}\n")
+        argv = ["run", str(cfg)]
+    assert main(argv + ["--out", str(out), "--quiet"]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    steps = len(run_homophily(read_matrix(FIXTURES / "five_person" / "m.csv"),
+                              HomophilyConfig(eps_p=0.3, eps_h=0.25)).beliefs) - 1
+    assert steps > 1
+    expected = {"groups.txt", "q_final.csv"}
+    if trace_dir is not None:
+        expected |= {f"{trace_dir}/{kind}_{t:03d}.csv"
+                     for kind in "phq" for t in range(1, steps + 1)}
+        assert outputs[f"{trace_dir}/q_{steps:03d}.csv"] == outputs["q_final.csv"]
+    assert set(outputs) == expected

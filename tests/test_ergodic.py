@@ -3,8 +3,9 @@ import pytest
 
 from beliefdyn import datasets
 from beliefdyn.ergodic import (NotConvergentFamilyError, NotSIAError,
-                               all_products_sia, contraction_coefficient,
-                               ergodic_coefficient, exists_scrambling_product,
+                               _pattern_scrambling, all_products_sia,
+                               contraction_coefficient, ergodic_coefficient,
+                               exists_scrambling_product,
                                homogeneous_rate_certificate,
                                inhomogeneous_rate_certificate, is_scrambling,
                                is_sia, nu_star, power_contraction_holds,
@@ -50,6 +51,14 @@ class TestErgodicCoefficient:
         for _, prod in enumerate_word_products(members, 4):
             assert ergodic_coefficient(prod) == pair_loop_ergodic_coefficient(prod)
 
+    @pytest.mark.parametrize("zeros", [0.5, 0.8, 0.95])
+    def test_pattern_scrambling_matches_pair_loop(self, zeros):
+        rng = np.random.default_rng(int(zeros * 100))
+        for n in [1, 2, 3, 5, 8, 13, 31]:
+            for _ in range(20):
+                p = random_stochastic(rng, n, zeros=zeros)
+                assert _pattern_scrambling(p > 0) == (pair_loop_ergodic_coefficient(p) > 0)
+
     def test_too_small(self):
         from beliefdyn.ergodic import TooSmallError
         with pytest.raises(TooSmallError):
@@ -92,6 +101,12 @@ class TestProductFamilies:
     def test_identity_family_fails(self):
         verdict = all_products_sia(MatrixFamily([np.eye(2)]))
         assert not verdict
+
+    def test_products_do_not_wrap_at_256_states(self):
+        # each entry of the square sums 256 positive terms, which wraps to 0
+        # in uint8 arithmetic
+        verdict = all_products_sia(MatrixFamily([np.full((256, 256), 1 / 256)]))
+        assert verdict and verdict.patterns_explored == 1
 
     def test_agrees_with_word_enumeration(self):
         rng = np.random.default_rng(22)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from beliefdyn.chains import analyze_pattern, union_graph
 from beliefdyn.clusters import (_floored, _line_search, _safe_log,
                                 min_kl_hull_to_hull)
 from beliefdyn.homophily import kl_divergence, softmax_weights
@@ -161,6 +162,30 @@ def minimal_closed_subsets(p, tol=1e-9):
 
 def brute_force_indecomposable(p, tol=1e-9):
     return len(minimal_closed_subsets(p, tol)) <= 1
+
+
+def bfs_one_leaf_connected(family, zero_threshold=0.0):
+    """One leaf class, and a breadth-first search over the condensation's
+    edges, taken both ways, reaches every class."""
+    cond = analyze_pattern(union_graph(family, zero_threshold).adjacency()).condensation
+    if len(cond.leaf_classes) != 1:
+        return False
+    k = len(cond.classes)
+    neighbours = {ci: set() for ci in range(k)}
+    for ci, cj in cond.dag_edges:
+        neighbours[ci].add(cj)
+        neighbours[cj].add(ci)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in neighbours[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return len(seen) == k
 
 
 def brute_force_period(p, state, horizon=None):
