@@ -1,5 +1,5 @@
 """Graph-theoretic anatomy of a chain: communicating classes, condensation,
-recurrent/transient states, and periods.
+recurrent/transient states, periods, and weak components.
 
 A transition matrix induces a directed graph with an edge (i, j) whenever
 entry (i, j) is positive.  Communicating classes are the strongly connected
@@ -9,7 +9,7 @@ in leaf classes are recurrent, all others transient.
 """
 
 from dataclasses import dataclass
-from math import gcd, inf
+from math import inf
 
 import numpy as np
 
@@ -158,6 +158,36 @@ def _condense(adj, comps):
     return Condensation(tuple(comps), frozenset(dag), leaves), class_of
 
 
+def _levels(adj, root):
+    """Breadth-first depth of every state from ``root``; -1 where unreached."""
+    level = np.full(adj.shape[0], -1)
+    level[root] = 0
+    frontier = [root]
+    depth = 0
+    while len(frontier):
+        depth += 1
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
+        level[frontier] = depth
+    return level
+
+
+def weak_components(pattern):
+    """Weakly connected components of a boolean pattern.
+
+    Returns sorted state tuples ordered by their smallest member.
+    """
+    a = np.asarray(pattern, dtype=bool)
+    a = a | a.T
+    seen = np.zeros(a.shape[0], dtype=bool)
+    groups = []
+    for root in range(a.shape[0]):
+        if not seen[root]:
+            members = np.flatnonzero(_levels(a, root) >= 0)
+            seen[members] = True
+            groups.append(tuple(members.tolist()))
+    return tuple(groups)
+
+
 def _class_periods(adj, comp):
     """Common period of a strongly connected class via BFS level sets.
 
@@ -166,26 +196,12 @@ def _class_periods(adj, comp):
     internal edge (an isolated transient state without a self-loop) has no
     return path at all.
     """
-    members = list(comp)
-    pos = {s: k for k, s in enumerate(members)}
-    internal = [(u, v) for u in members for v in np.flatnonzero(adj[u]) if int(v) in pos]
-    if not internal:
+    sub = adj[np.ix_(comp, comp)]
+    u, v = np.nonzero(sub)
+    if not u.size:
         return inf
-    level = {members[0]: 0}
-    frontier = [members[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(adj[u]):
-                v = int(v)
-                if v in pos and v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    d = 0
-    for u, v in internal:
-        d = gcd(d, level[u] + 1 - level[int(v)])
-    return abs(d) if d else inf
+    level = _levels(sub, 0)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
 def analyze(p, zero_threshold=0.0):

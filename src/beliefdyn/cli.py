@@ -237,14 +237,11 @@ def _mode_clusters(v, inputs, write, say):
 
 
 def _mode_certify(v, inputs, write, say):
-    kind = v["kind"]
-    if kind == "homogeneous":
+    if v["kind"] == "homogeneous":
         cert = homogeneous_rate_certificate(inputs["p"], inputs["h"],
                                             m=inputs.get("m"))
-    elif kind == "inhomogeneous":
-        cert = inhomogeneous_rate_certificate(inputs["family_dir"], nu=v["nu"])
     else:
-        raise ValueError(f"unknown certificate kind {kind!r}")
+        cert = inhomogeneous_rate_certificate(inputs["family_dir"], nu=v["nu"])
     text = _certificate_text(cert)
     write("certificate.txt", text=text)
     say(text.rstrip("\n"))
@@ -313,7 +310,11 @@ def _text(value):
 
 
 def _values(config):
-    """The run's parameters read by type, each absent one at its default."""
+    """The run's parameters read by type, each absent one at its default.
+
+    A value outside its choices, or bool text other than true/false in any
+    case, raises ValueError.
+    """
     values = {}
     for key, typ, default in _MODES[config.mode][2]:
         if key in config.params:
@@ -326,9 +327,15 @@ def _values(config):
         else:
             text = _text(config.seed if default is _SEED else default)
         if typ is bool:
-            values[key] = text.lower() == "true"
+            text = text.lower()
+        choices = ("true", "false") if typ is bool else typ
+        if isinstance(choices, tuple):
+            if text not in choices:
+                raise ValueError(f"{key} must be one of {'|'.join(choices)}, "
+                                 f"got {text!r}")
+            values[key] = text == "true" if typ is bool else text
         else:
-            values[key] = text if isinstance(typ, tuple) else typ(text)
+            values[key] = typ(text)
     return values
 
 

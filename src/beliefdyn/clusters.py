@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import weak_components
 from .homophily import _pairwise_kl, kl_divergence
 
 DEFAULT_FLOOR = 1e-12
@@ -182,25 +183,6 @@ def min_kl_hull_to_hull(a, b, tol=1e-6, floor=DEFAULT_FLOOR, max_iter=10_000):
     return max(val, 0.0)
 
 
-def _merge_components(components, merges):
-    parent = list(range(len(components)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in merges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    merged = {}
-    for ci, comp in enumerate(components):
-        merged.setdefault(find(ci), []).extend(comp)
-    return [sorted(v) for _, v in sorted(merged.items())]
-
-
 def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
     """Constructive eps-KL clustering of simplex points.
 
@@ -218,7 +200,6 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     pts = _floored(points, floor)
-    n = pts.shape[0]
     iterations, max_gap = 0, 0.0
 
     def below(va, vb):
@@ -228,10 +209,8 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
         max_gap = max(max_gap, gap)
         return val < epsilon
 
-    direct = _pairwise_kl(pts, 0.0) < epsilon     # pts are floored already
-    np.fill_diagonal(direct, False)
-    components = _merge_components([[i] for i in range(n)],
-                                   np.argwhere(direct).tolist())
+    links = _pairwise_kl(pts, 0.0) < epsilon      # pts are floored already
+    components = weak_components(links)
     changed = [True] * len(components)
 
     while True:
@@ -240,17 +219,19 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
             for cj in range(ci + 1, len(components)):
                 if not (changed[ci] or changed[cj]):
                     continue    # both unchanged: decided "not below" last round
-                va = pts[components[ci]]
-                vb = pts[components[cj]]
+                va = pts[list(components[ci])]
+                vb = pts[list(components[cj])]
                 if below(va, vb) or below(vb, va):
                     merges.append((ci, cj))
         if not merges:
             break
-        previous = set(map(tuple, components))
-        components = _merge_components(components, merges)
-        changed = [tuple(c) not in previous for c in components]
+        for ci, cj in merges:
+            links[components[ci][0], components[cj][0]] = True
+        previous = set(components)
+        components = weak_components(links)
+        changed = [c not in previous for c in components]
 
     internal = all(below(pts[[j for j in comp if j != i]], pts[[i]])
                    for comp in components if len(comp) > 1 for i in comp)
-    return ClusterPartition(tuple(tuple(c) for c in components),
-                            float(epsilon), internal, iterations, max_gap)
+    return ClusterPartition(components, float(epsilon), internal, iterations,
+                            max_gap)

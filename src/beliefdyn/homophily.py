@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chains import weak_components
 from .stochastic import col_normalize, max_abs_diff, row_normalize, validate_stochastic
 
 
@@ -186,40 +187,24 @@ def build_concepts(m, cfg):
 
 def network_groups(p, threshold=0.0):
     """Weakly connected components of a network's positivity graph."""
-    a = np.asarray(p) > threshold
-    a = a | a.T
-    n = a.shape[0]
-    seen = [False] * n
-    groups = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        comp = [i]
-        seen[i] = True
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(a[u]):
-                v = int(v)
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        groups.append(tuple(sorted(comp)))
-    return tuple(sorted(groups))
+    return weak_components(np.asarray(p) > threshold)
 
 
 def belief_groups(m, tol=1e-6):
-    """Partition people whose belief rows agree entrywise within tol."""
+    """Partition people whose belief rows agree entrywise within tol.
+
+    First fit: a row joins the first group whose first member it matches,
+    compared with every group's first member at once.
+    """
     m = np.asarray(m, dtype=float)
-    groups = []
-    for i in range(m.shape[0]):
-        for g in groups:
-            if np.max(np.abs(m[g[0]] - m[i])) < tol:
-                g.append(i)
-                break
+    groups, reps = [], []
+    for i, row in enumerate(m):
+        close = np.flatnonzero(np.abs(m[reps] - row).max(axis=1) < tol)
+        if close.size:
+            groups[close[0]].append(i)
         else:
             groups.append([i])
+            reps.append(i)
     return tuple(tuple(g) for g in groups)
 
 

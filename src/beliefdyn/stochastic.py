@@ -5,8 +5,8 @@ package is any 2-D array that has passed :func:`validate_stochastic`:
 nonnegative entries, every row summing to 1 within tolerance.  All
 operations are pure functions; nothing here mutates its inputs.
 
-Target scale is small and dense (up to ~128 states), favouring
-auditability over throughput.
+Everything is stored dense.  The benchmark workloads run at 400 to 2000
+states, where one n x n float64 matrix takes 1.3 to 32 MB.
 """
 
 from dataclasses import dataclass, field

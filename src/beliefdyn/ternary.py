@@ -17,6 +17,9 @@ SQRT3_2 = float(np.sqrt(3.0) / 2.0)
 # triangle corners in plot coordinates (unit side)
 _CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3_2]])
 
+# (x, y, 1) = _BARY_SYSTEM @ barycentric coordinates
+_BARY_SYSTEM = np.vstack([_CORNERS.T, np.ones(3)])
+
 _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#bcbd22"]
 
@@ -33,12 +36,7 @@ def bary_to_xy(p):
 
 def xy_to_bary(xy):
     """Inverse barycentric coordinates of a plot point."""
-    a = np.array([
-        [_CORNERS[0, 0], _CORNERS[1, 0], _CORNERS[2, 0]],
-        [_CORNERS[0, 1], _CORNERS[1, 1], _CORNERS[2, 1]],
-        [1.0, 1.0, 1.0],
-    ])
-    return np.linalg.solve(a, np.array([xy[0], xy[1], 1.0]))
+    return np.linalg.solve(_BARY_SYSTEM, np.array([xy[0], xy[1], 1.0]))
 
 
 def kl_region_polygon(center, eps, rays=720, bisect_steps=40, floor=1e-12):
@@ -56,11 +54,7 @@ def kl_region_polygon(center, eps, rays=720, bisect_steps=40, floor=1e-12):
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
 
     # barycentric coordinates are affine in the plane: b(t) = b0 + t * db
-    minv = np.linalg.inv(np.array([
-        [_CORNERS[0, 0], _CORNERS[1, 0], _CORNERS[2, 0]],
-        [_CORNERS[0, 1], _CORNERS[1, 1], _CORNERS[2, 1]],
-        [1.0, 1.0, 1.0],
-    ]))
+    minv = np.linalg.inv(_BARY_SYSTEM)
     b0 = minv @ np.array([xy0[0], xy0[1], 1.0])
     db = dirs @ minv[:, :2].T                      # (rays, 3), rows sum to 0
 

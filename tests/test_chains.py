@@ -153,14 +153,32 @@ def test_self_loop_means_period_one():
         assert result.classification.periods == (1,) * 5
 
 
+def _block_cyclic(rng, period):
+    """Random chain whose links only go from block k to block k + 1 (mod
+    period), with its states shuffled."""
+    block = np.repeat(np.arange(period), rng.integers(1, 4, size=period))
+    n = block.size
+    nxt = block[None, :] == (block[:, None] + 1) % period
+    pattern = nxt & (rng.random((n, n)) < 0.6)
+    for i in np.flatnonzero(~pattern.any(axis=1)):
+        pattern[i, rng.choice(np.flatnonzero(nxt[i]))] = True
+    perm = rng.permutation(n)
+    w = np.where(pattern, rng.random((n, n)) + 0.1, 0.0)[np.ix_(perm, perm)]
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def test_periods_match_bruteforce():
     rng = np.random.default_rng(10)
-    for _ in range(30):
-        n = int(rng.integers(2, 8))
-        p = random_stochastic(rng, n, zeros=0.6)
+    matrices = [random_stochastic(rng, int(rng.integers(2, 8)), zeros=0.6)
+                for _ in range(30)]
+    matrices += [_block_cyclic(rng, d) for d in (2, 3, 4) for _ in range(5)]
+    seen = set()
+    for p in matrices:
         result = analyze(p)
-        for state in range(n):
+        seen.update(result.classification.periods)
+        for state in range(p.shape[0]):
             assert result.classification.periods[state] == brute_force_period(p, state)
+    assert {2, 3, 4} <= seen
 
 
 def test_irreducible_implies_indecomposable():

@@ -293,6 +293,35 @@ def test_missing_input_fails_before_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+TWO_CAMP = FIXTURES / "two_camp"
+TWO_CAMP_EVOLVE = (f"mode=evolve\np={TWO_CAMP / 'p.csv'}\nm={TWO_CAMP / 'm.csv'}\n"
+                   f"h={TWO_CAMP / 'h.csv'}\n")
+
+
+@pytest.mark.parametrize("lines, key", [
+    (f"mode=clusters\nm={FIXTURES / 'five_person' / 'm.csv'}\nepsilon=0.3\n"
+     "axis=columns\n", "axis"),
+    (TWO_CAMP_EVOLVE + "limit=yes\n", "limit"),
+    (f"mode=certify\nkind=bogus\np={TWO_CAMP / 'p.csv'}\n"
+     f"h={TWO_CAMP / 'h.csv'}\n", "kind"),
+])
+def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_bool_config_values_ignore_case(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TWO_CAMP_EVOLVE + "limit=TRUE\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert "q_limit.csv" in json.loads((out / "manifest.json").read_text())["outputs"]
+
+
 # `config` and `config_hash` of one flag run per subcommand, recorded before
 # the flags, their defaults and the typed reads came from one per-mode
 # table; paths are given relative to the repository root

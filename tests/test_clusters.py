@@ -172,7 +172,7 @@ class TestEpsilonKlClusters:
             trace = run_homophily(m, cfg)
             assert len(part) <= len(trace.final_groups)
 
-    @pytest.mark.parametrize("n, seed", [(24, 9), (20, 11)])
+    @pytest.mark.parametrize("n, seed", [(24, 9), (20, 11), (24, 28)])
     def test_partition_matches_merge_loop_oracle(self, n, seed):
         # several merge rounds: later rounds decide only pairs with a
         # component that changed, yet must end at the loop's partition

@@ -13,7 +13,7 @@ from beliefdyn.homophily import (HomophilyConfig, InfiniteDivergenceError,
                                  kl_divergence, network_groups, run_homophily,
                                  softmax_weights)
 from beliefdyn.stochastic import col_normalize
-from util import loop_homophily_structure
+from util import bfs_network_groups, loop_belief_groups, loop_homophily_structure
 
 SIM_CFG = HomophilyConfig(eps_p=0.3, eps_h=0.25)
 
@@ -283,3 +283,35 @@ class TestConfigValidation:
     def test_max_steps_at_least_one(self):
         with pytest.raises(ValueError):
             HomophilyConfig(eps_p=0.1, eps_h=0.1, max_steps=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 0.6),
+       isolated=st.floats(0.0, 0.5), one_way=st.booleans(),
+       threshold=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_network_groups_match_bfs_oracle(n, density, isolated, one_way,
+                                         threshold, seed):
+    rng = np.random.default_rng(seed)
+    p = np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0)
+    if one_way:
+        p = np.triu(p)      # every off-diagonal link points one way only
+    alone = rng.random(n) < isolated
+    p[alone, :] = 0.0
+    p[:, alone] = 0.0
+    assert network_groups(p, threshold) == bfs_network_groups(p, threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 30), base=st.integers(1, 6),
+       offset=st.sampled_from([0.0, 1e-6 - 1e-12, 1e-6, 1e-6 + 1e-12]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_belief_groups_match_loop_oracle(r, base, offset, seed):
+    # duplicated rows, some nudged to just inside, at or just outside
+    # tol = 1e-6; a nudged zero entry differs by exactly the offset
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(4), size=base)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    m = rows[rng.integers(base, size=r)]
+    nudged = rng.random(r) < 0.5
+    m[nudged, rng.integers(4)] += offset * rng.choice([-1.0, 1.0], size=nudged.sum())
+    assert belief_groups(m) == loop_belief_groups(m)

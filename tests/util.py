@@ -188,6 +188,46 @@ def bfs_one_leaf_connected(family, zero_threshold=0.0):
     return len(seen) == k
 
 
+def bfs_network_groups(p, threshold=0.0):
+    """Weakly connected components by a per-node search over the rows of
+    the symmetrized positivity pattern."""
+    a = np.asarray(p) > threshold
+    a = a | a.T
+    n = a.shape[0]
+    seen = [False] * n
+    groups = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        comp = [i]
+        seen[i] = True
+        stack = [i]
+        while stack:
+            u = stack.pop()
+            for v in np.flatnonzero(a[u]):
+                v = int(v)
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    stack.append(v)
+        groups.append(tuple(sorted(comp)))
+    return tuple(sorted(groups))
+
+
+def loop_belief_groups(m, tol=1e-6):
+    """First-fit belief groups, one row-against-representative test at a time."""
+    m = np.asarray(m, dtype=float)
+    groups = []
+    for i in range(m.shape[0]):
+        for g in groups:
+            if np.max(np.abs(m[g[0]] - m[i])) < tol:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return tuple(tuple(g) for g in groups)
+
+
 def brute_force_period(p, state, horizon=None):
     """gcd of return times of a state, from boolean pattern powers."""
     a = np.asarray(p) > 0
