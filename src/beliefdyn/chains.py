@@ -1,5 +1,5 @@
 """Graph-theoretic anatomy of a chain: communicating classes, condensation,
-recurrent/transient states, periods, and weak components.
+recurrent/transient states, and periods.
 
 A transition matrix induces a directed graph with an edge (i, j) whenever
 entry (i, j) is positive.  Communicating classes are the strongly connected
@@ -169,23 +169,6 @@ def _levels(adj, root):
         frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
         level[frontier] = depth
     return level
-
-
-def weak_components(pattern):
-    """Weakly connected components of a boolean pattern.
-
-    Returns sorted state tuples ordered by their smallest member.
-    """
-    a = np.asarray(pattern, dtype=bool)
-    a = a | a.T
-    seen = np.zeros(a.shape[0], dtype=bool)
-    groups = []
-    for root in range(a.shape[0]):
-        if not seen[root]:
-            members = np.flatnonzero(_levels(a, root) >= 0)
-            seen[members] = True
-            groups.append(tuple(members.tolist()))
-    return tuple(groups)
 
 
 def _class_periods(adj, comp):

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import weak_components
-from .homophily import _pairwise_kl, kl_divergence
+from .homophily import _pairwise_kl, kl_divergence, network_groups
 
 DEFAULT_FLOOR = 1e-12
 
@@ -210,7 +209,7 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
         return val < epsilon
 
     links = _pairwise_kl(pts, 0.0) < epsilon      # pts are floored already
-    components = weak_components(links)
+    components = network_groups(links)
     changed = [True] * len(components)
 
     while True:
@@ -228,7 +227,7 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
         for ci, cj in merges:
             links[components[ci][0], components[cj][0]] = True
         previous = set(components)
-        components = weak_components(links)
+        components = network_groups(links)
         changed = [c not in previous for c in components]
 
     internal = all(below(pts[[j for j in comp if j != i]], pts[[i]])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import weak_components
+from .chains import _levels
 from .stochastic import col_normalize, max_abs_diff, row_normalize, validate_stochastic
 
 
@@ -186,8 +186,25 @@ def build_concepts(m, cfg):
 
 
 def network_groups(p, threshold=0.0):
-    """Weakly connected components of a network's positivity graph."""
-    return weak_components(np.asarray(p) > threshold)
+    """Weakly connected components of a network's positivity graph.
+
+    Returns sorted person tuples ordered by their smallest member.  A
+    person with no link to anyone else is a singleton without a search.
+    """
+    a = np.asarray(p) > threshold
+    a = a | a.T
+    np.fill_diagonal(a, False)
+    linked = a.any(axis=1)
+    seen = np.zeros(a.shape[0], dtype=bool)
+    groups = []
+    for root in range(a.shape[0]):
+        if not linked[root]:
+            groups.append((root,))
+        elif not seen[root]:
+            members = np.flatnonzero(_levels(a, root) >= 0)
+            seen[members] = True
+            groups.append(tuple(members.tolist()))
+    return tuple(groups)
 
 
 def belief_groups(m, tol=1e-6):

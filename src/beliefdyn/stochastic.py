@@ -5,8 +5,10 @@ package is any 2-D array that has passed :func:`validate_stochastic`:
 nonnegative entries, every row summing to 1 within tolerance.  All
 operations are pure functions; nothing here mutates its inputs.
 
-Everything is stored dense.  The benchmark workloads run at 400 to 2000
-states, where one n x n float64 matrix takes 1.3 to 32 MB.
+Everything is stored dense.  The benchmark workloads run at 32 to 400
+states; the largest matrix, of the 400-person static study, takes 1.3 MB.
+A homophily run at 1000 to 2000 people is a planned scale (ROADMAP item
+2), where one matrix takes 8 to 32 MB.
 """
 
 from dataclasses import dataclass, field
