@@ -82,13 +82,19 @@ class ChainAnalysis:
                    if rec)
 
 
-def graph_of(p, zero_threshold=0.0):
-    """Positivity graph of a square matrix: edge (i, j) iff p[i, j] > threshold."""
+def _pattern(p, zero_threshold):
+    """Boolean pattern ``p > zero_threshold`` of a square matrix."""
     a = require_square(p)
     if zero_threshold < 0:
         raise ValueError("zero_threshold must be nonnegative")
-    edges = frozenset((int(i), int(j)) for i, j in np.argwhere(a > zero_threshold))
-    return TransitionGraph(a.shape[0], edges)
+    return a > zero_threshold
+
+
+def graph_of(p, zero_threshold=0.0):
+    """Positivity graph of a square matrix: edge (i, j) iff p[i, j] > threshold."""
+    pattern = _pattern(p, zero_threshold)
+    edges = frozenset((int(i), int(j)) for i, j in np.argwhere(pattern))
+    return TransitionGraph(pattern.shape[0], edges)
 
 
 def _strongly_connected_components(adj):
@@ -195,7 +201,7 @@ def analyze(p, zero_threshold=0.0):
     ``is_indecomposable`` (at most one leaf class) and ``is_aperiodic``
     (every period equal to 1) hang off the result.
     """
-    return analyze_pattern(require_square(p) > zero_threshold)
+    return analyze_pattern(_pattern(p, zero_threshold))
 
 
 def analyze_pattern(adj):

@@ -265,6 +265,9 @@ def _nu(text):
 _REQUIRED = object()    # no default: the flag must be given
 _SEED = object()        # defaults to the run's seed
 
+# the inputs each certify kind needs; the certify table leaves them optional
+_CERTIFY_INPUTS = {"homogeneous": ("p", "h"), "inhomogeneous": ("family_dir",)}
+
 # Each mode's runner, subcommand help and parameters.  A parameter is
 # (key, type, default): its flag is --key with dashes for underscores, and
 # ``type`` reads its recorded text (a bool is a switch, a tuple lists the
@@ -289,7 +292,7 @@ _MODES = {
         ("m", str, _REQUIRED), ("epsilon", float, _REQUIRED),
         ("axis", ("rows", "cols"), "rows"), ("tol", float, 1e-6))),
     "certify": (_mode_certify, "convergence-rate certificates", (
-        ("kind", ("homogeneous", "inhomogeneous"), "homogeneous"),
+        ("kind", tuple(_CERTIFY_INPUTS), "homogeneous"),
         ("p", str, None), ("h", str, None), ("m", str, None),
         ("family_dir", str, None), ("nu", _nu, "auto"))),
 }
@@ -312,11 +315,16 @@ def _text(value):
 def _values(config):
     """The run's parameters read by type, each absent one at its default.
 
-    A value outside its choices, or bool text other than true/false in any
-    case, raises ValueError.
+    A key the mode does not read, a value outside its choices, bool text
+    other than true/false in any case, or a certify run without its kind's
+    inputs raises ValueError.
     """
+    params = _MODES[config.mode][2]
+    unknown = sorted(set(config.params) - {key for key, _, _ in params})
+    if unknown:
+        raise ValueError(f"mode {config.mode} does not read {', '.join(unknown)}")
     values = {}
-    for key, typ, default in _MODES[config.mode][2]:
+    for key, typ, default in params:
         if key in config.params:
             text = config.params[key]
         elif default is _REQUIRED:
@@ -336,6 +344,9 @@ def _values(config):
             values[key] = text == "true" if typ is bool else text
         else:
             values[key] = typ(text)
+    for key in _CERTIFY_INPUTS.get(values.get("kind"), ()):
+        if values[key] is None:
+            raise ValueError(f"certify kind {values['kind']} needs {key}")
     return values
 
 

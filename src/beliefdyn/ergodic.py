@@ -14,8 +14,9 @@ from itertools import product as iter_product
 import numpy as np
 
 from . import chains
+from .homogeneous import _limit, evolve
 from .stochastic import (_as_family, delta_coefficient, matrix_power,
-                         require_square)
+                         require_square, validate_stochastic)
 
 
 class TooSmallError(ValueError):
@@ -188,8 +189,8 @@ class RateCertificate:
 
     ``base`` and ``block`` are derived from spectral/ergodic quantities;
     ``constant_hint`` is an empirical fit from a probe run, not a proven
-    constant.  ``per_structure`` keeps the separate network/concept rates
-    so the combined product base can be compared against either one.
+    constant.  ``per_structure`` keeps the network/concept rates to compare
+    the product base against; no decay rate of transient states is kept.
     """
 
     kind: str                 # "homogeneous" | "inhomogeneous"
@@ -199,37 +200,27 @@ class RateCertificate:
     nu_star: int = None
     witness: tuple = None
     per_structure: dict = None
-    transient_fit: float = None
 
     def predicted_bound(self, n):
         c = 1.0 if self.constant_hint is None else self.constant_hint
         return c * self.base ** (n // self.block)
 
 
-def _slowest_class_modulus(p):
-    """Largest subdominant modulus over the closed classes of p.
+def _slowest_class_modulus(a, analysis):
+    """Largest subdominant modulus over the closed classes of ``a``.
 
-    For an SIA matrix this is just its subdominant modulus.  For a
-    decomposable one, each closed class is treated as its own chain and the
-    slowest (largest) class rate wins.
+    ``analysis`` is ``chains.analyze(a)``.  For an SIA matrix this is its
+    subdominant modulus; otherwise each closed class is treated as its own
+    chain, the slowest (largest) class rate wins and transients are left out.
     """
-    a = require_square(p)
-    analysis = chains.analyze(a)
     if not analysis.recurrent_aperiodic:
         raise NotSIAError("a periodic closed class has no geometric rate")
     if analysis.is_indecomposable:
-        return _second_modulus(a), None
-    worst = 0.0
-    for ci in analysis.condensation.leaf_classes:
-        members = list(analysis.condensation.classes[ci])
-        # a closed aperiodic class is SIA on its own
-        worst = max(worst, _second_modulus(a[np.ix_(members, members)]))
-    # empirical decay of the transient part (not certified by theory)
-    pinf = matrix_power(a, 512)
-    e8 = float(np.abs(matrix_power(a, 8) - pinf).max())
-    e16 = float(np.abs(matrix_power(a, 16) - pinf).max())
-    fit = (e16 / e8) ** (1.0 / 8.0) if e8 > 0 and e16 > 0 else None
-    return worst, fit
+        return _second_modulus(a)
+    classes = analysis.condensation.classes
+    # a closed aperiodic class is SIA on its own
+    return max(_second_modulus(a[np.ix_(classes[c], classes[c])])
+               for c in analysis.condensation.leaf_classes)
 
 
 def _probe_matrix(rows, cols):
@@ -248,17 +239,17 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
     the combined product base and the slower single-structure rate are two
     different readings of "the model's rate".
     """
-    from .homogeneous import evolve, limit_q
-
     p = require_square(p)
     h = require_square(h)
-    lam_p, fit_p = _slowest_class_modulus(p)
-    lam_h, fit_h = _slowest_class_modulus(h)
+    p_analysis, h_analysis = chains.analyze(p), chains.analyze(h)
+    lam_p = _slowest_class_modulus(p, p_analysis)
+    lam_h = _slowest_class_modulus(h, h_analysis)
     base = lam_p * lam_h
     if m is None:
         m = _probe_matrix(p.shape[0], h.shape[0])
-    limit = limit_q(p, m, h).limit
-    trace = evolve(p, m, h, probe_horizon, tol=0.0)
+    m = validate_stochastic(m, tol=1e-7)
+    trace = evolve(p, m, h, probe_horizon, tol=0.0)  # checks m's shape
+    limit = _limit(p, p_analysis)[0] @ m @ _limit(h, h_analysis)[0]
     constant = 0.0
     for n in range(1, probe_horizon + 1):
         err = float(np.abs(trace.snapshots[n] - limit).max())
@@ -266,14 +257,12 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
             constant = max(constant, err / base ** n)
         elif err > 0:
             constant = max(constant, err)
-    fits = [f for f in (fit_p, fit_h) if f is not None]
     return RateCertificate(
         kind="homogeneous",
         base=base,
         block=1,
         constant_hint=constant,
         per_structure={"network": lam_p, "concept": lam_h},
-        transient_fit=max(fits) if fits else None,
     )
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stochastic import MatrixFamily
+from .stochastic import MatrixFamily, ingest_rounded
 
 _HEADER = re.compile(r"#\s*rows=(\d+)\s+cols=(\d+)\s*$")
 _VALUE = "%.12g"
@@ -101,8 +101,6 @@ def load_family(dirpath, tol=1e-3):
     Members are renormalized by row after a loose validation, matching how
     printed matrices are ingested elsewhere.
     """
-    from .stochastic import ingest_rounded
-
     dirpath = Path(dirpath)
     files = sorted(p for p in dirpath.iterdir() if p.suffix == ".csv")
     if not files:

@@ -29,6 +29,12 @@ def test_graph_requires_square():
         graph_of(np.ones((2, 3)) / 3)
 
 
+@pytest.mark.parametrize("fn", [graph_of, analyze])
+def test_negative_zero_threshold_rejected(fn):
+    with pytest.raises(ValueError, match="zero_threshold must be nonnegative"):
+        fn(np.eye(3), zero_threshold=-1)
+
+
 def test_two_cycle_is_irreducible_period_two():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     result = analyze(swap)

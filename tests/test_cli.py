@@ -304,14 +304,40 @@ TWO_CAMP_EVOLVE = (f"mode=evolve\np={TWO_CAMP / 'p.csv'}\nm={TWO_CAMP / 'm.csv'}
     (TWO_CAMP_EVOLVE + "limit=yes\n", "limit"),
     (f"mode=certify\nkind=bogus\np={TWO_CAMP / 'p.csv'}\n"
      f"h={TWO_CAMP / 'h.csv'}\n", "kind"),
+    (TWO_CAMP_EVOLVE + "step=3\n", "step"),
+    (TWO_CAMP_EVOLVE + "freeze_network=true\n", "freeze_network"),
+    (f"mode=certify\nkind=homogeneous\np={TWO_CAMP / 'p.csv'}\n"
+     f"m={TWO_CAMP / 'm.csv'}\n", "h"),
+    (f"mode=certify\nkind=inhomogeneous\np={TWO_CAMP / 'p.csv'}\n"
+     f"h={TWO_CAMP / 'h.csv'}\n", "family_dir"),
 ])
 def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(lines)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
+    assert key in capsys.readouterr().err.split()
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--kind", "homogeneous", *_two_camp_flags("p", "m")], "h"),
+    (["--kind", "inhomogeneous", *_two_camp_flags("p", "h")], "family_dir"),
+])
+def test_certify_without_kind_inputs_fails_before_outputs(tmp_path, capsys, flags, key):
+    out = tmp_path / "out"
+    assert main(["certify", *flags, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err.split()
+    assert not out.exists()
+
+
+def test_seed_out_and_config_only_keys_are_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mode=homophily\nm={FIXTURES / 'five_person' / 'm.csv'}\n"
+                   "eps_p=0.3\neps_h=0.25\nseed=4\nout=res\n"
+                   "freeze_network=true\nfreeze_concepts=false\n")
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    assert json.loads((tmp_path / "res" / "manifest.json").read_text())["seed"] == 4
 
 
 def test_bool_config_values_ignore_case(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beliefdyn import datasets
+from beliefdyn import chains, datasets, ergodic, stochastic
 from beliefdyn.ergodic import (NotConvergentFamilyError, NotSIAError,
                                _pattern_scrambling, all_products_sia,
                                contraction_coefficient, ergodic_coefficient,
@@ -12,6 +12,7 @@ from beliefdyn.ergodic import (NotConvergentFamilyError, NotSIAError,
                                subdominant_modulus)
 from beliefdyn.chains import one_leaf_connected
 from beliefdyn.homogeneous import evolve, limit_q
+from beliefdyn.matrixio import format_value
 from beliefdyn.stochastic import MatrixFamily, delta_coefficient, matrix_power
 from util import (enumerate_word_products, pair_loop_ergodic_coefficient,
                   power_iteration_subdominant, random_stochastic)
@@ -201,6 +202,18 @@ class TestPowerContraction:
                 assert power_contraction_holds(p, n, k)
 
 
+# certificate.txt values (formatted as ``format_value`` prints them) for the
+# decomposable societies, with the dataset's beliefs and with the default
+# probe matrix, recorded while each structure was still analysed twice and
+# its limit taken from ``limit_q``
+DECOMPOSABLE_CERTIFICATES = {
+    ("two_anchor_society", True): ("0", "0.666387693898", "0.3", "0"),
+    ("two_anchor_society", False): ("0", "0.123699465892", "0.3", "0"),
+    ("camps_and_loner", True): ("0.1017", "1.43378435896e+34", "0.339", "0.3"),
+    ("camps_and_loner", False): ("0.1017", "3.82342495722e+34", "0.339", "0.3"),
+}
+
+
 class TestHomogeneousCertificate:
     def test_rank_one_pair_base_zero(self):
         r1 = np.array([[0.3, 0.7], [0.3, 0.7]])
@@ -231,6 +244,32 @@ class TestHomogeneousCertificate:
         cert = homogeneous_rate_certificate(p, h)
         # classes {0,1,2} and {3,4} have moduli ~0.3402 and 0.248
         assert cert.per_structure["network"] == pytest.approx(0.34020, abs=1e-4)
+
+    @pytest.mark.parametrize("name, with_m", sorted(DECOMPOSABLE_CERTIFICATES))
+    def test_decomposable_certificate_pinned(self, name, with_m):
+        p, m, h = getattr(datasets, name)()
+        cert = homogeneous_rate_certificate(p, h, m=m if with_m else None)
+        printed = tuple(format_value(x) for x in (
+            cert.base, cert.constant_hint,
+            cert.per_structure["concept"], cert.per_structure["network"]))
+        assert printed == DECOMPOSABLE_CERTIFICATES[name, with_m]
+
+    def test_certificate_analyses_each_structure_once(self, monkeypatch):
+        calls = {"analyze": 0, "matrix_power": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(chains, "analyze", counted("analyze", chains.analyze))
+        for module in (ergodic, stochastic):
+            monkeypatch.setattr(module, "matrix_power",
+                                counted("matrix_power", stochastic.matrix_power))
+        p, m, h = datasets.camps_and_loner()
+        homogeneous_rate_certificate(p, h, m=m)
+        assert calls == {"analyze": 2, "matrix_power": 0}
 
 
 class TestInhomogeneousCertificate:
