@@ -76,7 +76,7 @@ def evolve(p, m, h, steps, tol=1e-9):
     q = m
     for k in range(1, steps + 1):
         q = p @ q @ h
-        snaps.append(q.copy())
+        snaps.append(q)
         if stabilized is None and tol > 0 and max_abs_diff(snaps[-1], snaps[-2]) < tol:
             stabilized = k
     return EvolutionTrace(snaps, stabilized)

@@ -41,6 +41,8 @@ def format_value(x):
 def write_matrix(path, m):
     """Write ``m`` as CSV; returns the bytes written."""
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"write_matrix needs a 2-D matrix, got shape {m.shape}")
     text = "# rows=%d cols=%d\n" % m.shape
     rows, cols = m.shape
     if rows:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,36 @@ def test_two_camp_trace_outputs_pinned(tmp_path):
     assert len(outputs) == 203
     digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
     assert digest == "2a7d77ca22df2a9a136a20488617e7750a42bf63a0fba31be2326080aa394989"
+
+
+def test_trace_run_makes_each_directory_once(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self.relative_to(tmp_path))
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    _two_camp_outputs(
+        tmp_path, ["evolve", *_two_camp_flags("p", "m", "h"), "--trace", "--limit"])
+    assert made == [Path("two_camp"), Path("two_camp/trace")]
+
+
+# with two usable CPUs, q_0000 is in this process's shard and q_0001 in the
+# forked child's
+@pytest.mark.parametrize("planted", ["trace/q_0000.csv", "trace/q_0001.csv"])
+def test_unwritable_trace_file_fails_and_reaps_every_writer(
+        tmp_path, capsys, monkeypatch, planted):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "out"
+    (out / planted).mkdir(parents=True)
+    assert main(["evolve", *_two_camp_flags("p", "m", "h"), "--trace",
+                 "--out", str(out), "--quiet"]) == 2
+    assert str(out / planted) in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from beliefdyn.cli import _writer
 from beliefdyn.matrixio import (ParseError, load_family, read_matrix,
                                 read_weights, write_matrix)
 from util import loop_write_matrix, random_stochastic
@@ -113,6 +117,14 @@ def test_ragged_row_after_equal_token_total(tmp_path):
     assert str(err.value).endswith("ragged row")
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_write_matrix_rejects_other_than_two_dims(tmp_path, shape):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        write_matrix(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_write_matrix_with_no_rows_is_header_alone(tmp_path):
     path = tmp_path / "empty.csv"
     data = write_matrix(path, np.zeros((0, 3)))
@@ -146,3 +158,42 @@ def test_csv_io_matches_element_oracle(m):
         read = read_matrix(fast)
         assert np.array_equal(read, np.array(expected), equal_nan=True)
         assert write_matrix(again, read) == data
+
+
+def _no_fork():
+    raise AssertionError("a one-shard batch forked")
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.lists(hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    elements=st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(width=64))),
+    max_size=7))
+def test_batch_writer_matches_element_oracle_on_any_cpu_count(batch):
+    names = [f"d{k % 2}/m{k}.csv" for k in range(len(batch))]
+    with tempfile.TemporaryDirectory() as tmp:
+        expected = {}
+        for name, m in zip(names, batch):
+            path = Path(tmp, "loop", name)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            loop_write_matrix(path, m)
+            expected[name] = path.read_bytes()
+        # None: a platform without os.sched_getaffinity
+        for cpus in (None, 1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                if cpus is None:
+                    patch.delattr(os, "sched_getaffinity", raising=False)
+                else:
+                    patch.setattr(os, "sched_getaffinity",
+                                  lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+                if (cpus or 1) == 1:
+                    patch.setattr(os, "fork", _no_fork)
+                out, write, written = _writer(Path(tmp, str(cpus)))
+                write(matrices=list(zip(names, batch)))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert written == {name: hashlib.sha256(data).hexdigest()
+                               for name, data in expected.items()}
+            for name, data in expected.items():
+                assert (out / name).read_bytes() == data
