@@ -39,20 +39,28 @@ class NotConvergentFamilyError(ValueError):
     """The family admits products that never become scrambling."""
 
 
+# cap on the elements of one row-block temporary in ergodic_coefficient
+_BLOCK_ELEMENTS = 1 << 15
+
+
 def ergodic_coefficient(p):
     """Minimum row-pair overlap: gamma = min over pairs of sum_j min(p1j, p2j).
 
     1 - gamma is the contraction coefficient; the matrix is scrambling
     exactly when gamma > 0.
     """
-    a = require_square(p)
+    # C order, so each overlap is summed pairwise along one contiguous row
+    a = np.ascontiguousarray(require_square(p))
     n = a.shape[0]
     if n < 2:
         raise TooSmallError("ergodic coefficient needs at least a 2x2 matrix")
+    rows = max(1, _BLOCK_ELEMENTS // (n * n))
     g = 1.0
-    for i in range(n - 1):
-        # overlaps of row i with every later row, each summed as its own row
-        g = min(g, float(np.minimum(a[i], a[i + 1:]).sum(axis=1).min()))
+    for i in range(0, n - 1, rows):
+        # block rows also meet themselves (a row sum, never below an overlap)
+        # and earlier rows (overlaps that other pairs count anyway)
+        block = np.minimum(a[i:i + rows, None, :], a[None, i + 1:]).sum(axis=2)
+        g = min(g, float(block.min()))
     return g
 
 

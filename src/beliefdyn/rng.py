@@ -13,18 +13,24 @@ streams
     Independent subsequences are derived by changing ``stream`` while the
     seed stays fixed.  The network-structure sampler uses stream 1 and the
     concept-structure sampler uses stream 2, so adding concept sampling to
-    a run never perturbs the network draws.
+    a run never perturbs the network draws.  ``stream`` may also give one
+    stream per lane, so one generator carries both: the sampler's lanes are
+    every seed's network stream followed by every seed's concept stream.
 
 floats and index draws
     ``next_float`` takes the top 53 bits of the next output, giving a
     uniform double in [0, 1).  ``next_index(weights)`` inverts the running
-    sum of the weights at that uniform.
+    sum of the weights at that uniform (:func:`weighted_index`).
+    ``next_floats(count)`` draws the next ``count`` uniforms of every lane as
+    one ``(count, lanes)`` array, which :func:`weighted_index` inverts with
+    one ``searchsorted``.
 
 lanes
-    One generator advances many seeds at once: its state is four numpy
-    ``uint64`` arrays with one lane per seed.  Wrapping multiply, shift and
-    xor are exact on ``uint64``, so every lane draws bit for bit what a
-    generator seeded with that lane's seed alone would draw.  Seeds and
+    One generator advances many (seed, stream) pairs at once: its state is
+    four numpy ``uint64`` arrays with one lane per pair.  Wrapping multiply,
+    shift and xor are exact on ``uint64``, so every lane draws bit for bit
+    what a generator seeded with that lane's seed and stream alone would
+    draw.  Seeds and
     stream offsets are reduced modulo 2^64 as Python integers first, so
     negative and oversized seeds keep their meaning.  A generator built
     from a scalar seed is one lane and returns Python scalars; one built
@@ -68,13 +74,15 @@ def _nonzero_state(s):
 class Xoshiro256StarStar:
     """xoshiro256** with SplitMix64 seeding and numbered sub-streams.
 
-    ``seed`` is one integer or a sequence of integers, one lane each.
+    ``seed`` is one integer or a sequence of integers, one lane each;
+    ``stream`` is one integer or one per lane.
     """
 
     def __init__(self, seed, stream=0):
         self._scalar = np.ndim(seed) == 0
-        offset = (int(stream) * 0x9E3779B97F4A7C15) & MASK64
-        state = [(int(s) ^ offset) & MASK64 for s in np.ravel(np.asarray(seed, dtype=object))]
+        seeds = np.ravel(np.asarray(seed, dtype=object))
+        streams = np.broadcast_to(np.asarray(stream, dtype=object), seeds.shape)
+        state = [(int(s) ^ int(k) * 0x9E3779B97F4A7C15) & MASK64 for s, k in zip(seeds, streams)]
         s = []
         for _ in range(4):
             state, out = _splitmix64(state)
@@ -96,23 +104,29 @@ class Xoshiro256StarStar:
         s[3] = _rotl(s[3], 45)
         return result
 
-    def _next_float(self):
-        return (self._next_uint64() >> _U[11]).astype(np.float64) * 2.0 ** -53
-
     def next_uint64(self):
         return self._lanes(self._next_uint64())
 
     def next_float(self):
-        return self._lanes(self._next_float())
+        return self._lanes(self.next_floats(1)[0])
+
+    def next_floats(self, count):
+        """The next ``count`` uniforms of every lane, one row per draw."""
+        bits = np.empty((count, self._s[0].size), np.uint64)
+        for row in bits:
+            row[...] = self._next_uint64()
+        return (bits >> _U[11]).astype(np.float64) * 2.0 ** -53
 
     def next_index(self, weights):
-        """Draw an index per lane according to a sequence of positive weights.
+        """Draw an index per lane according to a sequence of positive weights."""
+        return self._lanes(weighted_index(weights, self.next_floats(1)[0]))
 
-        The weights need not be normalized; the draw inverts their running
-        sum (accumulated left to right) at a single uniform variate, so the
-        outcome is a deterministic function of the generator state and the
-        weight values.
-        """
-        cum = np.cumsum(np.asarray(weights, dtype=float))
-        u = self._next_float() * cum[-1]
-        return self._lanes(np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1))
+
+def weighted_index(weights, u):
+    """Index per uniform in ``u`` according to positive, unnormalized weights.
+
+    Each draw inverts the running sum of the weights (left to right) at
+    ``u`` times their total.
+    """
+    cum = np.cumsum(np.asarray(weights, dtype=float))
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)

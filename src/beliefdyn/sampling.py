@@ -11,12 +11,14 @@ two independent sub-streams of one :class:`~beliefdyn.rng.Xoshiro256StarStar`
 seed, so a given (seed, families, horizon) triple always yields the same
 words and the same final beliefs, bit for bit.
 
-:func:`sample_trajectories` advances many seeds together: one generator
-lane per seed and one ``(seeds, people, concepts)`` stack of beliefs.  Each
-step multiplies the lanes that drew the same member in one stacked
-``matmul``, which computes every lane's ``(P_t @ Q) @ H_t`` as the same 2-D
-products a single-seed run computes, so a seed's words, final beliefs and
-stabilization step do not depend on which other seeds run beside it.
+:func:`sample_trajectories` advances many seeds together on one
+``(seeds, people, concepts)`` stack of beliefs.  One generator carries every
+seed's network and concept streams as lanes and draws the words ahead in
+blocks of steps.  Each family is one stack of its members: a step gathers
+each lane's drawn member, a chunk of lanes at a time, and a stacked
+``matmul`` runs every lane's ``(P_t @ Q) @ H_t`` as the same 2-D products a
+single-seed run computes, so a seed's words, final beliefs and stabilization
+step do not depend on which other seeds run beside it.
 """
 
 from dataclasses import dataclass
@@ -26,9 +28,13 @@ import numpy as np
 from .chains import one_leaf_connected
 from .ergodic import exists_scrambling_product
 from .homogeneous import limit_q
-from .rng import CONCEPT_STREAM, NETWORK_STREAM, Xoshiro256StarStar
+from .rng import CONCEPT_STREAM, NETWORK_STREAM, Xoshiro256StarStar, weighted_index
 from .stochastic import (DimensionMismatchError, _as_family, as_matrix,
                          validate_stochastic)
+
+
+_BLOCK = 32                 # steps of words drawn per generator call
+_GATHER_BYTES = 1 << 17     # byte cap on one gather: 16 members of 32 x 32
 
 
 @dataclass
@@ -47,23 +53,6 @@ class SampledRun:
 class ConvergenceDiagnosis:
     almost_surely_rank_one: bool
     witness: tuple = None     # scrambling word over the family, when one exists
-
-
-def _apply(members, word, stack, left):
-    """Multiply each lane of ``stack`` by the member its ``word`` entry names.
-
-    Lanes that drew the same member go through one stacked ``matmul``, which
-    runs one 2-D product per lane, so each lane's product is the one a
-    single-seed run computes.
-    """
-    out = np.empty_like(stack)
-    for k, member in enumerate(members):
-        lanes = np.flatnonzero(word == k)
-        if lanes.size == len(word):
-            return member @ stack if left else stack @ member
-        if lanes.size:
-            out[lanes] = member @ stack[lanes] if left else stack[lanes] @ member
-    return out
 
 
 def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
@@ -96,24 +85,39 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
     seeds = [int(s) for s in seeds]
     if not seeds:
         return
-    rng_p = Xoshiro256StarStar(seeds, stream=NETWORK_STREAM)
-    rng_h = Xoshiro256StarStar(seeds, stream=CONCEPT_STREAM)
+    lanes = len(seeds)
+    rng = Xoshiro256StarStar(seeds * 2, [NETWORK_STREAM] * lanes + [CONCEPT_STREAM] * lanes)
     horizon = max(steps, 0)
-    words_p = np.empty((horizon, len(seeds)), np.min_scalar_type(len(sp) - 1))
-    words_h = np.empty((horizon, len(seeds)), np.min_scalar_type(len(sh) - 1))
-    q = np.repeat(m[None], len(seeds), axis=0)
-    stabilized = np.zeros(len(seeds), dtype=int)      # 0 = not yet
+    words_p = np.empty((horizon, lanes), np.min_scalar_type(len(sp) - 1))
+    words_h = np.empty((horizon, lanes), np.min_scalar_type(len(sh) - 1))
+    plans = []     # per family: (member stack, lane slice, gather buffer) per chunk
+    for family in (sp, sh):
+        stack = np.array(family.members)
+        size = min(lanes, max(1, _GATHER_BYTES // stack[0].nbytes))
+        gather = np.empty((size,) + stack.shape[1:])
+        plans.append([(stack, slice(a, a + size), gather[:min(size, lanes - a)])
+                      for a in range(0, lanes, size)])
+    q = np.repeat(m[None], lanes, axis=0)
+    mid, nxt = np.empty_like(q), np.empty_like(q)
+    stabilized = np.zeros(lanes, dtype=int)      # 0 = not yet
     track = tol > 0
-    for t in range(1, horizon + 1):
-        words_p[t - 1] = rng_p.next_index(sp.weights)
-        words_h[t - 1] = rng_h.next_index(sh.weights)
-        nxt = _apply(sh.members, words_h[t - 1],
-                     _apply(sp.members, words_p[t - 1], q, left=True), left=False)
+    for t in range(horizon):
+        if t % _BLOCK == 0:
+            u = rng.next_floats(min(_BLOCK, horizon - t))
+            words_p[t:t + len(u)] = weighted_index(sp.weights, u[:, :lanes])
+            words_h[t:t + len(u)] = weighted_index(sh.weights, u[:, lanes:])
+        # mode="wrap" lets take write straight into the gather buffer
+        for stack, chunk, gather in plans[0]:
+            members = stack.take(words_p[t, chunk], axis=0, out=gather, mode="wrap")
+            np.matmul(members, q[chunk], out=mid[chunk])
+        for stack, chunk, gather in plans[1]:
+            members = stack.take(words_h[t, chunk], axis=0, out=gather, mode="wrap")
+            np.matmul(mid[chunk], members, out=nxt[chunk])
         if track:
             diff = np.abs(nxt - q).max(axis=(1, 2))
-            stabilized[(stabilized == 0) & (diff < tol)] = t
+            stabilized[(stabilized == 0) & (diff < tol)] = t + 1
             track = not stabilized.all()
-        q = nxt
+        q, nxt = nxt, q
     for k, seed in enumerate(seeds):
         yield SampledRun(seed, steps, tuple(words_p[:, k].tolist()),
                          tuple(words_h[:, k].tolist()), q[k].copy(),

@@ -120,6 +120,32 @@ def test_certify_inhomogeneous(tmp_path):
     assert fields["nu_star"] == "6"
 
 
+# manifest output hashes of `certify --kind inhomogeneous` on the scrambling
+# pair, recorded before the ergodic coefficient ran in row blocks
+CERTIFY_INHOMOGENEOUS_OUTPUTS = {
+    "certificate.txt":
+        "64c8144aabe36a7d6c37cbae46deb5d194a7061e96d3a48485e66e2fecb84da0",
+}
+
+
+def test_certify_inhomogeneous_outputs_pinned(tmp_path, capsys):
+    out = run_dir(tmp_path, "pair")
+    assert main(["certify", "--kind", "inhomogeneous",
+                 "--family-dir", str(FIXTURES / "scrambling_pair"),
+                 "--out", out, "--quiet"]) == 0
+    manifest = json.loads((Path(out) / "manifest.json").read_text())
+    assert manifest["outputs"] == CERTIFY_INHOMOGENEOUS_OUTPUTS
+    # the single-leaf family has a member whose powers never scramble: the
+    # certificate is refused and nothing is written
+    out = run_dir(tmp_path, "leaf")
+    assert main(["certify", "--kind", "inhomogeneous",
+                 "--family-dir", str(FIXTURES / "single_leaf"),
+                 "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no block length up to nu* = 6 makes every word scrambling\n")
+    assert not list(Path(out).glob("*"))
+
+
 def test_homophily_plot_frames(tmp_path):
     out = run_dir(tmp_path, "triangle")
     assert main(["run", str(FIXTURES / "triangle" / "homophily.cfg"),

@@ -42,9 +42,11 @@ class TestErgodicCoefficient:
     @pytest.mark.parametrize("zeros", [0.0, 0.5, 0.9])
     def test_matches_pair_loop_exactly(self, zeros):
         rng = np.random.default_rng(int(zeros * 10))
-        for n in [2, 3, 4, 5, 8, 13, 31, 64, 100]:
+        # 181^2 elements still fit one row-block temporary and 182^2 do not
+        for n in [2, 3, 4, 5, 8, 13, 31, 64, 100, 181, 182, 200]:
             p = random_stochastic(rng, n, zeros=zeros)
             assert ergodic_coefficient(p) == pair_loop_ergodic_coefficient(p)
+            assert ergodic_coefficient(np.asfortranarray(p)) == ergodic_coefficient(p)
 
     def test_word_products_match_pair_loop_exactly(self):
         members = [random_stochastic(np.random.default_rng(k), 12, zeros=0.7)
@@ -290,6 +292,30 @@ class TestInhomogeneousCertificate:
         assert cert.block == 1
         assert cert.base == pytest.approx(0.7)
         assert cert.nu_star == 6
+
+    def test_heap_family_matches_word_loop(self):
+        # each member links a person to itself and to their heap parent, so
+        # the shortest all-scrambling block is the heap's depth (4 at n = 20)
+        rng = np.random.default_rng(31)
+        members = []
+        for _ in range(3):
+            a = np.zeros((20, 20))
+            a[0, 0] = 1.0
+            for i in range(1, 20):
+                a[i, i] = 0.2 + 0.6 * rng.random()
+                a[i, (i - 1) // 2] = 1.0 - a[i, i]
+            members.append(a)
+        cert = inhomogeneous_rate_certificate(MatrixFamily(members, weights=[1, 2, 3]))
+        gammas = [(len(word), pair_loop_ergodic_coefficient(prod), word)
+                  for word, prod in enumerate_word_products(members, 4)]
+        nu = min(k for k in range(1, 5)
+                 if all(g > 0 for length, g, _ in gammas if length == k))
+        gamma, witness = 1.0, None
+        for length, g, word in gammas:
+            if length == nu and g < gamma:
+                gamma, witness = g, word
+        assert (cert.block, cert.base, cert.witness) == (nu, 1.0 - gamma, witness)
+        assert nu == 4
 
     def test_non_convergent_family_rejected(self):
         with pytest.raises(NotConvergentFamilyError):

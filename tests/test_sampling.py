@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beliefdyn import datasets
+from beliefdyn import datasets, sampling
 from beliefdyn.homogeneous import evolve, limit_q
-from beliefdyn.rng import MASK64, Xoshiro256StarStar, _nonzero_state, _splitmix64
+from beliefdyn.rng import (CONCEPT_STREAM, MASK64, NETWORK_STREAM, Xoshiro256StarStar,
+                           _nonzero_state, _splitmix64, weighted_index)
 from beliefdyn.sampling import (diagnose_convergence, expectation_matrix,
                                 expected_limit, sample_trajectories,
                                 sample_trajectory)
@@ -74,6 +75,23 @@ class TestRngLanes:
             assert lanes.next_index(w).tolist() == [g.next_index(w) for g in oracles]
             assert single.next_index(w) == first.next_index(w)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=4),
+           count=st.integers(1, 70),
+           weights=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=5))
+    def test_block_draws_match_scalar_oracle(self, seeds, count, weights):
+        # one generator carrying every seed's network and concept streams
+        streams = [NETWORK_STREAM] * len(seeds) + [CONCEPT_STREAM] * len(seeds)
+        lanes = Xoshiro256StarStar(seeds * 2, streams)
+        oracles = [ScalarXoshiro256StarStar(s, k) for s, k in zip(seeds * 2, streams)]
+        assert lanes.next_floats(count).tolist() == [
+            [g.next_float() for g in oracles] for _ in range(count)]
+        assert weighted_index(weights, lanes.next_floats(count)).tolist() == [
+            [g.next_index(weights) for g in oracles] for _ in range(count)]
+        single = Xoshiro256StarStar(seeds[0], CONCEPT_STREAM)
+        first = ScalarXoshiro256StarStar(seeds[0], CONCEPT_STREAM)
+        assert single.next_floats(count).tolist() == [[first.next_float()] for _ in range(count)]
+
     def test_scalar_seed_draws_python_scalars(self):
         g = Xoshiro256StarStar(3, stream=1)
         assert type(g.next_uint64()) is int
@@ -115,6 +133,12 @@ def _random_family(rng, n, members, zeros):
                         weights=0.1 + rng.random(members))
 
 
+# 32 x 32 network members fill a 16-lane gather, 45 x 45 concept members an
+# 8-lane one
+PEOPLE, CONCEPTS = 32, 45
+CHUNK = sampling._GATHER_BYTES // (8 * PEOPLE * PEOPLE)
+
+
 class TestSampleTrajectories:
     """The all-seeds run is bit for bit the per-seed scalar loop."""
 
@@ -139,6 +163,26 @@ class TestSampleTrajectories:
         m = random_stochastic(rng, r, c, zeros=0.3)
         seeds = [int(x) for x in rng.integers(-2 ** 62, 2 ** 62, size=40)]
         self.assert_matches_loop(sp, sh, m, seeds, 60)
+
+    @pytest.mark.parametrize("members", [1, 2, 3, 4])
+    @pytest.mark.parametrize("horizon", [0, 1, sampling._BLOCK, sampling._BLOCK + 1])
+    @pytest.mark.parametrize("lanes", [1, CHUNK, CHUNK + 1])
+    def test_chunk_and_block_boundaries_match_loop(self, lanes, horizon, members):
+        assert CHUNK == 16
+        rng = np.random.default_rng(1000 * lanes + 10 * horizon + members)
+        # the last member of each family is rarely drawn, and the concept
+        # identity lets lanes stabilize once their beliefs reach consensus
+        sp = MatrixFamily([random_stochastic(rng, PEOPLE, zeros=0.8)
+                           for _ in range(members)], [1.0] * (members - 1) + [0.01])
+        sh = MatrixFamily([np.eye(CONCEPTS)] + [random_stochastic(rng, CONCEPTS, zeros=0.8)
+                                                for _ in range(4 - members)],
+                          [1.0] * (4 - members) + [0.01])
+        m = random_stochastic(rng, PEOPLE, CONCEPTS, zeros=0.5)
+        seeds = [int(x) for x in rng.integers(-2 ** 62, 2 ** 62, size=lanes)]
+        runs = self.assert_matches_loop(sp, sh, m, seeds, horizon)
+        if horizon > 1 and members > 1:
+            drawn = np.array([run.word_p for run in runs]).T
+            assert any(len(set(step)) < members for step in drawn)
 
     def test_some_lanes_stabilize_and_some_do_not(self):
         # with a static concept identity, a network identity draw leaves Q
