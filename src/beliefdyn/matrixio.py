@@ -1,7 +1,17 @@
 """CSV matrix files and weighted family directories.
 
 Matrix format: an optional header line ``# rows=R cols=C`` followed by R
-comma-separated rows of decimals.
+comma-separated rows of numbers, each a token in Python ``float`` syntax
+(whitespace around it is allowed, an empty field is not).  Blank lines are
+skipped; ``#`` starts a comment only at the start of a line, so
+``0.5 # note`` is a bad number.  Errors name the file and the line.
+
+The numbers are parsed by one ``numpy.loadtxt`` call.  Only after it fails
+(or where a data line holds U+001F, which numpy strips as whitespace and
+``float`` rejects) does a per-line ``float`` pass run: it names the first
+bad line and reads syntax numpy does not take, such as ``1_0``.  Both
+convert through CPython's ``PyOS_string_to_double``, so either way the
+bits are those of ``float(token)``.
 
 Writing is a byte contract.  ``write_matrix`` writes the header, then each
 row with every value as ``"%.12g" % value`` (12 significant digits, so
@@ -13,7 +23,7 @@ file back.
 
 A family directory holds one ``.csv`` per member (ordered by file name)
 and an optional ``weights.txt`` of ``index weight`` lines, 0-based against
-that order; missing weights mean uniform sampling.
+that order, one line per member; without the file, sampling is uniform.
 """
 
 import re
@@ -55,7 +65,7 @@ def write_matrix(path, m):
 
 def read_matrix(path):
     path = Path(path)
-    rows = []
+    linenos, lines = [], []
     expected = None
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
@@ -66,21 +76,40 @@ def read_matrix(path):
             if m:
                 expected = (int(m.group(1)), int(m.group(2)))
             continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise ParseError(path, lineno, f"bad number: {exc}") from None
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-            raise ParseError(path, lineno, "ragged row")
-    if not rows:
+        linenos.append(lineno)
+        lines.append(line)
+    # loadtxt warns on empty input, so this check comes first
+    if not lines:
         raise ParseError(path, 0, "no data rows")
-    a = np.array(rows, dtype=float)
+    a = None
+    # numpy strips U+001F around a number as whitespace; float() rejects it
+    if not any("\x1f" in line for line in lines):
+        try:
+            a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if a is None:
+        a = _float_rows(path, linenos, lines)
     if expected is not None and a.shape != expected:
         raise ParseError(path, 0, f"header says {expected}, found {a.shape}")
     return a
 
 
-def read_weights(path):
+def _float_rows(path, linenos, lines):
+    """Parse each token with ``float``; raises on the first bad line."""
+    rows = []
+    for lineno, line in zip(linenos, lines):
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ParseError(path, lineno, f"bad number: {exc}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ParseError(path, lineno, "ragged row")
+    return np.array(rows, dtype=float)
+
+
+def read_weights(path, count):
+    """Weights of members ``0 .. count-1`` from ``index weight`` lines."""
     path = Path(path)
     weights = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -91,10 +120,18 @@ def read_weights(path):
         if len(parts) != 2:
             raise ParseError(path, lineno, "expected 'index weight'")
         try:
-            weights[int(parts[0])] = float(parts[1])
+            index, weight = int(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-    return weights
+        if not 0 <= index < count:
+            raise ParseError(path, lineno, f"member index {index} outside 0..{count - 1}")
+        if index in weights:
+            raise ParseError(path, lineno, f"second weight for member {index}")
+        weights[index] = weight
+    missing = sorted(set(range(count)) - set(weights))
+    if missing:
+        raise ParseError(path, 0, f"no weight for members {missing}")
+    return [weights[i] for i in range(count)]
 
 
 def load_family(dirpath, tol=1e-3):
@@ -111,9 +148,5 @@ def load_family(dirpath, tol=1e-3):
     weights_file = dirpath / "weights.txt"
     weights = None
     if weights_file.exists():
-        table = read_weights(weights_file)
-        missing = set(range(len(members))) - set(table)
-        if missing:
-            raise ParseError(weights_file, 0, f"no weight for members {sorted(missing)}")
-        weights = [table[i] for i in range(len(members))]
+        weights = read_weights(weights_file, len(members))
     return MatrixFamily(members, weights)

@@ -197,8 +197,8 @@ def max_abs_diff(a, b):
 class MatrixFamily:
     """A finite set of same-shape stochastic matrices with sampling weights.
 
-    Weights must be strictly positive; they are rescaled to sum to 1 at
-    construction.
+    Weights must be finite and strictly positive; they are rescaled to sum
+    to 1 at construction.
     """
 
     members: tuple
@@ -218,8 +218,8 @@ class MatrixFamily:
             w = np.asarray(weights, dtype=float)
             if w.shape != (len(members),):
                 raise ShapeMismatchError("need one weight per member")
-            if np.any(w <= 0):
-                raise ValueError("sampling weights must be strictly positive")
+            if not np.all((w > 0) & (w < np.inf)):     # NaN fails both
+                raise ValueError("sampling weights must be finite and strictly positive")
             w = w / w.sum()
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "weights", w)

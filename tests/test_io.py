@@ -2,17 +2,19 @@ import hashlib
 import os
 import re
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beliefdyn.cli import _writer
 from beliefdyn.matrixio import (ParseError, load_family, read_matrix,
                                 read_weights, write_matrix)
-from util import loop_write_matrix, random_stochastic
+from util import loop_read_matrix, loop_write_matrix, random_stochastic
 
 
 def test_round_trip_preserves_values(tmp_path):
@@ -71,7 +73,7 @@ def test_empty_file_rejected(tmp_path):
 def test_weights_file(tmp_path):
     path = tmp_path / "weights.txt"
     path.write_text("# comment\n0 0.25\n1 0.75\n")
-    assert read_weights(path) == {0: 0.25, 1: 0.75}
+    assert read_weights(path, 2) == [0.25, 0.75]
 
 
 def test_load_family_uniform_without_weights(tmp_path):
@@ -96,6 +98,22 @@ def test_load_family_missing_weight_rejected(tmp_path):
     (tmp_path / "weights.txt").write_text("0 1\n")
     with pytest.raises(ParseError):
         load_family(tmp_path)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0 1\n1 3\n1 5\n", 3, "second weight for member 1"),
+    ("0 1\n1 3\n7 2\n", 3, "member index 7 outside 0..1"),
+    ("-1 4\n0 1\n1 3\n", 1, "member index -1 outside 0..1"),
+])
+def test_load_family_rejects_stray_weight_lines(tmp_path, text, line, message):
+    for i in range(2):
+        write_matrix(tmp_path / f"m{i}.csv", np.eye(2))
+    (tmp_path / "weights.txt").write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_family(tmp_path)
+    assert err.value.path == str(tmp_path / "weights.txt")
+    assert err.value.line == line
+    assert str(err.value).endswith(message)
 
 
 def test_bundled_fixture_parses():
@@ -158,6 +176,141 @@ def test_csv_io_matches_element_oracle(m):
         read = read_matrix(fast)
         assert np.array_equal(read, np.array(expected), equal_nan=True)
         assert write_matrix(again, read) == data
+
+
+def _read(reader, path):
+    """The array ``reader`` returns, or the line and text of its ParseError."""
+    try:
+        return reader(path)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+def _assert_same_read(path):
+    fast, loop = _read(read_matrix, path), _read(loop_read_matrix, path)
+    if isinstance(loop, tuple):
+        assert fast == loop
+    else:
+        assert fast.dtype == loop.dtype == np.float64
+        assert fast.shape == loop.shape
+        # bit patterns, so the sign of a NaN and of a zero count
+        assert np.array_equal(fast.view(np.uint64), loop.view(np.uint64))
+
+
+# 1_0 and non-ASCII digits are Python float syntax that numpy does not
+# read, so the reader falls back to float() per token
+NUMBER_TOKENS = ["+.5", "5.", "nan", "-nan", "NaN", "Infinity", "-inf", "-0",
+                 "5e-324", "1e-310", "2.2250738585072e-308", "1e400", "-1e400",
+                 "1_0", "\uff11\uff12", "\uff10.\uff15", "0.5"]
+PADDING = ["", " ", "\t", "  ", "\xa0", "\u3000"]
+# each file carries at most one of these, so about half the files parse
+DEFECTS = {
+    "bad token": ["", "1e", ".", "0x10", "1 2", "nan(1)", "1__0", "1\x00", "\"1\""],
+    "unit separator": ["\x1f1", "1\x1f"],   # numpy would strip it, float() does not
+    "line break": ["1\x0b2", "1\x0c2"],      # str.splitlines ends a line there
+    "row end": [",", " # note", ",,"],
+}
+
+tokens = st.builds(
+    lambda pad, tok, trail: pad + tok + trail,
+    st.sampled_from(PADDING),
+    st.one_of(st.sampled_from(NUMBER_TOKENS),
+              st.floats(width=64).map(repr),
+              st.floats(width=64).map(lambda x: "%.12g" % x),
+              st.floats(0, 1).map(lambda x: "%.3e" % x)),
+    st.sampled_from(PADDING))
+noise_lines = st.sampled_from(["", "   ", "# note", "#", "  # indented note",
+                               "# rows=two cols=3"])
+
+
+@st.composite
+def csv_texts(draw):
+    cols = draw(st.integers(1, 5))
+    rows = [draw(st.lists(tokens, min_size=cols, max_size=cols))
+            for _ in range(draw(st.integers(0, 5)))]
+    defect = draw(st.sampled_from([None] * 4 + ["ragged"] + sorted(DEFECTS)))
+    if rows and defect == "ragged":
+        row = draw(st.sampled_from(rows))
+        if len(row) > 1 and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(tokens))
+    elif rows and defect:
+        row = draw(st.sampled_from(rows))
+        bad = draw(st.sampled_from(DEFECTS[defect]))
+        if defect == "row end":
+            row[-1] += bad
+        else:
+            row[draw(st.integers(0, cols - 1))] = bad
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(noise_lines, max_size=2)) + [",".join(row)]
+    lines += draw(st.lists(noise_lines, max_size=2))
+    header = draw(st.sampled_from(["none", "right", "right", "wrong"]))
+    if header != "none":
+        count = len(rows) + (header == "wrong")
+        lines.insert(draw(st.integers(0, len(lines))), f"# rows={count} cols={cols}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=csv_texts())
+@example(text="0.5,\x1f1\n0.25,0.75\n")
+@example(text="# rows=1 cols=2\n0.5,0.5 # note\n")
+def test_read_matches_float_oracle_bits_and_errors(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_text(text, encoding="utf-8")
+        _assert_same_read(path)
+
+
+@pytest.mark.parametrize("text, shape", [
+    ("# rows=1 cols=4\n0.1,0.2,0.3,0.4\n", (1, 4)),
+    ("0.5\n0.25\n1\n", (3, 1)),
+    ("# rows=1 cols=1\n1\n", (1, 1)),
+    ("1_0\n", (1, 1)),                  # read by the float() pass
+    ("0.5,0.5\n# note\n\n0.25, 0.75\n", (2, 2)),
+])
+def test_read_shape_and_layout(tmp_path, text, shape):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = read_matrix(path)
+    assert a.shape == shape
+    assert a.dtype == np.float64
+    # ergodic_coefficient's row blocks rely on C order
+    assert a.flags.c_contiguous and a.flags.writeable
+    _assert_same_read(path)
+
+
+@pytest.mark.parametrize("text", ["", "# rows=0 cols=3\n", "# only a note\n  \n"])
+def test_no_data_rows_raise_before_any_warning(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="no data rows"):
+            read_matrix(path)
+
+
+# tracemalloc peak for a dense seeded 400x400 file (2.4 MB of text):
+# about 5.5 MB for the numpy reader, 7.9 MB for one float per value
+READ_PEAK_CAP = 6.5e6
+
+
+def test_read_peak_memory_pinned(tmp_path):
+    path = tmp_path / "big.csv"
+    write_matrix(path, random_stochastic(np.random.default_rng(400), 400))
+    peaks = []
+    for reader in (read_matrix, loop_read_matrix):
+        tracemalloc.start()
+        try:
+            reader(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < READ_PEAK_CAP < peaks[1], peaks
 
 
 def _no_fork():

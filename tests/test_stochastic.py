@@ -171,6 +171,11 @@ class TestMatrixFamily:
         with pytest.raises(ValueError):
             MatrixFamily([np.eye(2), np.eye(2)], weights=[1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MatrixFamily([np.eye(2), np.eye(2)], weights=[1.0, bad])
+
     def test_shape_mismatch(self):
         from beliefdyn.stochastic import ShapeMismatchError
         with pytest.raises(ShapeMismatchError):

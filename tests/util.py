@@ -13,6 +13,7 @@ from beliefdyn.chains import analyze_pattern, union_graph
 from beliefdyn.clusters import (_floored, _line_search, _safe_log,
                                 min_kl_hull_to_hull)
 from beliefdyn.homophily import kl_divergence, softmax_weights
+from beliefdyn.matrixio import _HEADER, ParseError
 from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
 from beliefdyn.sampling import SampledRun
 from beliefdyn.stochastic import max_abs_diff, row_normalize
@@ -42,6 +43,34 @@ def loop_write_matrix(path, m):
     for row in m:
         lines.append(",".join("%.12g" % float(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def loop_read_matrix(path):
+    """CSV reader that parses one token at a time with ``float``."""
+    path = Path(path)
+    rows = []
+    expected = None
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _HEADER.match(line)
+            if m:
+                expected = (int(m.group(1)), int(m.group(2)))
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ParseError(path, lineno, f"bad number: {exc}") from None
+        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+            raise ParseError(path, lineno, "ragged row")
+    if not rows:
+        raise ParseError(path, 0, "no data rows")
+    a = np.array(rows, dtype=float)
+    if expected is not None and a.shape != expected:
+        raise ParseError(path, 0, f"header says {expected}, found {a.shape}")
+    return a
 
 
 def loop_homophily_structure(points, eps, cfg):
