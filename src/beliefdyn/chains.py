@@ -85,7 +85,7 @@ class ChainAnalysis:
 def _pattern(p, zero_threshold):
     """Boolean pattern ``p > zero_threshold`` of a square matrix."""
     a = require_square(p)
-    if zero_threshold < 0:
+    if not zero_threshold >= 0:   # also rejects NaN
         raise ValueError("zero_threshold must be nonnegative")
     return a > zero_threshold
 

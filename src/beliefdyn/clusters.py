@@ -12,11 +12,15 @@ only the pairs with a component that changed in the round before; the
 other pairs were already decided "not below".
 
 Hull distances are one convex program.  KL(q, p) is jointly convex in
-(q, p), and Conv(A) x Conv(B) is the convex hull of the stacked vertex
-pairs (a_i, b_j), so min KL(q, p) over q in Conv(A), p in Conv(B) is one
-Frank-Wolfe run over the weights of those pairs; hull-to-point is the case
-with one vertex in B.  Every iterate is feasible and, by convexity, its
-duality gap bounds the minimum from below: it lies in [value - gap, value].
+(q, p), so min KL(q, p) over q in Conv(A), p in Conv(B) is convex in the
+vertex weights of the two hulls, which range over the product of the two
+weight simplices (|A| + |B| weights); hull-to-point is the case with one
+vertex in B.  Frank-Wolfe solves it one hull at a time: each iteration
+moves weight in A from its worst active vertex to its best, then does the
+same in B, each at the exact step size (pairwise steps, Lacoste-Julien &
+Jaggi, NeurIPS 2015).  Every iterate is feasible and, by convexity, its
+duality gap, the sum of the two hulls' gaps, bounds the minimum from
+below: it lies in [value - gap, value].
 
 Tie policy of the decision "min KL < eps": it is "below" as soon as
 value < eps and "not below" as soon as value - gap >= eps; otherwise the
@@ -70,102 +74,87 @@ def _safe_log(x):
     return np.log(np.maximum(x, 1e-300))
 
 
-def _line_search(deriv, steps=60):
-    """Minimize a convex 1-D restriction on [0, 1] by bisecting its derivative."""
-    lo, hi = 0.0, 1.0
-    if deriv(hi) <= 0:
-        return 1.0
-    if deriv(lo) >= 0:
-        return 0.0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _exact_step(q, p, dq, dp, t_max):
+    """The t in [0, t_max] that minimizes KL(q + t dq, p + t dp).
 
-
-def _frank_wolfe(vertices, grad, value, tol, max_iter, epsilon=None):
-    """Minimize a convex function of x = w @ vertices over the weight simplex.
-
-    Frank-Wolfe with away steps, started at the best vertex: the plain
-    variant zigzags sublinearly once the optimum lies on a face, while away
-    steps drain weight from bad vertices directly and converge linearly on
-    these objectives.  The minimum lies in [value(x) - gap, value(x)].  Stops
-    when gap <= tol or, given ``epsilon``, as soon as that interval lies on
-    one side of epsilon, so ``value < epsilon`` answers "is the minimum
-    below epsilon?".  ``value`` must also evaluate the rows of a 2-D x.
-    Returns (value, gap, iterations); raises NonConvergenceError if it does
-    not stop within max_iter iterations.
+    Newton on the derivative, which increases in t by joint convexity, with
+    the second derivative sum((dq - q dp / p)^2 / q); a Newton step that
+    leaves the bracket of the sign change is replaced by bisection.
     """
-    v = np.asarray(vertices, dtype=float)
-    w = np.zeros(v.shape[0])
-    w[int(np.argmin(value(v)))] = 1.0
-    x = w @ v
-    gap = np.inf
-    for it in range(max_iter):
-        val = float(value(x))
-        scores = v @ grad(x)
-        s = int(np.argmin(scores))
-        mean_score = float(w @ scores)
-        gap = mean_score - float(scores[s])
-        if gap <= tol or (epsilon is not None
-                          and (val < epsilon or val - gap >= epsilon)):
-            return val, gap, it
-        active = np.flatnonzero(w > 0)
-        a = int(active[np.argmax(scores[active])])
-        away_gap = float(scores[a]) - mean_score
+    def slope(t):
+        qt = np.maximum(q + t * dq, 1e-300)
+        pt = np.maximum(p + t * dp, 1e-300)
+        r = dp / pt
+        return (float((dq * (np.log(qt) - np.log(pt) + 1.0) - qt * r).sum()),
+                float(((dq - qt * r) ** 2 / qt).sum()))
 
-        if gap >= away_gap:
-            direction = v[s] - x
-            gamma_max = 1.0
+    if slope(t_max)[0] <= 0:
+        return t_max                 # drop step: the away vertex leaves
+    lo, hi, t = 0.0, t_max, 0.0
+    for _ in range(60):
+        d, h = slope(t)
+        if d < 0:
+            lo = t
+        elif d > 0:
+            hi = t
         else:
-            direction = x - v[a]
-            gamma_max = w[a] / (1.0 - w[a]) if w[a] < 1.0 else 1.0
-
-        def deriv(t, x=x, direction=direction, gamma_max=gamma_max):
-            return float(direction @ grad(x + t * gamma_max * direction))
-
-        step = _line_search(deriv) * gamma_max
-        if step <= 0.0:
-            return val, gap, it
-        if gap >= away_gap:
-            w = (1.0 - step) * w
-            w[s] += step
+            return t
+        newton = t - d / h
+        if not lo < newton < hi:
+            t = 0.5 * (lo + hi)
+        elif abs(newton - t) <= 1e-9 * newton:
+            return newton            # converges quadratically from here
         else:
-            w = (1.0 + step) * w
-            w[a] -= step
-            w = np.maximum(w, 0.0)
-        w = w / w.sum()
-        x = w @ v
-    raise NonConvergenceError(max_iter, gap)
+            t = newton
+    return t
+
+
+def _pairwise(w, scores):
+    """The best vertex and the worst active one, by their gradient scores."""
+    active = np.flatnonzero(w > 0)
+    return int(np.argmin(scores)), int(active[np.argmax(scores[active])])
 
 
 def _min_kl(va, vb, tol, max_iter=10_000, epsilon=None):
     """min KL(q, p) over q in Conv(va), p in Conv(vb) as (value, gap, iterations).
 
-    One Frank-Wolfe run over x = (q, p) on the stacked vertex pairs
-    (a_i, b_j); ``epsilon`` makes it the certified test "minimum < epsilon".
+    Frank-Wolfe over the two hulls' weights (module docstring), started at
+    the best vertex pair; B's step uses the gradient after A's step.  Stops
+    as the tie policy says, ``epsilon`` making it the certified test
+    "minimum < epsilon"; raises NonConvergenceError after max_iter
+    iterations.
     """
     if va.shape[1] != vb.shape[1]:
         raise ValueError("the two point sets have different dimensions")
     if va.shape[0] == 1 and vb.shape[0] == 1:
         return kl_divergence(va[0], vb[0], floor=0.0), 0.0, 0
-    d = va.shape[1]
-    pairs = np.hstack([np.repeat(va, vb.shape[0], axis=0),
-                       np.tile(vb, (va.shape[0], 1))])
-
-    def value(x):
-        q, p = x[..., :d], x[..., d:]
-        return np.sum(q * (_safe_log(q) - _safe_log(p)), axis=-1)
-
-    def grad(x):
-        q, p = x[:d], x[d:]
-        return np.concatenate([_safe_log(q) - _safe_log(p) + 1.0,
-                               -q / np.maximum(p, 1e-300)])
-
-    return _frank_wolfe(pairs, grad, value, tol, max_iter, epsilon)
+    log_a, log_b = _safe_log(va), _safe_log(vb)
+    pair_kl = np.sum(va[:, None] * (log_a[:, None] - log_b[None]), axis=-1)
+    i, j = np.unravel_index(int(np.argmin(pair_kl)), pair_kl.shape)
+    wa, wb = np.eye(va.shape[0])[i], np.eye(vb.shape[0])[j]
+    gap = np.inf
+    for it in range(max_iter):
+        q, p = wa @ va, wb @ vb
+        log_ratio = _safe_log(q) - _safe_log(p)
+        val = float(q @ log_ratio)
+        p_safe = np.maximum(p, 1e-300)
+        score_a, score_b = va @ (log_ratio + 1.0), vb @ (-q / p_safe)
+        gap = float(wa @ score_a - score_a.min() + wb @ score_b - score_b.min())
+        if gap <= tol or (epsilon is not None
+                          and (val < epsilon or val - gap >= epsilon)):
+            return val, gap, it
+        s, a = _pairwise(wa, score_a)
+        if s != a:
+            t = _exact_step(q, p, va[s] - va[a], 0.0, wa[a])
+            wa[s] += t
+            wa[a] -= t
+            q = wa @ va
+        s, a = _pairwise(wb, vb @ (-q / p_safe))
+        if s != a:
+            t = _exact_step(q, p, 0.0, vb[s] - vb[a], wb[a])
+            wb[s] += t
+            wb[a] -= t
+    raise NonConvergenceError(max_iter, gap)
 
 
 def min_kl_hull_to_point(hull, target, tol=1e-6, floor=DEFAULT_FLOOR,
@@ -196,8 +185,10 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
     the constructive partition does not enforce.  ``iterations`` and
     ``max_gap`` report the Frank-Wolfe work behind all these decisions.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:           # also rejects NaN
         raise ValueError("epsilon must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     pts = _floored(points, floor)
     iterations, max_gap = 0, 0.0
 

@@ -70,11 +70,12 @@ class HomophilyConfig:
     freeze_concepts: bool = False
 
     def __post_init__(self):
-        if self.eps_p <= 0 or self.eps_h <= 0:
-            raise ValueError("similarity thresholds must be positive")
-        if self.beta < 0:
+        # written as "not ..." so that NaN fails them too
+        if not (self.eps_p > 0 and self.eps_h > 0):
+            raise ValueError("similarity thresholds eps_p and eps_h must be positive")
+        if not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")

@@ -367,6 +367,11 @@ TWO_CAMP_EVOLVE = (f"mode=evolve\np={TWO_CAMP / 'p.csv'}\nm={TWO_CAMP / 'm.csv'}
      f"m={TWO_CAMP / 'm.csv'}\n", "h"),
     (f"mode=certify\nkind=inhomogeneous\np={TWO_CAMP / 'p.csv'}\n"
      f"h={TWO_CAMP / 'h.csv'}\n", "family_dir"),
+    (f"mode=clusters\nm={FIXTURES / 'five_person' / 'm.csv'}\nepsilon=nan\n",
+     "epsilon"),
+    (f"mode=analyze\np={TWO_CAMP / 'p.csv'}\nzero_threshold=nan\n", "zero_threshold"),
+    (f"mode=homophily\nm={FIXTURES / 'five_person' / 'm.csv'}\neps_p=0.3\n"
+     "eps_h=0.25\ntol=nan\n", "tol"),
 ])
 def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     cfg = tmp_path / "run.cfg"

@@ -98,6 +98,20 @@ class TestHullToHull:
         if abs(val - eps) > TOL:
             assert (decided < eps) == (val < eps)
 
+    @pytest.mark.parametrize("seed", [65922, 10129])
+    def test_pairs_that_stalled_the_pair_stack_solver(self, seed):
+        # away-step Frank-Wolfe over the |A|*|B| stacked vertex pairs raised
+        # NonConvergenceError on both: its gap stalled near 6e-5 (65922)
+        r = np.random.default_rng(seed)
+        if seed == 65922:
+            a, b = r.dirichlet(np.ones(5), size=4), r.dirichlet(np.ones(5), size=3)
+        else:
+            d, ka, kb = r.integers(3, 6), r.integers(1, 6), r.integers(1, 6)
+            a, b = r.dirichlet(np.ones(d), size=ka), r.dirichlet(np.ones(d), size=kb)
+        val = min_kl_hull_to_hull(a, b, TOL)
+        alternating = alternating_min_kl_hull_to_hull(a, b, TOL, max_iter=1000, rounds=10)
+        assert val <= alternating + TOL
+
     def test_asymmetry_directions_differ(self):
         a = np.array([[0.9, 0.05, 0.05]])
         b = np.array([[0.4, 0.3, 0.3]])

@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from beliefdyn.chains import analyze_pattern, union_graph
-from beliefdyn.clusters import (_floored, _line_search, _safe_log,
-                                min_kl_hull_to_hull)
+from beliefdyn.clusters import _floored, _safe_log
 from beliefdyn.homophily import kl_divergence, softmax_weights
 from beliefdyn.matrixio import _HEADER, ParseError
 from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
@@ -310,6 +309,22 @@ def grid_min_kl_hull_to_hull(a, b, resolution=25, floor=1e-12):
     return float(np.min(np.sum(q * np.log(q), axis=1)[:, None] - q @ np.log(p).T))
 
 
+def _line_search(deriv, steps=60):
+    """Minimize a convex 1-D restriction on [0, 1] by bisecting its derivative."""
+    lo, hi = 0.0, 1.0
+    if deriv(hi) <= 0:
+        return 1.0
+    if deriv(lo) >= 0:
+        return 0.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if deriv(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _away_step_frank_wolfe(vertices, grad_q, value_q, tol, max_iter, w0):
     """Away-step Frank-Wolfe over hull weights, warm-started at ``w0``.
 
@@ -396,9 +411,39 @@ def alternating_min_kl_hull_to_hull(a, b, tol=1e-6, floor=1e-12,
     return max(best, 0.0)
 
 
+def pair_stack_min_kl(a, b, tol=1e-6, floor=1e-12, max_iter=10_000):
+    """min over q in Conv(a), p in Conv(b) of KL(q, p) on the stacked pairs.
+
+    KL(q, p) is jointly convex and Conv(A) x Conv(B) is the hull of the
+    |A|*|B| stacked vertex pairs (a_i, b_j), so this is one away-step
+    Frank-Wolfe run over x = (q, p) on the weights of those pairs, started
+    at the best pair.  At the iteration cap it returns its last value,
+    which still bounds the minimum from above.
+    """
+    va, vb = _floored(a, floor), _floored(b, floor)
+    d = va.shape[1]
+    pairs = np.hstack([np.repeat(va, vb.shape[0], axis=0),
+                       np.tile(vb, (va.shape[0], 1))])
+
+    def value(x):
+        q, p = x[..., :d], x[..., d:]
+        return np.sum(q * (_safe_log(q) - _safe_log(p)), axis=-1)
+
+    def grad(x):
+        q, p = x[:d], x[d:]
+        return np.concatenate([_safe_log(q) - _safe_log(p) + 1.0,
+                               -q / np.maximum(p, 1e-300)])
+
+    w0 = np.eye(len(pairs))[int(np.argmin(value(pairs)))]
+    val, _ = _away_step_frank_wolfe(pairs, grad, lambda x: float(value(x)),
+                                    tol, max_iter, w0)
+    return max(val, 0.0)
+
+
 def loop_epsilon_kl_clusters(points, epsilon):
     """eps-KL clusters by merging any two components whose hulls come within
-    epsilon (either direction, by value), until no pair does.
+    epsilon (either direction, by ``pair_stack_min_kl`` value), until no
+    pair does.
 
     Merging only enlarges hulls, so every merge order ends at the same
     partition; this one re-decides every pair after each merge.
@@ -410,8 +455,8 @@ def loop_epsilon_kl_clusters(points, epsilon):
         merged = False
         for x, y in combinations(range(len(comps)), 2):
             a, b = points[comps[x]], points[comps[y]]
-            if (min_kl_hull_to_hull(a, b) < epsilon
-                    or min_kl_hull_to_hull(b, a) < epsilon):
+            if (pair_stack_min_kl(a, b) < epsilon
+                    or pair_stack_min_kl(b, a) < epsilon):
                 comps[x] = sorted(comps[x] + comps.pop(y))
                 merged = True
                 break
