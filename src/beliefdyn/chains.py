@@ -227,12 +227,12 @@ def union_graph(family, zero_threshold=0.0):
     return TransitionGraph(family.shape[0], frozenset(edges))
 
 
-def one_leaf_connected(family, zero_threshold=0.0):
+def one_leaf_connected(family):
     """Union-graph criterion: condensation weakly connected with one leaf.
 
     This is the structural test for almost-sure consensus of products drawn
     from the family.  Every class of a finite condensation reaches a leaf,
     so a single leaf already makes the condensation weakly connected.
     """
-    adjacency = union_graph(family, zero_threshold).adjacency()
+    adjacency = union_graph(family).adjacency()
     return analyze_pattern(adjacency).is_indecomposable

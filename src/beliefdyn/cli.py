@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +48,13 @@ class RunConfig:
     seed: int = 0
     quiet: bool = False
 
+    def record(self):
+        """Mode, seed and parameters as recorded text, sorted by key."""
+        items = {**self.params, "mode": self.mode, "seed": self.seed}
+        return {key: str(items[key]) for key in sorted(items)}
+
     def canonical(self):
-        items = {"mode": self.mode, "seed": str(self.seed)}
-        items.update({k: str(v) for k, v in sorted(self.params.items())})
-        return "\n".join(f"{k}={v}" for k, v in sorted(items.items())) + "\n"
+        return "".join(f"{k}={v}\n" for k, v in self.record().items())
 
     def config_hash(self):
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -77,8 +80,8 @@ def parse_config(path):
     seed = int(params.pop("seed", "0"))
     out = params.pop("out", None)
     base = path.parent
-    for key in list(params):
-        if key in ("p", "m", "h", "sp_dir", "sh_dir", "family_dir"):
+    for key, typ, _ in _MODES[mode][2]:
+        if typ in _READERS and key in params:
             params[key] = str((base / params[key]).resolve())
     if out is not None:
         out = (base / out).resolve()
@@ -216,8 +219,8 @@ def _certificate_text(cert):
     return "\n".join(lines) + "\n"
 
 
-def _mode_analyze(v, inputs, write, say):
-    p = inputs["p"]
+def _mode_analyze(v, write, say):
+    p = v["p"]
     threshold = v["zero_threshold"]
     result = analyze(p, zero_threshold=threshold)
     cond, states = result
@@ -240,8 +243,8 @@ def _mode_analyze(v, inputs, write, say):
     return {}
 
 
-def _mode_evolve(v, inputs, write, say):
-    p, m, h = inputs["p"], inputs["m"], inputs["h"]
+def _mode_evolve(v, write, say):
+    p, m, h = v["p"], v["m"], v["h"]
     trace = evolve(p, m, h, v["steps"], v["tol"])
     write("q_final.csv", matrix=trace.final)
     if v["trace"]:
@@ -257,8 +260,8 @@ def _mode_evolve(v, inputs, write, say):
     return info
 
 
-def _mode_sample(v, inputs, write, say):
-    sp, sh, m = inputs["sp_dir"], inputs["sh_dir"], inputs["m"]
+def _mode_sample(v, write, say):
+    sp, sh, m = v["sp_dir"], v["sh_dir"], v["m"]
     deltas = []
     stabilized = None
     for run in sample_trajectories(sp, sh, m, v["seeds"], v["horizon"]):
@@ -281,10 +284,10 @@ def _mode_sample(v, inputs, write, say):
     return {"stabilized_at": stabilized}
 
 
-def _mode_homophily(v, inputs, write, say):
-    m = inputs["m"]
-    cfg = HomophilyConfig(**{key: v[key] for key in (
-        "eps_p", "eps_h", "beta", "tol", "max_steps", "freeze_concepts", "freeze_network")})
+def _mode_homophily(v, write, say):
+    m = v["m"]
+    names = {f.name for f in fields(HomophilyConfig)}
+    cfg = HomophilyConfig(**{key: x for key, x in v.items() if key in names})
     try:
         trace = run_homophily(m, cfg)
     except StepLimitReached as exc:
@@ -312,8 +315,8 @@ def _mode_homophily(v, inputs, write, say):
     return {"stabilized_at": trace.stabilized_at}
 
 
-def _mode_clusters(v, inputs, write, say):
-    m = inputs["m"]
+def _mode_clusters(v, write, say):
+    m = v["m"]
     points = col_normalize(m).T if v["axis"] == "cols" else m
     partition = epsilon_kl_clusters(points, v["epsilon"], v["tol"])
     report = _groups_report(partition.clusters)
@@ -325,12 +328,11 @@ def _mode_clusters(v, inputs, write, say):
     return {}
 
 
-def _mode_certify(v, inputs, write, say):
+def _mode_certify(v, write, say):
     if v["kind"] == "homogeneous":
-        cert = homogeneous_rate_certificate(inputs["p"], inputs["h"],
-                                            m=inputs.get("m"))
+        cert = homogeneous_rate_certificate(v["p"], v["h"], m=v["m"])
     else:
-        cert = inhomogeneous_rate_certificate(inputs["family_dir"], nu=v["nu"])
+        cert = inhomogeneous_rate_certificate(v["family_dir"], nu=v["nu"])
     text = _certificate_text(cert)
     write("certificate.txt", text=text)
     say(text.rstrip("\n"))
@@ -348,11 +350,17 @@ def _trace_dir(text):
 
 
 def _nu(text):
-    return None if text == "auto" else int(text)
+    if text == "auto":
+        return None
+    nu = int(text)
+    if nu < 1:
+        raise ValueError(f"nu must be auto or at least 1, got {text!r}")
+    return nu
 
 
 _REQUIRED = object()    # no default: the flag must be given
 _SEED = object()        # defaults to the run's seed
+_READERS = (_load, load_family)     # types that read a file at their path
 
 # the inputs each certify kind needs; the certify table leaves them optional
 _CERTIFY_INPUTS = {"homogeneous": ("p", "h"), "inhomogeneous": ("family_dir",)}
@@ -360,30 +368,31 @@ _CERTIFY_INPUTS = {"homogeneous": ("p", "h"), "inhomogeneous": ("family_dir",)}
 # Each mode's runner, subcommand help and parameters.  A parameter is
 # (key, type, default): its flag is --key with dashes for underscores, and
 # ``type`` reads its recorded text (a bool is a switch, a tuple lists the
-# choices).  A flag run records every default; a None default leaves the
-# key unrecorded until it is given.
+# choices, a reader loads the file at that path, resolved against a config
+# file's directory).  A flag run records every default; a None default
+# leaves the key unrecorded until it is given.
 _MODES = {
     "analyze": (_mode_analyze, "classes, leaves, periods, predicates", (
-        ("p", str, _REQUIRED), ("zero_threshold", float, 0.0))),
+        ("p", _load, _REQUIRED), ("zero_threshold", float, 0.0))),
     "evolve": (_mode_evolve, "static-structure evolution", (
-        ("p", str, _REQUIRED), ("m", str, _REQUIRED), ("h", str, _REQUIRED),
+        ("p", _load, _REQUIRED), ("m", _load, _REQUIRED), ("h", _load, _REQUIRED),
         ("steps", int, 200), ("tol", float, 1e-9), ("trace", bool, False),
         ("limit", bool, False))),
     "sample": (_mode_sample, "i.i.d. sampled structures", (
-        ("sp_dir", str, _REQUIRED), ("sh_dir", str, _REQUIRED), ("m", str, _REQUIRED),
-        ("seeds", _seed_list, _SEED), ("horizon", int, 300))),
+        ("sp_dir", load_family, _REQUIRED), ("sh_dir", load_family, _REQUIRED),
+        ("m", _load, _REQUIRED), ("seeds", _seed_list, _SEED), ("horizon", int, 300))),
     "homophily": (_mode_homophily, "belief-driven dynamic structures", (
-        ("m", str, _REQUIRED), ("eps_p", float, _REQUIRED), ("eps_h", float, _REQUIRED),
+        ("m", _load, _REQUIRED), ("eps_p", float, _REQUIRED), ("eps_h", float, _REQUIRED),
         ("beta", float, 1.0), ("tol", float, 1e-9), ("max_steps", int, 100),
         ("trace_out", _trace_dir, None), ("plot", bool, False),
         ("freeze_network", bool, False), ("freeze_concepts", bool, False))),
     "clusters": (_mode_clusters, "eps-KL cluster lower bound", (
-        ("m", str, _REQUIRED), ("epsilon", float, _REQUIRED),
+        ("m", _load, _REQUIRED), ("epsilon", float, _REQUIRED),
         ("axis", ("rows", "cols"), "rows"), ("tol", float, 1e-6))),
     "certify": (_mode_certify, "convergence-rate certificates", (
         ("kind", tuple(_CERTIFY_INPUTS), "homogeneous"),
-        ("p", str, None), ("h", str, None), ("m", str, None),
-        ("family_dir", str, None), ("nu", _nu, "auto"))),
+        ("p", _load, None), ("h", _load, None), ("m", _load, None),
+        ("family_dir", load_family, None), ("nu", _nu, "auto"))),
 }
 MODES = tuple(_MODES)
 
@@ -406,7 +415,8 @@ def _values(config):
 
     A key the mode does not read, a value outside its choices, bool text
     other than true/false in any case, or a certify run without its kind's
-    inputs raises ValueError.
+    inputs raises ValueError.  Files are read last, so any of these is
+    reported before a bad file.
     """
     params = _MODES[config.mode][2]
     unknown = sorted(set(config.params) - {key for key, _, _ in params})
@@ -432,10 +442,13 @@ def _values(config):
                                  f"got {text!r}")
             values[key] = text == "true" if typ is bool else text
         else:
-            values[key] = typ(text)
+            values[key] = text if typ in _READERS else typ(text)
     for key in _CERTIFY_INPUTS.get(values.get("kind"), ()):
         if values[key] is None:
             raise ValueError(f"certify kind {values['kind']} needs {key}")
+    for key, typ, _ in params:
+        if typ in _READERS and values[key] is not None:
+            values[key] = typ(values[key])
     return values
 
 
@@ -447,12 +460,6 @@ def run(config):
     parsed inputs.
     """
     values = _values(config)
-    inputs = {key: _load(config.params[key])
-              for key in ("p", "m", "h") if key in config.params}
-    for key in ("sp_dir", "sh_dir", "family_dir"):
-        if key in config.params:
-            inputs[key] = load_family(config.params[key])
-
     out = config.out if config.out is not None else Path.cwd() / "beliefdyn-out"
     out, write, written = _writer(out)
 
@@ -460,14 +467,13 @@ def run(config):
         if not config.quiet:
             print(message)
 
-    info = _MODES[config.mode][0](values, inputs, write, say)
+    info = _MODES[config.mode][0](values, write, say)
 
     manifest = {
         "tool": f"beliefdyn {__version__}",
         "mode": config.mode,
         "seed": config.seed,
-        "config": dict(sorted({**config.params, "mode": config.mode,
-                               "seed": str(config.seed)}.items())),
+        "config": config.record(),
         "config_hash": config.config_hash(),
         "stabilized_at": info.get("stabilized_at"),
         "outputs": written,

@@ -36,6 +36,7 @@ import numpy as np
 from .homophily import _pairwise_kl, kl_divergence, network_groups
 
 DEFAULT_FLOOR = 1e-12
+_MAX_ITER = 10_000           # Frank-Wolfe iterations per solve
 
 
 class NonConvergenceError(RuntimeError):
@@ -115,13 +116,13 @@ def _pairwise(w, scores):
     return int(np.argmin(scores)), int(active[np.argmax(scores[active])])
 
 
-def _min_kl(va, vb, tol, max_iter=10_000, epsilon=None):
+def _min_kl(va, vb, tol, epsilon=None):
     """min KL(q, p) over q in Conv(va), p in Conv(vb) as (value, gap, iterations).
 
     Frank-Wolfe over the two hulls' weights (module docstring), started at
     the best vertex pair; B's step uses the gradient after A's step.  Stops
     as the tie policy says, ``epsilon`` making it the certified test
-    "minimum < epsilon"; raises NonConvergenceError after max_iter
+    "minimum < epsilon"; raises NonConvergenceError after _MAX_ITER
     iterations.
     """
     if va.shape[1] != vb.shape[1]:
@@ -133,7 +134,7 @@ def _min_kl(va, vb, tol, max_iter=10_000, epsilon=None):
     i, j = np.unravel_index(int(np.argmin(pair_kl)), pair_kl.shape)
     wa, wb = np.eye(va.shape[0])[i], np.eye(vb.shape[0])[j]
     gap = np.inf
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         q, p = wa @ va, wb @ vb
         log_ratio = _safe_log(q) - _safe_log(p)
         val = float(q @ log_ratio)
@@ -154,24 +155,23 @@ def _min_kl(va, vb, tol, max_iter=10_000, epsilon=None):
             t = _exact_step(q, p, 0.0, vb[s] - vb[a], wb[a])
             wb[s] += t
             wb[a] -= t
-    raise NonConvergenceError(max_iter, gap)
+    raise NonConvergenceError(_MAX_ITER, gap)
 
 
-def min_kl_hull_to_point(hull, target, tol=1e-6, floor=DEFAULT_FLOOR,
-                         max_iter=10_000):
+def min_kl_hull_to_point(hull, target, tol=1e-6, floor=DEFAULT_FLOOR):
     """min over q in Conv(hull) of KL(q, target), to additive accuracy tol."""
     t = np.asarray(target, dtype=float)[None, :]
-    val, _, _ = _min_kl(_floored(hull, floor), _floored(t, floor), tol, max_iter)
+    val, _, _ = _min_kl(_floored(hull, floor), _floored(t, floor), tol)
     return max(val, 0.0)
 
 
-def min_kl_hull_to_hull(a, b, tol=1e-6, floor=DEFAULT_FLOOR, max_iter=10_000):
+def min_kl_hull_to_hull(a, b, tol=1e-6, floor=DEFAULT_FLOOR):
     """min over q in Conv(a), p in Conv(b) of KL(q, p), to additive accuracy tol."""
-    val, _, _ = _min_kl(_floored(a, floor), _floored(b, floor), tol, max_iter)
+    val, _, _ = _min_kl(_floored(a, floor), _floored(b, floor), tol)
     return max(val, 0.0)
 
 
-def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
+def epsilon_kl_clusters(points, epsilon, tol=1e-6):
     """Constructive eps-KL clustering of simplex points.
 
     Pairwise links below epsilon seed the components; components then merge
@@ -189,7 +189,7 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6, floor=DEFAULT_FLOOR):
         raise ValueError("epsilon must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    pts = _floored(points, floor)
+    pts = _floored(points, DEFAULT_FLOOR)
     iterations, max_gap = 0, 0.0
 
     def below(va, vb):

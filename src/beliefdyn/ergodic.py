@@ -6,6 +6,12 @@ a property of positivity patterns only, so the product questions here are
 decided on the finite semigroup of boolean patterns generated by the
 family.  Real-valued ergodic coefficients enter only when a numeric rate
 base is needed.
+
+Scrambling patterns form a two-sided ideal of that semigroup: when any two
+rows of A share a positive column, so do any two rows of B A and of A B
+(rows are never empty).  So a word is scrambling as soon as one of its
+prefixes is, and the search for a block length ``nu`` at which every word
+scrambles needs to extend only the words that do not scramble yet.
 """
 
 from dataclasses import dataclass
@@ -41,6 +47,8 @@ class NotConvergentFamilyError(ValueError):
 
 # cap on the elements of one row-block temporary in ergodic_coefficient
 _BLOCK_ELEMENTS = 1 << 15
+_MAX_PATTERNS = 100_000     # distinct patterns one semigroup search may hold
+_MAX_WORDS = 200_000        # words whose products a certificate may form
 
 
 def ergodic_coefficient(p):
@@ -137,7 +145,7 @@ class SiaVerdict:
         return self.all_sia
 
 
-def all_products_sia(family, max_patterns=100_000):
+def all_products_sia(family, max_patterns=_MAX_PATTERNS):
     """Decide whether every finite product from the family is SIA.
 
     Explores the boolean pattern semigroup generated by the members (SIA
@@ -153,14 +161,15 @@ def all_products_sia(family, max_patterns=100_000):
     return SiaVerdict(True, None, count)
 
 
-def exists_scrambling_product(family, max_patterns=100_000):
+def exists_scrambling_product(family):
     """Find a word over the family whose product is scrambling.
 
     Returns the shortest such word (ties broken lexicographically) or None
-    if the pattern semigroup holds no scrambling element.  A witness exists
-    if and only if the union-graph condensation is connected with one leaf.
+    if the pattern semigroup holds no scrambling element.  A witness needs
+    the union-graph condensation to have one leaf, but one leaf is not
+    enough: the swap [[0, 1], [1, 0]] has one and only permutation products.
     """
-    for word, pat in _explore_patterns(_as_family(family), max_patterns):
+    for word, pat in _explore_patterns(_as_family(family), _MAX_PATTERNS):
         if _pattern_scrambling(pat):
             return word
     return None
@@ -274,41 +283,55 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
     )
 
 
-def inhomogeneous_rate_certificate(family, nu=None, max_patterns=100_000,
-                                   max_words=200_000):
+def _scrambling_block(gens, cap):
+    """Smallest length at which every word over the patterns ``gens`` scrambles.
+
+    Each length keeps only its distinct non-scrambling patterns (module
+    docstring).  Raises NotConvergentFamilyError past ``cap``, the bound
+    nu_star, or as soon as a non-scrambling word is longer than the number
+    of distinct non-scrambling patterns met so far: two of its prefixes
+    then share a pattern, so the part between them can be repeated into
+    non-scrambling words of every length.
+    """
+    level = {g.tobytes(): g for g in gens if not _pattern_scrambling(g)}
+    seen = set(level)
+    for length in range(1, cap + 1):
+        if not level:
+            return length
+        if length > len(seen):
+            break
+        nxt = {}
+        for pat in level.values():
+            for g in gens:
+                new = pat @ g
+                if not _pattern_scrambling(new):
+                    nxt[new.tobytes()] = new
+                    if len(nxt) > _MAX_PATTERNS:
+                        raise BudgetExceededError(len(nxt))
+        level = nxt
+        seen.update(level)
+    raise NotConvergentFamilyError(
+        f"no block length up to nu* = {cap} makes every word scrambling")
+
+
+def inhomogeneous_rate_certificate(family, nu=None):
     """Certificate for sampled products: error(n) <= (1 - gamma)^floor(n/nu).
 
     nu (when not given) is the smallest block length at which every word of
     that length over the family has a scrambling pattern; it never needs to
     exceed nu_star(N) = (3^N - 2^(N+1) + 1)/2.  gamma is then minimized
-    over the real-valued products of all words of length nu.
+    over the real-valued products of all words of length nu.  A given nu
+    below 1 raises ValueError.
     """
     family = _as_family(family).require_square()
     n_states = family.shape[0]
     cap = nu_star(n_states)
 
-    gens = [m > 0 for m in family.members]
     if nu is None:
-        level = {g.tobytes(): g for g in gens}
-        found = None
-        for length in range(1, cap + 1):
-            if all(_pattern_scrambling(pat) for pat in level.values()):
-                found = length
-                break
-            nxt = {}
-            for pat in level.values():
-                for g in gens:
-                    new = pat @ g
-                    nxt[new.tobytes()] = new
-                    if len(nxt) > max_patterns:
-                        raise BudgetExceededError(len(nxt))
-            level = nxt
-        if found is None:
-            raise NotConvergentFamilyError(
-                f"no block length up to nu* = {cap} makes every word scrambling")
-        nu = found
-
-    if len(family) ** nu > max_words:
+        nu = _scrambling_block([m > 0 for m in family.members], cap)
+    elif nu < 1:
+        raise ValueError(f"nu must be at least 1, got {nu}")
+    if len(family) ** nu > _MAX_WORDS:
         raise BudgetExceededError(len(family) ** nu)
     gamma = 1.0
     witness = None

@@ -55,7 +55,7 @@ class EvolutionTrace:
 class LimitReport:
     limit: np.ndarray
     case: str            # H_indecomposable | P_indecomposable | both_decomposable | periodic_cesaro
-    homogeneous: bool    # all rows equal within tolerance
+    homogeneous: bool    # all rows equal within 1e-9
     periodic: bool = False
 
 
@@ -63,8 +63,11 @@ def evolve(p, m, h, steps, tol=1e-9):
     """Iterate Q_{k+1} = P Q_k H for ``steps`` steps, recording snapshots.
 
     ``stabilized_at`` is the first k whose max-norm step difference falls
-    below ``tol`` (pass tol=0 to disable stabilization marking).
+    below ``tol`` (pass tol=0 to disable stabilization marking); a negative
+    or NaN ``tol`` raises ValueError.
     """
+    if not tol >= 0:              # also rejects NaN
+        raise ValueError("tol must be nonnegative")
     p = require_square(p)
     h = require_square(h)
     m = as_matrix(m)
@@ -82,11 +85,11 @@ def evolve(p, m, h, steps, tol=1e-9):
     return EvolutionTrace(snaps, stabilized)
 
 
-def stationary_distribution(p, tol=1e-10):
+def stationary_distribution(p):
     """Unique row vector pi with pi P = pi, for an indecomposable chain.
 
     Solved directly from (P^T - I) with one equation replaced by the
-    normalization sum(pi) = 1; the residual is checked against ``tol``.
+    normalization sum(pi) = 1; the residual is checked against 1e-10.
     """
     a = require_square(p)
     analysis = chains.analyze(a)
@@ -94,7 +97,7 @@ def stationary_distribution(p, tol=1e-10):
         raise NotIndecomposableError("stationary distribution is not unique")
     if not analysis.recurrent_aperiodic:
         raise NotAperiodicError("recurrent class is periodic")
-    return _stationary(a, tol)
+    return _stationary(a, 1e-10)
 
 
 def _stationary(a, tol=None):
@@ -171,7 +174,7 @@ def _limit(a, analysis):
     return out, not analysis.recurrent_aperiodic
 
 
-def limit_q(p, m, h, tol=1e-9):
+def limit_q(p, m, h):
     """Closed-form limit of P^n M H^n with its structural case label."""
     p = require_square(p)
     h = require_square(h)
@@ -196,6 +199,6 @@ def limit_q(p, m, h, tol=1e-9):
     return LimitReport(
         limit=limit,
         case=case,
-        homogeneous=delta_coefficient(limit) < tol,
+        homogeneous=delta_coefficient(limit) < 1e-9,
         periodic=periodic,
     )

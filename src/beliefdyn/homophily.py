@@ -208,8 +208,8 @@ def network_groups(p, threshold=0.0):
     return tuple(groups)
 
 
-def belief_groups(m, tol=1e-6):
-    """Partition people whose belief rows agree entrywise within tol.
+def belief_groups(m):
+    """Partition people whose belief rows agree entrywise within 1e-6.
 
     First fit: a row joins the first group whose first member it matches,
     compared with every group's first member at once.
@@ -217,7 +217,7 @@ def belief_groups(m, tol=1e-6):
     m = np.asarray(m, dtype=float)
     groups, reps = [], []
     for i, row in enumerate(m):
-        close = np.flatnonzero(np.abs(m[reps] - row).max(axis=1) < tol)
+        close = np.flatnonzero(np.abs(m[reps] - row).max(axis=1) < 1e-6)
         if close.size:
             groups[close[0]].append(i)
         else:

@@ -124,23 +124,23 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
                          int(stabilized[k]) or None)
 
 
-def sample_trajectory(sp, sh, m, seed, steps, tol=1e-9):
+def sample_trajectory(sp, sh, m, seed, steps):
     """Run one i.i.d.-sampled trajectory: :func:`sample_trajectories` on one seed."""
-    return next(sample_trajectories(sp, sh, m, [seed], steps, tol))
+    return next(sample_trajectories(sp, sh, m, [seed], steps))
 
 
-def diagnose_convergence(family, max_patterns=100_000):
+def diagnose_convergence(family):
     """Almost-sure consensus test for products drawn from one family.
 
     Sampled products collapse to rank one with probability one exactly when
-    the condensation of the family's union graph is connected with a single
-    leaf; equivalently, when some finite word over the family is
-    scrambling.  The witness word is reported when it exists.
+    some finite word over the family is scrambling; that witness word is
+    reported.  A single leaf in the condensation of the family's union
+    graph is necessary but not sufficient (a swap has one and never
+    scrambles), so it serves only as the cheap precheck.
     """
     family = _as_family(family).require_square()
-    ok = one_leaf_connected(family)
-    witness = exists_scrambling_product(family, max_patterns) if ok else None
-    return ConvergenceDiagnosis(ok, witness)
+    witness = exists_scrambling_product(family) if one_leaf_connected(family) else None
+    return ConvergenceDiagnosis(witness is not None, witness)
 
 
 def expectation_matrix(family):

@@ -20,6 +20,8 @@ _CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3_2]])
 # (x, y, 1) = _BARY_SYSTEM @ barycentric coordinates
 _BARY_SYSTEM = np.vstack([_CORNERS.T, np.ones(3)])
 
+_SIZE = 640                 # SVG width in pixels
+
 _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#bcbd22"]
 
@@ -39,14 +41,15 @@ def xy_to_bary(xy):
     return np.linalg.solve(_BARY_SYSTEM, np.array([xy[0], xy[1], 1.0]))
 
 
-def kl_region_polygon(center, eps, rays=720, bisect_steps=40, floor=1e-12):
+def kl_region_polygon(center, eps, rays=720):
     """Points tracing {x : KL(center, x) = eps} inside the triangle.
 
     March ``rays`` directions from the center; along each, bisect the KL
     value to the budget (all rays advance together).  The divergence blows
     up at the triangle edge, so a crossing always exists strictly inside.
+    The center is floored at 1e-12 and renormalized first.
     """
-    c = np.maximum(np.asarray(center, dtype=float), floor)
+    c = np.maximum(np.asarray(center, dtype=float), 1e-12)
     c = c / c.sum()
     xy0 = bary_to_xy(c)
 
@@ -73,7 +76,7 @@ def kl_region_polygon(center, eps, rays=720, bisect_steps=40, floor=1e-12):
     hi = t_edge.copy()
     inside_at_edge = kl_at(hi) < eps               # region clipped by the simplex
     lo[inside_at_edge] = hi[inside_at_edge]
-    for _ in range(bisect_steps):
+    for _ in range(40):                            # halvings of each ray's bracket
         mid = 0.5 * (lo + hi)
         below = kl_at(mid) < eps
         lo = np.where(below, mid, lo)
@@ -86,49 +89,41 @@ def _fmt(x):
     return "%.4f" % x
 
 
-def render_ternary(q, links=(), region_eps=None, labels=None, size=640,
-                   rays=720, floor=1e-12):
+def render_ternary(q, links=(), region_eps=None):
     """Render belief rows, links, and optional KL regions as an SVG string.
 
     Parameters
     ----------
     q : array_like, shape (r, 3)
-        Belief rows on the three-concept simplex.
+        Belief rows on the three-concept simplex, labelled 1..r.
     links : iterable of (i, j)
         Person pairs to connect with a segment (direction not drawn).
-    region_eps : float or sequence or None
-        KL budget per person for the shaded regions; None skips them.
-    labels : sequence of str, optional
-        Point labels; defaults to 1-based person numbers.
+    region_eps : float or None
+        KL budget of every person's shaded region; None skips them.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[1] != 3:
         raise WrongDimensionError(f"expected (r, 3) beliefs, got {q.shape}")
     r = q.shape[0]
-    if region_eps is not None and np.isscalar(region_eps):
-        region_eps = [float(region_eps)] * r
-    if labels is None:
-        labels = [str(i + 1) for i in range(r)]
-
-    margin = 0.08 * size
-    scale = size - 2 * margin
+    margin = 0.08 * _SIZE
+    scale = _SIZE - 2 * margin
 
     def to_screen(xy):
         # flip y: SVG grows downwards
         x = margin + xy[0] * scale
-        y = size - margin - xy[1] * scale
+        y = _SIZE - margin - xy[1] * scale
         return x, y
 
     parts = []
-    height = int(size * 0.95)
+    height = int(_SIZE * 0.95)
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{height}" '
-        f'viewBox="0 0 {size} {height}">')
-    parts.append(f'<rect width="{size}" height="{height}" fill="white"/>')
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{height}" '
+        f'viewBox="0 0 {_SIZE} {height}">')
+    parts.append(f'<rect width="{_SIZE}" height="{height}" fill="white"/>')
 
     if region_eps is not None:
         for i in range(r):
-            poly = kl_region_polygon(q[i], region_eps[i], rays=rays, floor=floor)
+            poly = kl_region_polygon(q[i], region_eps)
             coords = " ".join("%s,%s" % tuple(map(_fmt, to_screen(p))) for p in poly)
             color = _PALETTE[i % len(_PALETTE)]
             parts.append(f'<polygon points="{coords}" fill="{color}" '
@@ -152,7 +147,7 @@ def render_ternary(q, links=(), region_eps=None, labels=None, size=640,
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" fill="{color}"/>')
         parts.append(f'<text x="{_fmt(x + 8)}" y="{_fmt(y - 8)}" font-size="12" '
-                     f'fill="#222222">{labels[i]}</text>')
+                     f'fill="#222222">{i + 1}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from beliefdyn.cli import main, parse_config, replay_manifest, run
 from beliefdyn.homophily import HomophilyConfig, run_homophily
-from beliefdyn.matrixio import read_matrix
+from beliefdyn.matrixio import read_matrix, write_matrix
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -372,6 +373,11 @@ TWO_CAMP_EVOLVE = (f"mode=evolve\np={TWO_CAMP / 'p.csv'}\nm={TWO_CAMP / 'm.csv'}
     (f"mode=analyze\np={TWO_CAMP / 'p.csv'}\nzero_threshold=nan\n", "zero_threshold"),
     (f"mode=homophily\nm={FIXTURES / 'five_person' / 'm.csv'}\neps_p=0.3\n"
      "eps_h=0.25\ntol=nan\n", "tol"),
+    (f"mode=certify\nkind=inhomogeneous\nfamily_dir={FIXTURES / 'scrambling_pair'}\n"
+     "nu=0\n", "nu"),
+    (f"mode=certify\nkind=inhomogeneous\nfamily_dir={FIXTURES / 'scrambling_pair'}\n"
+     "nu=-1\n", "nu"),
+    (TWO_CAMP_EVOLVE + "tol=nan\n", "tol"),
 ])
 def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     cfg = tmp_path / "run.cfg"
@@ -380,6 +386,19 @@ def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err.split()
     assert not (out / "manifest.json").exists()
+
+
+def test_certify_never_scrambling_family_fails_fast(tmp_path, capsys):
+    # nu* is 9.3e14 at 32 states; the pumped prefix decides after length 2
+    family = tmp_path / "identity32"
+    family.mkdir()
+    write_matrix(family / "member0.csv", np.eye(32))
+    start = time.perf_counter()
+    assert main(["certify", "--kind", "inhomogeneous", "--family-dir", str(family),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 5
+    assert "nu* = 926505799458625" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("flags, key", [

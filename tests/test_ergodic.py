@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from beliefdyn import chains, datasets, ergodic, stochastic
-from beliefdyn.ergodic import (NotConvergentFamilyError, NotSIAError,
+from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
+                               NotSIAError,
                                _pattern_scrambling, all_products_sia,
                                contraction_coefficient, ergodic_coefficient,
                                exists_scrambling_product,
@@ -14,8 +16,9 @@ from beliefdyn.chains import one_leaf_connected
 from beliefdyn.homogeneous import evolve, limit_q
 from beliefdyn.matrixio import format_value
 from beliefdyn.stochastic import MatrixFamily, delta_coefficient, matrix_power
-from util import (enumerate_word_products, pair_loop_ergodic_coefficient,
-                  power_iteration_subdominant, random_stochastic)
+from util import (enumerate_word_products, level_scan_block_length,
+                  pair_loop_ergodic_coefficient, power_iteration_subdominant,
+                  random_stochastic)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -168,6 +171,25 @@ class TestScramblingWitness:
             fam = MatrixFamily(members)
             witness = exists_scrambling_product(fam)
             assert (witness is not None) == one_leaf_connected(fam)
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 5), k=st.integers(1, 3), zeros=st.floats(0.0, 0.8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_length_matches_level_scan(n, k, zeros, seed):
+    rng = np.random.default_rng(seed)
+    fam = MatrixFamily([random_stochastic(rng, n, zeros=zeros) for _ in range(k)])
+    try:
+        # a small budget keeps the oracle's full scan up to nu* quick
+        expected = level_scan_block_length(fam, max_patterns=300)
+    except BudgetExceededError:
+        assume(False)
+    except NotConvergentFamilyError:
+        with pytest.raises(NotConvergentFamilyError):
+            inhomogeneous_rate_certificate(fam)
+        return
+    assert inhomogeneous_rate_certificate(fam).block == expected
 
 
 class TestSubdominantModulus:
@@ -329,8 +351,12 @@ class TestInhomogeneousCertificate:
         with pytest.raises(NotConvergentFamilyError):
             inhomogeneous_rate_certificate(fam)
 
+    @pytest.mark.parametrize("nu", [0, -1])
+    def test_block_length_below_one_rejected(self, concept_structures, nu):
+        with pytest.raises(ValueError, match="nu must be at least 1"):
+            inhomogeneous_rate_certificate(MatrixFamily([concept_structures[0]]), nu=nu)
+
     def test_pattern_budget_respected(self):
-        from beliefdyn.ergodic import BudgetExceededError
         rng = np.random.default_rng(27)
         members = [random_stochastic(rng, 5, zeros=0.5) for _ in range(3)]
         with pytest.raises(BudgetExceededError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets, sampling
+from beliefdyn.chains import one_leaf_connected
 from beliefdyn.homogeneous import evolve, limit_q
 from beliefdyn.rng import (CONCEPT_STREAM, MASK64, NETWORK_STREAM, Xoshiro256StarStar,
                            _nonzero_state, _splitmix64, weighted_index)
@@ -279,6 +280,22 @@ class TestDiagnosis:
     def test_single_leaf_family_converges(self):
         diag = diagnose_convergence(datasets.single_leaf_family())
         assert diag.almost_surely_rank_one
+
+    @pytest.mark.parametrize("members", [
+        [[[0.0, 1.0], [1.0, 0.0]]],
+        [np.roll(np.eye(3), 1, axis=1), np.roll(np.eye(3), -1, axis=1)],
+    ], ids=["swap", "cycle3_and_transpose"])
+    def test_one_leaf_permutation_family_does_not(self, members):
+        # the union graph has one leaf, yet every product is a permutation
+        fam = MatrixFamily(members)
+        assert one_leaf_connected(fam)
+        diag = diagnose_convergence(fam)
+        assert not diag.almost_surely_rank_one
+        assert diag.witness is None
+        n = len(members[0])
+        m = 0.7 * np.eye(n) + 0.3 / n
+        run = sample_trajectory(fam, MatrixFamily([np.eye(n)]), m, 0, 50)
+        assert delta_coefficient(run.final_q) > 0.5
 
 
 class TestExpectation:

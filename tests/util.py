@@ -11,6 +11,8 @@ import numpy as np
 
 from beliefdyn.chains import analyze_pattern, union_graph
 from beliefdyn.clusters import _floored, _safe_log
+from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
+                               _pattern_scrambling, nu_star)
 from beliefdyn.homophily import kl_divergence, softmax_weights
 from beliefdyn.matrixio import _HEADER, ParseError
 from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
@@ -281,6 +283,29 @@ def enumerate_word_products(members, max_len):
                 prod = prod @ members[idx]
             out.append((word, prod))
     return out
+
+
+def level_scan_block_length(family, max_patterns=100_000):
+    """Smallest length at which every word over the family scrambles.
+
+    Extends every distinct pattern of one length, scrambling or not, to the
+    next, for lengths up to nu_star; raises NotConvergentFamilyError past it
+    and BudgetExceededError when one length holds over max_patterns patterns.
+    """
+    gens = [m > 0 for m in family.members]
+    level = {g.tobytes(): g for g in gens}
+    for length in range(1, nu_star(family.shape[0]) + 1):
+        if all(_pattern_scrambling(pat) for pat in level.values()):
+            return length
+        nxt = {}
+        for pat in level.values():
+            for g in gens:
+                new = pat @ g
+                nxt[new.tobytes()] = new
+                if len(nxt) > max_patterns:
+                    raise BudgetExceededError(len(nxt))
+        level = nxt
+    raise NotConvergentFamilyError("no block length up to nu* works")
 
 
 def _compositions(total, parts):
