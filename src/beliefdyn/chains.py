@@ -90,11 +90,14 @@ def _pattern(p, zero_threshold):
     return a > zero_threshold
 
 
+def _graph(pattern):
+    edges = frozenset(map(tuple, np.argwhere(pattern).tolist()))
+    return TransitionGraph(pattern.shape[0], edges)
+
+
 def graph_of(p, zero_threshold=0.0):
     """Positivity graph of a square matrix: edge (i, j) iff p[i, j] > threshold."""
-    pattern = _pattern(p, zero_threshold)
-    edges = frozenset((int(i), int(j)) for i, j in np.argwhere(pattern))
-    return TransitionGraph(pattern.shape[0], edges)
+    return _graph(_pattern(p, zero_threshold))
 
 
 def _strongly_connected_components(adj):
@@ -149,19 +152,18 @@ def _strongly_connected_components(adj):
 
 
 def _condense(adj, comps):
-    n = adj.shape[0]
-    class_of = [0] * n
+    """Condensation of ``adj`` and each state's class index."""
+    class_of = np.empty(adj.shape[0], dtype=int)
     for ci, comp in enumerate(comps):
-        for s in comp:
-            class_of[s] = ci
-    dag = set()
-    for i, j in zip(*np.nonzero(adj)):
-        ci, cj = class_of[int(i)], class_of[int(j)]
-        if ci != cj:
-            dag.add((ci, cj))
-    outgoing = {ci for (ci, _) in dag}
-    leaves = tuple(ci for ci in range(len(comps)) if ci not in outgoing)
-    return Condensation(tuple(comps), frozenset(dag), leaves), class_of
+        class_of[list(comp)] = ci
+    rows, cols = np.nonzero(adj)
+    ci, cj = class_of[rows], class_of[cols]
+    cross = ci != cj
+    closed = np.ones(len(comps), dtype=bool)
+    closed[ci[cross]] = False
+    dag = frozenset(zip(ci[cross].tolist(), cj[cross].tolist()))
+    leaves = tuple(np.flatnonzero(closed).tolist())
+    return Condensation(tuple(comps), dag, leaves), class_of
 
 
 def _levels(adj, root):
@@ -211,28 +213,30 @@ def analyze_pattern(adj):
         raise NotSquareError(f"expected a square pattern, got {adj.shape}")
     comps = _strongly_connected_components(adj)
     condensation, class_of = _condense(adj, comps)
-    leaf_set = set(condensation.leaf_classes)
-    recurrent = tuple(class_of[s] in leaf_set for s in range(adj.shape[0]))
+    recurrent = tuple(np.isin(class_of, condensation.leaf_classes).tolist())
     class_period = [_class_periods(adj, comp) for comp in condensation.classes]
-    periods = tuple(class_period[class_of[s]] for s in range(adj.shape[0]))
+    periods = tuple(class_period[c] for c in class_of.tolist())
     return ChainAnalysis(condensation, StateClassification(recurrent, periods))
+
+
+def _union_pattern(family, zero_threshold=0.0):
+    """OR of the members' positivity patterns."""
+    family = _as_family(family).require_square()
+    return np.logical_or.reduce([_pattern(m, zero_threshold) for m in family.members])
 
 
 def union_graph(family, zero_threshold=0.0):
     """Union of the members' positivity graphs over a shared vertex set."""
-    family = _as_family(family).require_square()
-    edges = set()
-    for m in family.members:
-        edges |= graph_of(m, zero_threshold).edges
-    return TransitionGraph(family.shape[0], frozenset(edges))
+    return _graph(_union_pattern(family, zero_threshold))
 
 
 def one_leaf_connected(family):
     """Union-graph criterion: condensation weakly connected with one leaf.
 
-    This is the structural test for almost-sure consensus of products drawn
-    from the family.  Every class of a finite condensation reaches a leaf,
-    so a single leaf already makes the condensation weakly connected.
+    Necessary for almost-sure consensus of products drawn from the family,
+    not sufficient: a swap has one leaf and only permutation products
+    (:func:`~beliefdyn.ergodic.exists_scrambling_product` decides it
+    exactly).  Every class of a finite condensation reaches a leaf, so a
+    single leaf already makes the condensation weakly connected.
     """
-    adjacency = union_graph(family).adjacency()
-    return analyze_pattern(adjacency).is_indecomposable
+    return analyze_pattern(_union_pattern(family)).is_indecomposable

@@ -145,8 +145,10 @@ def _fork_shard_writer(shard):
 
 
 def _writer(out):
-    """Output directory ``out`` with its ``write`` and its ``written`` digests.
+    """Output directory ``out``'s ``path`` and ``write``, and its ``written`` digests.
 
+    ``path(name)`` is where ``name`` goes, its directory made on first use,
+    so not even ``out`` exists before the first file is written.
     ``write(name, text=...)`` writes one text file and ``write(name,
     matrix=...)`` one CSV; ``write(matrices=[(name, matrix), ...])`` writes
     a batch of CSVs, split round-robin into one shard per usable CPU (never
@@ -156,8 +158,7 @@ def _writer(out):
     OSError naming the file.  Every byte comes from ``write_matrix``.
     """
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    made = {out}
+    made = set()
     written = {}
 
     def path(name):
@@ -195,7 +196,7 @@ def _writer(out):
                               f"more files ended with wait status {status}")
             written.update(json.loads(reply))
 
-    return out, write, written
+    return path, write, written
 
 
 def _groups_report(groups):
@@ -461,7 +462,7 @@ def run(config):
     """
     values = _values(config)
     out = config.out if config.out is not None else Path.cwd() / "beliefdyn-out"
-    out, write, written = _writer(out)
+    path, write, written = _writer(out)
 
     def say(message):
         if not config.quiet:
@@ -478,9 +479,9 @@ def run(config):
         "stabilized_at": info.get("stabilized_at"),
         "outputs": written,
     }
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    manifest_path = path("manifest.json")
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return manifest_path
 
 
 def replay_manifest(path):

@@ -8,8 +8,9 @@ distinct belief groups a homophily dynamic can end with.
 The construction mirrors how groups can ever merge: first link points
 whose pairwise divergence is below eps, then repeatedly merge components
 whose convex hulls come within eps of each other.  A merge round decides
-only the pairs with a component that changed in the round before; the
-other pairs were already decided "not below".
+only the pairs with a component that changed in the round before (in the
+first round, one with more than one point); the other pairs were already
+decided "not below".
 
 Hull distances are one convex program.  KL(q, p) is jointly convex in
 (q, p), so min KL(q, p) over q in Conv(A), p in Conv(B) is convex in the
@@ -22,10 +23,12 @@ Jaggi, NeurIPS 2015).  Every iterate is feasible and, by convexity, its
 duality gap, the sum of the two hulls' gaps, bounds the minimum from
 below: it lies in [value - gap, value].
 
-Tie policy of the decision "min KL < eps": it is "below" as soon as
-value < eps and "not below" as soon as value - gap >= eps; otherwise the
-solver runs until gap <= tol and decides by value < eps, so a minimum
-within tol of eps may resolve either way.  Tests check the solver against
+Tie policy: a pair of single points is decided by ``_pairwise_kl < eps``
+alone, as in :mod:`beliefdyn.homophily`.  A pair of hulls is decided by
+the certified test "min KL < eps": it is "below" as soon as value < eps
+and "not below" as soon as value - gap >= eps; otherwise the solver runs
+until gap <= tol and decides by value < eps, so a minimum within tol of
+eps may resolve either way.  Tests check the solver against
 a brute-force barycentric grid and an alternating-minimization heuristic.
 """
 
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homophily import _pairwise_kl, kl_divergence, network_groups
+from .homophily import _floored, _pairwise_kl, network_groups
+from .homophily import kl_divergence  # noqa: F401 (bench/test_bench.py rebinds it here)
 
-DEFAULT_FLOOR = 1e-12
 _MAX_ITER = 10_000           # Frank-Wolfe iterations per solve
 
 
@@ -60,13 +63,10 @@ class ClusterPartition:
         return len(self.clusters)
 
 
-def _floored(points, floor):
+def _points(points):
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("expected a 2-D array of simplex points")
-    if floor > 0:
-        pts = np.maximum(pts, floor)
-        pts = pts / pts.sum(axis=1, keepdims=True)
+    if pts.ndim != 2 or not np.isfinite(pts).all():
+        raise ValueError("expected a 2-D array of finite simplex points")
     return pts
 
 
@@ -123,12 +123,10 @@ def _min_kl(va, vb, tol, epsilon=None):
     the best vertex pair; B's step uses the gradient after A's step.  Stops
     as the tie policy says, ``epsilon`` making it the certified test
     "minimum < epsilon"; raises NonConvergenceError after _MAX_ITER
-    iterations.
+    iterations.  Two single points return at iteration 0 with gap 0.
     """
     if va.shape[1] != vb.shape[1]:
         raise ValueError("the two point sets have different dimensions")
-    if va.shape[0] == 1 and vb.shape[0] == 1:
-        return kl_divergence(va[0], vb[0], floor=0.0), 0.0, 0
     log_a, log_b = _safe_log(va), _safe_log(vb)
     pair_kl = np.sum(va[:, None] * (log_a[:, None] - log_b[None]), axis=-1)
     i, j = np.unravel_index(int(np.argmin(pair_kl)), pair_kl.shape)
@@ -158,16 +156,15 @@ def _min_kl(va, vb, tol, epsilon=None):
     raise NonConvergenceError(_MAX_ITER, gap)
 
 
-def min_kl_hull_to_point(hull, target, tol=1e-6, floor=DEFAULT_FLOOR):
+def min_kl_hull_to_point(hull, target, tol=1e-6):
     """min over q in Conv(hull) of KL(q, target), to additive accuracy tol."""
-    t = np.asarray(target, dtype=float)[None, :]
-    val, _, _ = _min_kl(_floored(hull, floor), _floored(t, floor), tol)
+    val, _, _ = _min_kl(_floored(_points(hull)), _floored(_points([target])), tol)
     return max(val, 0.0)
 
 
-def min_kl_hull_to_hull(a, b, tol=1e-6, floor=DEFAULT_FLOOR):
+def min_kl_hull_to_hull(a, b, tol=1e-6):
     """min over q in Conv(a), p in Conv(b) of KL(q, p), to additive accuracy tol."""
-    val, _, _ = _min_kl(_floored(a, floor), _floored(b, floor), tol)
+    val, _, _ = _min_kl(_floored(_points(a)), _floored(_points(b)), tol)
     return max(val, 0.0)
 
 
@@ -189,7 +186,8 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6):
         raise ValueError("epsilon must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    pts = _floored(points, DEFAULT_FLOOR)
+    points = _points(points)
+    pts = _floored(points)
     iterations, max_gap = 0, 0.0
 
     def below(va, vb):
@@ -199,9 +197,10 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6):
         max_gap = max(max_gap, gap)
         return val < epsilon
 
-    links = _pairwise_kl(pts, 0.0) < epsilon      # pts are floored already
+    links = _pairwise_kl(points) < epsilon    # floored inside exactly as pts
     components = network_groups(links)
-    changed = [True] * len(components)
+    # two single points were decided "not below", both ways, by the links
+    changed = [len(c) > 1 for c in components]
 
     while True:
         merges = []

@@ -12,6 +12,16 @@ rows of A share a positive column, so do any two rows of B A and of A B
 (rows are never empty).  So a word is scrambling as soon as one of its
 prefixes is, and the search for a block length ``nu`` at which every word
 scrambles needs to extend only the words that do not scramble yet.
+
+Whether any word scrambles at all is decided without that search.  Call
+a pair of states merged by a word when their rows of its pattern share a
+positive column; a merged pair stays merged when the word is extended on
+the right.  So a word that scrambles exists exactly when every pair is
+merged by some word: extend a word by one that merges two of the columns
+its unmerged rows reach, and the merged pairs grow, until all are.  The
+pairs merged by some word are the least fixed point of
+``merged |= g @ merged @ g.T`` over the member patterns g, from the
+identity (:func:`_some_word_scrambles`).
 """
 
 from dataclasses import dataclass
@@ -98,6 +108,18 @@ def _pattern_scrambling(pat):
     return bool((pat @ pat.T).all())
 
 
+def _some_word_scrambles(gens):
+    """Whether some word over the patterns ``gens`` scrambles (module docstring)."""
+    merged = np.eye(gens[0].shape[0], dtype=bool)
+    while not merged.all():
+        before = merged.sum()
+        for g in gens:
+            merged |= g @ merged @ g.T
+        if merged.sum() == before:
+            return False
+    return True
+
+
 def _explore_patterns(family, max_patterns):
     """Breadth-first closure of the family's patterns under boolean product.
 
@@ -165,11 +187,15 @@ def exists_scrambling_product(family):
     """Find a word over the family whose product is scrambling.
 
     Returns the shortest such word (ties broken lexicographically) or None
-    if the pattern semigroup holds no scrambling element.  A witness needs
+    if the pattern semigroup holds no scrambling element, which the
+    merged-pairs fixed point decides before any search.  A witness needs
     the union-graph condensation to have one leaf, but one leaf is not
     enough: the swap [[0, 1], [1, 0]] has one and only permutation products.
     """
-    for word, pat in _explore_patterns(_as_family(family), _MAX_PATTERNS):
+    family = _as_family(family).require_square()
+    if not _some_word_scrambles([m > 0 for m in family.members]):
+        return None
+    for word, pat in _explore_patterns(family, _MAX_PATTERNS):
         if _pattern_scrambling(pat):
             return word
     return None
@@ -287,12 +313,16 @@ def _scrambling_block(gens, cap):
     """Smallest length at which every word over the patterns ``gens`` scrambles.
 
     Each length keeps only its distinct non-scrambling patterns (module
-    docstring).  Raises NotConvergentFamilyError past ``cap``, the bound
-    nu_star, or as soon as a non-scrambling word is longer than the number
-    of distinct non-scrambling patterns met so far: two of its prefixes
-    then share a pattern, so the part between them can be repeated into
-    non-scrambling words of every length.
+    docstring).  Raises NotConvergentFamilyError when no word scrambles at
+    all, past ``cap``, the bound nu_star, or as soon as a non-scrambling
+    word is longer than the number of distinct non-scrambling patterns met
+    so far: two of its prefixes then share a pattern, so the part between
+    them can be repeated into non-scrambling words of every length.
     """
+    failure = NotConvergentFamilyError(
+        f"no block length up to nu* = {cap} makes every word scrambling")
+    if not _some_word_scrambles(gens):
+        raise failure
     level = {g.tobytes(): g for g in gens if not _pattern_scrambling(g)}
     seen = set(level)
     for length in range(1, cap + 1):
@@ -310,8 +340,7 @@ def _scrambling_block(gens, cap):
                         raise BudgetExceededError(len(nxt))
         level = nxt
         seen.update(level)
-    raise NotConvergentFamilyError(
-        f"no block length up to nu* = {cap} makes every word scrambling")
+    raise failure
 
 
 def inhomogeneous_rate_certificate(family, nu=None):

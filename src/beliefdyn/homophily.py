@@ -13,8 +13,8 @@ then beliefs update as Q_t = P_t Q_{t-1} H_t and become the M of the next
 step.  The loop stops when successive beliefs differ by less than ``tol``
 in max-norm, and reports the final network components as groups.
 
-Tie policy: a link needs KL < eps as computed by the array formula of
-``_pairwise_kl``, which rounds differently from a per-pair
+Tie policy: a pair of points is decided by ``_pairwise_kl < eps`` alone.
+That array formula rounds differently from a per-pair
 :func:`kl_divergence`, so a divergence within about 1e-15 of eps may
 resolve differently between the two.  The diagonal is set to exactly 0,
 so self links always hold.
@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import _levels
-from .stochastic import col_normalize, max_abs_diff, row_normalize, validate_stochastic
+from .stochastic import col_normalize, max_abs_diff, validate_stochastic
+
+FLOOR = 1e-12               # smallest probability a divergence reads
 
 
 class LengthMismatchError(ValueError):
@@ -53,9 +55,7 @@ class HomophilyConfig:
     """Thresholds and knobs of the homophily iteration.
 
     ``beta`` is the softmax inverse temperature (0 gives uniform weights
-    over the linked set).  ``floor`` guards KL against zero entries that
-    appear when iterated products underflow; distributions are floored and
-    renormalized before divergence evaluation.  ``freeze_network`` /
+    over the linked set; it must be finite).  ``freeze_network`` /
     ``freeze_concepts`` pin the corresponding structure to the identity,
     which is how the one-sided group bounds are exercised.
     """
@@ -63,7 +63,6 @@ class HomophilyConfig:
     eps_p: float
     eps_h: float
     beta: float = 1.0
-    floor: float = 1e-12
     tol: float = 1e-9
     max_steps: int = 100
     freeze_network: bool = False
@@ -73,8 +72,8 @@ class HomophilyConfig:
         # written as "not ..." so that NaN fails them too
         if not (self.eps_p > 0 and self.eps_h > 0):
             raise ValueError("similarity thresholds eps_p and eps_h must be positive")
-        if not self.beta >= 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be nonnegative and finite")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_steps < 1:
@@ -100,6 +99,16 @@ class HomophilyTrace:
     belief_groups: tuple = ()
 
 
+def _floored(x, floor=FLOOR):
+    """``x`` clipped below at ``floor``, renormalized along the last axis.
+
+    Every floored KL in this module, clusters and ternary reads its inputs
+    through here, which keeps KL finite where products underflow to zero.
+    """
+    x = np.maximum(np.asarray(x, dtype=float), floor)
+    return x / x.sum(axis=-1, keepdims=True)
+
+
 def kl_divergence(p, q, floor=0.0):
     """Kullback-Leibler divergence sum p_k log(p_k / q_k), natural log.
 
@@ -113,10 +122,7 @@ def kl_divergence(p, q, floor=0.0):
     if p.shape != q.shape or p.ndim != 1:
         raise LengthMismatchError(f"shapes {p.shape} and {q.shape}")
     if floor > 0:
-        p = np.maximum(p, floor)
-        p = p / p.sum()
-        q = np.maximum(q, floor)
-        q = q / q.sum()
+        p, q = _floored(p, floor), _floored(q, floor)
     mask = p > 0
     if np.any(q[mask] == 0):
         raise InfiniteDivergenceError("q vanishes where p has mass (floor = 0)")
@@ -136,23 +142,15 @@ def softmax_weights(divs, beta):
     return z / z.sum()
 
 
-def _pairwise_kl(x, floor):
+def _pairwise_kl(x):
     """Matrix of KL(x_i, x_j) over the rows of x; the diagonal is exactly 0.
 
-    Rows are floored and renormalized as :func:`kl_divergence` does per
-    pair, then ``D = rowsum(X log X) - X (log X)^T`` gives every divergence
-    from one product.  Terms with x_ik = 0 contribute nothing; with
-    floor = 0, rows whose supports differ raise
-    :class:`InfiniteDivergenceError`, as some ordered pair of them then has
-    a zero in q where p has mass.
+    Rows are floored as :func:`kl_divergence` with ``floor=FLOOR`` floors
+    each pair, then ``D = rowsum(X log X) - X (log X)^T`` gives every
+    divergence from one product.
     """
-    if floor > 0:
-        x = np.maximum(x, floor)
-        x = x / x.sum(axis=1, keepdims=True)
-    support = x > 0
-    if np.any(support != support[0]):
-        raise InfiniteDivergenceError("q vanishes where p has mass (floor = 0)")
-    log_x = np.log(np.where(support, x, 1.0))
+    x = _floored(x)
+    log_x = np.log(x)
     divs = np.sum(x * log_x, axis=1)[:, None] - x @ log_x.T
     np.fill_diagonal(divs, 0.0)
     return divs
@@ -160,13 +158,14 @@ def _pairwise_kl(x, floor):
 
 def _homophily_structure(points, eps, cfg):
     """Threshold-and-softmax structure over the rows of ``points``."""
-    divs = _pairwise_kl(points, cfg.floor)
+    divs = _pairwise_kl(points)
     linked = divs < eps           # strict; self always qualifies at 0
     shift = np.where(linked, divs, np.inf).min(axis=1, keepdims=True)
     out = np.where(linked, np.exp(-cfg.beta * (divs - shift)), 0.0)
-    # each row is softmax_weights over its linked set; row_normalize then
+    # each row is softmax_weights over its linked set; the second division
     # absorbs rounding drift
-    return row_normalize(out / out.sum(axis=1, keepdims=True))
+    out = out / out.sum(axis=1, keepdims=True)
+    return out / out.sum(axis=1, keepdims=True)
 
 
 def build_network(m, cfg):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import one_leaf_connected
 from .ergodic import exists_scrambling_product
 from .homogeneous import limit_q
 from .rng import CONCEPT_STREAM, NETWORK_STREAM, Xoshiro256StarStar, weighted_index
@@ -134,12 +133,11 @@ def diagnose_convergence(family):
 
     Sampled products collapse to rank one with probability one exactly when
     some finite word over the family is scrambling; that witness word is
-    reported.  A single leaf in the condensation of the family's union
-    graph is necessary but not sufficient (a swap has one and never
-    scrambles), so it serves only as the cheap precheck.
+    reported.  Whether one exists is decided by a few boolean products
+    before any word is searched
+    (:func:`~beliefdyn.ergodic.exists_scrambling_product`).
     """
-    family = _as_family(family).require_square()
-    witness = exists_scrambling_product(family) if one_leaf_connected(family) else None
+    witness = exists_scrambling_product(family)
     return ConvergenceDiagnosis(witness is not None, witness)
 
 

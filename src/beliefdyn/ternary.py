@@ -12,6 +12,8 @@ input always renders to the same bytes.
 
 import numpy as np
 
+from .homophily import _floored
+
 SQRT3_2 = float(np.sqrt(3.0) / 2.0)
 
 # triangle corners in plot coordinates (unit side)
@@ -47,10 +49,9 @@ def kl_region_polygon(center, eps, rays=720):
     March ``rays`` directions from the center; along each, bisect the KL
     value to the budget (all rays advance together).  The divergence blows
     up at the triangle edge, so a crossing always exists strictly inside.
-    The center is floored at 1e-12 and renormalized first.
+    The center is floored as every divergence is (:mod:`beliefdyn.homophily`).
     """
-    c = np.maximum(np.asarray(center, dtype=float), 1e-12)
-    c = c / c.sum()
+    c = _floored(center)
     xy0 = bary_to_xy(c)
 
     theta = 2.0 * np.pi * np.arange(rays) / rays

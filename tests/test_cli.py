@@ -385,7 +385,16 @@ def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err.split()
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_library_rejected_flag_leaves_no_directory(tmp_path, capsys):
+    # only evolve itself rejects a NaN tol
+    out = tmp_path / "X"
+    assert main(["evolve", *_two_camp_flags("p", "m", "h"), "--tol", "nan",
+                 "--out", str(out)]) == 2
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certify_never_scrambling_family_fails_fast(tmp_path, capsys):
@@ -398,7 +407,21 @@ def test_certify_never_scrambling_family_fails_fast(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 5
     assert "nu* = 926505799458625" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_permutation_family_fails_fast(tmp_path, capsys):
+    # a cycle and a swap generate all 7! permutations, none scrambling
+    family = tmp_path / "cycle_swap7"
+    family.mkdir()
+    write_matrix(family / "member0.csv", np.roll(np.eye(7), 1, axis=1))
+    write_matrix(family / "member1.csv", np.eye(7)[[1, 0, 2, 3, 4, 5, 6]])
+    start = time.perf_counter()
+    assert main(["certify", "--kind", "inhomogeneous", "--family-dir", str(family),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 5
+    assert "nu* = 966" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags, key", [

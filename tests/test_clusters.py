@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets
-from beliefdyn.clusters import (DEFAULT_FLOOR, _floored, _min_kl,
-                                epsilon_kl_clusters, min_kl_hull_to_hull,
+from beliefdyn.clusters import (_min_kl, epsilon_kl_clusters, min_kl_hull_to_hull,
                                 min_kl_hull_to_point)
-from beliefdyn.homophily import HomophilyConfig, run_homophily
+from beliefdyn.homophily import HomophilyConfig, _floored, run_homophily
 from util import (alternating_min_kl_hull_to_hull, grid_min_kl_hull_to_hull,
                   grid_min_kl_to_point, loop_epsilon_kl_clusters)
 
@@ -23,7 +22,7 @@ class TestHullToPoint:
         assert min_kl_hull_to_point(hull, target, TOL) < 1e-6
 
     def test_singleton_hull_reduces_to_point_kl(self):
-        val = min_kl_hull_to_point(np.array([[1.0, 0.0]]), [0.5, 0.5], TOL, floor=0.0)
+        val = min_kl_hull_to_point(np.array([[1.0, 0.0]]), [0.5, 0.5], TOL)
         assert val == pytest.approx(log(2), abs=1e-9)
 
     def test_far_group_stays_far(self):
@@ -61,8 +60,7 @@ class TestHullToHull:
         assert min_kl_hull_to_hull(a, b, TOL) < 1e-6
 
     def test_singletons_reduce_to_point_kl(self):
-        val = min_kl_hull_to_hull(np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]),
-                                  TOL, floor=0.0)
+        val = min_kl_hull_to_hull(np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]), TOL)
         assert val == pytest.approx(log(2), abs=1e-9)
 
     def test_separated_two_point_hulls_match_grid(self):
@@ -92,9 +90,7 @@ class TestHullToHull:
         grid = grid_min_kl_hull_to_hull(a, b, GRID)
         assert grid - 1.0 / GRID <= val <= grid + TOL
         eps = val + offset
-        decided, _, _ = _min_kl(_floored(a, DEFAULT_FLOOR),
-                                _floored(b, DEFAULT_FLOOR), TOL,
-                                epsilon=eps)
+        decided, _, _ = _min_kl(_floored(a), _floored(b), TOL, epsilon=eps)
         if abs(val - eps) > TOL:
             assert (decided < eps) == (val < eps)
 
@@ -124,6 +120,14 @@ class TestEpsilonKlClusters:
     def test_single_point(self):
         part = epsilon_kl_clusters(np.array([[0.5, 0.5]]), 0.3)
         assert part.clusters == ((0,),)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.array([[bad, 0.5], [0.5, 0.5], [0.4, 0.6]])
+        with pytest.raises(ValueError, match="finite"):
+            epsilon_kl_clusters(pts, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            min_kl_hull_to_point(pts[1:], pts[0])
 
     def test_two_far_points_stay_apart(self):
         pts = np.array([[0.95, 0.025, 0.025], [0.025, 0.025, 0.95]])

@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from beliefdyn import chains, datasets, ergodic, stochastic
 from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
-                               NotSIAError,
-                               _pattern_scrambling, all_products_sia,
+                               NotSIAError, _pattern_scrambling,
+                               _some_word_scrambles, all_products_sia,
                                contraction_coefficient, ergodic_coefficient,
                                exists_scrambling_product,
                                homogeneous_rate_certificate,
@@ -18,7 +18,7 @@ from beliefdyn.matrixio import format_value
 from beliefdyn.stochastic import MatrixFamily, delta_coefficient, matrix_power
 from util import (enumerate_word_products, level_scan_block_length,
                   pair_loop_ergodic_coefficient, power_iteration_subdominant,
-                  random_stochastic)
+                  random_stochastic, search_scrambling_product)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -163,15 +163,59 @@ class TestScramblingWitness:
         assert word == (0, 0)
         assert is_scrambling(h2 @ h2)
 
-    def test_witness_iff_one_leaf_connected(self):
+    def test_witness_implies_one_leaf_connected(self):
         rng = np.random.default_rng(24)
-        for _ in range(25):
-            n = int(rng.integers(2, 5))
-            members = [random_stochastic(rng, n, zeros=0.55) for _ in range(2)]
-            fam = MatrixFamily(members)
+        families = [MatrixFamily([random_stochastic(rng, int(n), zeros=0.55)
+                                  for _ in range(2)])
+                    for n in rng.integers(2, 5, size=25)]
+        # one leaf without a witness: every product is a permutation
+        families += [MatrixFamily([SWAP]), cycle_and_transposition(3),
+                     cycle_and_transposition(5)]
+        for fam in families:
             witness = exists_scrambling_product(fam)
-            assert (witness is not None) == one_leaf_connected(fam)
+            if witness is not None:
+                assert one_leaf_connected(fam)
+            assert (witness is not None) == _some_word_scrambles(
+                [m > 0 for m in fam.members])
+        assert all(one_leaf_connected(fam) for fam in families[-3:])
+        assert all(exists_scrambling_product(fam) is None for fam in families[-3:])
 
+
+def cycle_and_transposition(n):
+    """A cyclic shift and a swap of two states: they generate every permutation."""
+    return MatrixFamily([np.roll(np.eye(n), 1, axis=1),
+                         np.eye(n)[[1, 0, *range(2, n)]]])
+
+
+@st.composite
+def pattern_families(draw):
+    """1-3 members on 2-5 states: each maps every state to one state (often
+    a permutation) and adds random extra entries."""
+    n = draw(st.integers(2, 5))
+    density = draw(st.sampled_from([0.0, 0.15, 0.4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    maps = st.one_of(st.permutations(range(n)),
+                     st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    members = [np.eye(n)[draw(maps)] + (rng.random((n, n)) < density)
+               for _ in range(draw(st.integers(1, 3)))]
+    return MatrixFamily([m / m.sum(axis=1, keepdims=True) for m in members])
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=pattern_families())
+def test_scrambling_gate_matches_semigroup_search(fam):
+    try:
+        expected = search_scrambling_product(fam, max_patterns=20_000)
+    except BudgetExceededError:
+        assume(False)
+    assert _some_word_scrambles([m > 0 for m in fam.members]) == (expected is not None)
+    assert exists_scrambling_product(fam) == expected
+
+
+def test_permutation_family_is_refused_without_a_search():
+    # its 9! permutation patterns would outgrow the search's pattern cap
+    with pytest.raises(NotConvergentFamilyError, match=f"nu\\* = {nu_star(9)}"):
+        inhomogeneous_rate_certificate(cycle_and_transposition(9))
 
 
 @settings(max_examples=200, deadline=None)

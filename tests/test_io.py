@@ -342,11 +342,11 @@ def test_batch_writer_matches_element_oracle_on_any_cpu_count(batch):
                                   lambda pid, cpus=cpus: set(range(cpus)), raising=False)
                 if (cpus or 1) == 1:
                     patch.setattr(os, "fork", _no_fork)
-                out, write, written = _writer(Path(tmp, str(cpus)))
+                path, write, written = _writer(Path(tmp, str(cpus)))
                 write(matrices=list(zip(names, batch)))
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
             assert written == {name: hashlib.sha256(data).hexdigest()
                                for name, data in expected.items()}
             for name, data in expected.items():
-                assert (out / name).read_bytes() == data
+                assert path(name).read_bytes() == data

@@ -284,7 +284,9 @@ class TestDiagnosis:
     @pytest.mark.parametrize("members", [
         [[[0.0, 1.0], [1.0, 0.0]]],
         [np.roll(np.eye(3), 1, axis=1), np.roll(np.eye(3), -1, axis=1)],
-    ], ids=["swap", "cycle3_and_transpose"])
+        # all 9! permutations: a search of the pattern semigroup outgrows its cap
+        [np.roll(np.eye(9), 1, axis=1), np.eye(9)[[1, 0, *range(2, 9)]]],
+    ], ids=["swap", "cycle3_and_transpose", "cycle9_and_swap"])
     def test_one_leaf_permutation_family_does_not(self, members):
         # the union graph has one leaf, yet every product is a permutation
         fam = MatrixFamily(members)

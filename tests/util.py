@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from beliefdyn.chains import analyze_pattern, union_graph
-from beliefdyn.clusters import _floored, _safe_log
+from beliefdyn.clusters import _safe_log
 from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
-                               _pattern_scrambling, nu_star)
-from beliefdyn.homophily import kl_divergence, softmax_weights
+                               _explore_patterns, _pattern_scrambling, nu_star)
+from beliefdyn.homophily import FLOOR, _floored, kl_divergence, softmax_weights
 from beliefdyn.matrixio import _HEADER, ParseError
 from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
 from beliefdyn.sampling import SampledRun
@@ -84,7 +84,7 @@ def loop_homophily_structure(points, eps, cfg):
     for i in range(n):
         for j in range(n):
             if i != j:
-                divs[i, j] = kl_divergence(points[i], points[j], cfg.floor)
+                divs[i, j] = kl_divergence(points[i], points[j], FLOOR)
     out = np.zeros((n, n))
     for i in range(n):
         linked = divs[i] < eps        # strict; self always qualifies at 0
@@ -285,6 +285,18 @@ def enumerate_word_products(members, max_len):
     return out
 
 
+def search_scrambling_product(family, max_patterns=100_000):
+    """Shortest scrambling word, ties broken lexicographically, or None.
+
+    Searches the pattern semigroup breadth first with no precheck, so a
+    family with no scrambling word costs the whole semigroup.
+    """
+    for word, pat in _explore_patterns(family, max_patterns):
+        if _pattern_scrambling(pat):
+            return word
+    return None
+
+
 def level_scan_block_length(family, max_patterns=100_000):
     """Smallest length at which every word over the family scrambles.
 
@@ -394,8 +406,7 @@ def _away_step_frank_wolfe(vertices, grad_q, value_q, tol, max_iter, w0):
     return value_q(q), w
 
 
-def alternating_min_kl_hull_to_hull(a, b, tol=1e-6, floor=1e-12,
-                                    max_iter=10_000, rounds=60):
+def alternating_min_kl_hull_to_hull(a, b, tol=1e-6, max_iter=10_000, rounds=60):
     """min over q in Conv(a), p in Conv(b) of KL(q, p) by alternation.
 
     Minimizes over q with p fixed, then over p with q fixed (each a convex
@@ -403,7 +414,7 @@ def alternating_min_kl_hull_to_hull(a, b, tol=1e-6, floor=1e-12,
     the four closest vertex pairs.  Keeps the best value.  A heuristic: it
     reaches the joint minimum here only because KL is jointly convex.
     """
-    va, vb = _floored(a, floor), _floored(b, floor)
+    va, vb = _floored(a), _floored(b)
     ka, kb = va.shape[0], vb.shape[0]
     if ka == 1 and kb == 1:
         return kl_divergence(va[0], vb[0])
@@ -436,7 +447,7 @@ def alternating_min_kl_hull_to_hull(a, b, tol=1e-6, floor=1e-12,
     return max(best, 0.0)
 
 
-def pair_stack_min_kl(a, b, tol=1e-6, floor=1e-12, max_iter=10_000):
+def pair_stack_min_kl(a, b, tol=1e-6, max_iter=10_000):
     """min over q in Conv(a), p in Conv(b) of KL(q, p) on the stacked pairs.
 
     KL(q, p) is jointly convex and Conv(A) x Conv(B) is the hull of the
@@ -445,7 +456,7 @@ def pair_stack_min_kl(a, b, tol=1e-6, floor=1e-12, max_iter=10_000):
     at the best pair.  At the iteration cap it returns its last value,
     which still bounds the minimum from above.
     """
-    va, vb = _floored(a, floor), _floored(b, floor)
+    va, vb = _floored(a), _floored(b)
     d = va.shape[1]
     pairs = np.hstack([np.repeat(va, vb.shape[0], axis=0),
                        np.tile(vb, (va.shape[0], 1))])
