@@ -2,7 +2,10 @@
 
 Structures are drawn i.i.d. from weighted families each step.  The yes/no
 question "do sampled products collapse to rank one almost surely" is
-structural: condense the union of the members' graphs and count leaves.
+structural: it holds exactly when some finite word over the family has a
+scrambling product, which a fixed point over the members' positivity
+patterns decides and builds.  (A union graph whose condensation has one
+leaf is necessary, not enough: a swap has one leaf and never mixes.)
 Individually decomposable members can still force consensus together, and
 the expectation of the limit equals the limit of the expectations.
 """

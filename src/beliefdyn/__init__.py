@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 from .chains import ChainAnalysis, analyze, graph_of, one_leaf_connected, union_graph
 from .clusters import (ClusterPartition, epsilon_kl_clusters,
                        min_kl_hull_to_hull, min_kl_hull_to_point)
-from .ergodic import (RateCertificate, all_products_sia, ergodic_coefficient,
-                      contraction_coefficient, exists_scrambling_product,
+from .ergodic import (RateCertificate, contraction_coefficient,
+                      ergodic_coefficient, exists_scrambling_product,
                       homogeneous_rate_certificate,
                       inhomogeneous_rate_certificate, is_scrambling, is_sia,
                       nu_star, subdominant_modulus)
@@ -38,7 +38,7 @@ __all__ = [
     "ChainAnalysis", "analyze", "graph_of", "one_leaf_connected", "union_graph",
     "ClusterPartition", "epsilon_kl_clusters", "min_kl_hull_to_hull",
     "min_kl_hull_to_point",
-    "RateCertificate", "all_products_sia", "ergodic_coefficient",
+    "RateCertificate", "ergodic_coefficient",
     "contraction_coefficient", "exists_scrambling_product",
     "homogeneous_rate_certificate", "inhomogeneous_rate_certificate",
     "is_scrambling", "is_sia", "nu_star", "subdominant_modulus",

@@ -16,12 +16,18 @@ scrambles needs to extend only the words that do not scramble yet.
 Whether any word scrambles at all is decided without that search.  Call
 a pair of states merged by a word when their rows of its pattern share a
 positive column; a merged pair stays merged when the word is extended on
-the right.  So a word that scrambles exists exactly when every pair is
-merged by some word: extend a word by one that merges two of the columns
-its unmerged rows reach, and the merged pairs grow, until all are.  The
-pairs merged by some word are the least fixed point of
+the right.  The pairs merged by some word are the least fixed point of
 ``merged |= g @ merged @ g.T`` over the member patterns g, from the
-identity (:func:`_some_word_scrambles`).
+identity, and the fixed point also builds a word (:func:`_merge_pointers`):
+each newly merged pair (i, j) points to its member g and to an earlier
+merged pair (a, b) with ``g[i, a]`` and ``g[j, b]`` set, so g in front of a
+word that merges (a, b) merges (i, j), and following the pointers ends at
+a == b.  A scrambling word then exists exactly when every pair is merged
+(:func:`exists_scrambling_product`): from the empty word, while two rows
+of the word's pattern are disjoint, take a column a of one and b of the
+other and append the word that merges (a, b).  Each round merges one more
+pair for good, so at most n(n-1)/2 rounds of at most n(n-1)/2 letters
+each give a scrambling word.
 """
 
 from dataclasses import dataclass
@@ -44,7 +50,7 @@ class NotSIAError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Pattern-semigroup exploration outgrew its configured cap."""
+    """The block-length search or its word enumeration outgrew a fixed cap."""
 
     def __init__(self, pattern_count):
         self.pattern_count = pattern_count
@@ -55,9 +61,10 @@ class NotConvergentFamilyError(ValueError):
     """The family admits products that never become scrambling."""
 
 
-# cap on the elements of one row-block temporary in ergodic_coefficient
+# cap on the elements of one block temporary in ergodic_coefficient and
+# _merge_pointers
 _BLOCK_ELEMENTS = 1 << 15
-_MAX_PATTERNS = 100_000     # distinct patterns one semigroup search may hold
+_MAX_PATTERNS = 100_000     # distinct patterns one length of the nu search may hold
 _MAX_WORDS = 200_000        # words whose products a certificate may form
 
 
@@ -108,97 +115,67 @@ def _pattern_scrambling(pat):
     return bool((pat @ pat.T).all())
 
 
-def _some_word_scrambles(gens):
-    """Whether some word over the patterns ``gens`` scrambles (module docstring)."""
-    merged = np.eye(gens[0].shape[0], dtype=bool)
+def _merge_pointers(gens):
+    """Back-pointers of the merged-pairs fixed point over the patterns ``gens``.
+
+    Returns three n x n index arrays ``(member, first, second)``: the pair
+    (i, j), i != j, is merged by the member ``g = gens[member[i, j]]`` in
+    front of any word that merges ``(first[i, j], second[i, j])``, a pair
+    merged by an earlier member pass with ``g[i, first]`` and
+    ``g[j, second]`` set.  Returns None when some pair is never merged.
+    """
+    n = gens[0].shape[0]
+    chunk = max(n, _BLOCK_ELEMENTS // n)    # new pairs per chunk x n columns
+    merged = np.eye(n, dtype=bool)
+    member, first, second = (np.zeros((n, n), dtype=np.intp) for _ in range(3))
+    k = idle = 0     # idle: member passes in a row that merged nothing
     while not merged.all():
-        before = merged.sum()
-        for g in gens:
-            merged |= g @ merged @ g.T
-        if merged.sum() == before:
-            return False
-    return True
-
-
-def _explore_patterns(family, max_patterns):
-    """Breadth-first closure of the family's patterns under boolean product.
-
-    Yields (word, pattern) in (length, lexicographic) order, each pattern
-    once, so any witness extracted from the stream is canonical.
-    """
-    family.require_square()
-    gens = [m > 0 for m in family.members]
-    seen = set()
-    frontier = []
-    for idx, g in enumerate(gens):
-        key = g.tobytes()
-        if key not in seen:
-            seen.add(key)
-            frontier.append(((idx,), g))
-    for word, pat in frontier:
-        yield word, pat
-    while frontier:
-        nxt = []
-        for word, pat in frontier:
-            for idx, g in enumerate(gens):
-                new = pat @ g
-                key = new.tobytes()
-                if key in seen:
-                    continue
-                if len(seen) >= max_patterns:
-                    raise BudgetExceededError(len(seen))
-                seen.add(key)
-                nxt.append((word + (idx,), new))
-        nxt.sort(key=lambda item: item[0])
-        for word, pat in nxt:
-            yield word, pat
-        frontier = nxt
-
-
-@dataclass(frozen=True)
-class SiaVerdict:
-    """Outcome of the every-product-SIA check; truthy when all products pass."""
-
-    all_sia: bool
-    counterexample: tuple  # word of member indices, or None
-    patterns_explored: int
-
-    def __bool__(self):
-        return self.all_sia
-
-
-def all_products_sia(family, max_patterns=_MAX_PATTERNS):
-    """Decide whether every finite product from the family is SIA.
-
-    Explores the boolean pattern semigroup generated by the members (SIA
-    depends only on positivity patterns).  Returns a falsy verdict carrying
-    the first offending word, or a truthy one once the finite semigroup is
-    exhausted.
-    """
-    count = 0
-    for word, pat in _explore_patterns(_as_family(family), max_patterns):
-        count += 1
-        if not is_sia(pat):
-            return SiaVerdict(False, word, count)
-    return SiaVerdict(True, None, count)
+        if idle == len(gens):
+            return None
+        g = gens[k]
+        # reach[i, b]: row i of g holds a state merged with b
+        reach = g @ merged
+        rows, cols = np.nonzero(np.triu(reach @ g.T > merged))
+        for s in range(0, rows.size, chunk):
+            i, j = rows[s:s + chunk], cols[s:s + chunk]
+            b = (reach[i] & g[j]).argmax(axis=1)
+            a = (g[i] & merged[b]).argmax(axis=1)
+            member[i, j] = member[j, i] = k
+            first[i, j], second[i, j] = a, b
+            first[j, i], second[j, i] = b, a
+        merged[rows, cols] = merged[cols, rows] = True
+        idle = 0 if rows.size else idle + 1
+        k = (k + 1) % len(gens)
+    return member, first, second
 
 
 def exists_scrambling_product(family):
-    """Find a word over the family whose product is scrambling.
+    """Find a word over the family whose product is scrambling, or None.
 
-    Returns the shortest such word (ties broken lexicographically) or None
-    if the pattern semigroup holds no scrambling element, which the
-    merged-pairs fixed point decides before any search.  A witness needs
-    the union-graph condensation to have one leaf, but one leaf is not
-    enough: the swap [[0, 1], [1, 0]] has one and only permutation products.
+    The word is built from the merged-pairs back-pointers (module
+    docstring); it is not the shortest one.  A witness needs the
+    union-graph condensation to have one leaf, but one leaf is not enough:
+    the swap [[0, 1], [1, 0]] has one and only permutation products.
     """
     family = _as_family(family).require_square()
-    if not _some_word_scrambles([m > 0 for m in family.members]):
+    gens = [m > 0 for m in family.members]
+    pointers = _merge_pointers(gens)
+    if pointers is None:
         return None
-    for word, pat in _explore_patterns(family, _MAX_PATTERNS):
-        if _pattern_scrambling(pat):
-            return word
-    return None
+    member, first, second = pointers
+    word = []
+    pat = np.eye(family.shape[0], dtype=bool)
+    while True:
+        apart = ~(pat @ pat.T)
+        if not apart.any():
+            return tuple(word)
+        i, j = np.unravel_index(apart.argmax(), apart.shape)
+        a, b = pat[i].argmax(), pat[j].argmax()
+        while a != b:
+            k = int(member[a, b])
+            word.append(k)
+            pat = pat @ gens[k]
+            a, b = first[a, b], second[a, b]
 
 
 def subdominant_modulus(p):
@@ -321,7 +298,7 @@ def _scrambling_block(gens, cap):
     """
     failure = NotConvergentFamilyError(
         f"no block length up to nu* = {cap} makes every word scrambling")
-    if not _some_word_scrambles(gens):
+    if _merge_pointers(gens) is None:
         raise failure
     level = {g.tobytes(): g for g in gens if not _pattern_scrambling(g)}
     seen = set(level)

@@ -133,8 +133,8 @@ def diagnose_convergence(family):
 
     Sampled products collapse to rank one with probability one exactly when
     some finite word over the family is scrambling; that witness word is
-    reported.  Whether one exists is decided by a few boolean products
-    before any word is searched
+    reported.  One boolean fixed point decides whether it exists and builds
+    it, in polynomial time
     (:func:`~beliefdyn.ergodic.exists_scrambling_product`).
     """
     witness = exists_scrambling_product(family)

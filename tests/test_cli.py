@@ -10,6 +10,7 @@ import pytest
 from beliefdyn.cli import main, parse_config, replay_manifest, run
 from beliefdyn.homophily import HomophilyConfig, run_homophily
 from beliefdyn.matrixio import read_matrix, write_matrix
+from util import shift_swap_merge
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -422,6 +423,25 @@ def test_certify_permutation_family_fails_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert "nu* = 966" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_sample_family_past_a_pattern_search(tmp_path, n):
+    # some word scrambles, but a search of the pattern semigroup outgrows its cap
+    family = tmp_path / f"shift_swap_merge{n}"
+    family.mkdir()
+    for k, member in enumerate(shift_swap_merge(n).members):
+        write_matrix(family / f"member{k}.csv", member)
+    write_matrix(tmp_path / "m.csv", np.full((n, 3), 1 / 3))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["sample", "--sp-dir", str(family),
+                 "--sh-dir", str(FIXTURES / "identity3"), "--m", str(tmp_path / "m.csv"),
+                 "--horizon", "50", "--out", str(out), "--quiet"]) == 0
+    assert time.perf_counter() - start < 1
+    assert (out / "manifest.json").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["network_almost_surely_rank_one"] is True
 
 
 @pytest.mark.parametrize("flags, key", [

@@ -1,4 +1,5 @@
-"""The package imports only its declared dependency, numpy, and no process pools."""
+"""The package exports what it names, and imports only its declared
+dependency, numpy, and no process pools."""
 
 import os
 import subprocess
@@ -31,6 +32,11 @@ def _fresh_interpreter(code, *args):
     return subprocess.run([sys.executable, "-c", code, *args],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True).stdout
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition went breaks `import *`
+    assert [name for name in beliefdyn.__all__ if not hasattr(beliefdyn, name)] == []
 
 
 def test_importing_every_module_loads_no_scipy():

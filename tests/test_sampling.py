@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,10 @@ from beliefdyn.rng import (CONCEPT_STREAM, MASK64, NETWORK_STREAM, Xoshiro256Sta
 from beliefdyn.sampling import (diagnose_convergence, expectation_matrix,
                                 expected_limit, sample_trajectories,
                                 sample_trajectory)
+from beliefdyn.ergodic import is_scrambling
 from beliefdyn.stochastic import MatrixFamily, delta_coefficient, max_abs_diff
-from util import ScalarXoshiro256StarStar, loop_sample_trajectory, random_stochastic
+from util import (ScalarXoshiro256StarStar, loop_sample_trajectory, random_stochastic,
+                  search_scrambling_product, shift_swap_merge, word_product)
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +274,17 @@ class TestDiagnosis:
     def test_scrambling_pair_converges(self, scrambling_pair):
         diag = diagnose_convergence(scrambling_pair)
         assert diag.almost_surely_rank_one
-        assert diag.witness is not None and len(diag.witness) == 1
+        assert search_scrambling_product(scrambling_pair) is not None
+        assert is_scrambling(word_product(scrambling_pair, diag.witness))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_family_past_a_pattern_search_converges(self, n):
+        fam = shift_swap_merge(n)
+        start = time.perf_counter()
+        diag = diagnose_convergence(fam)
+        assert time.perf_counter() - start < 1
+        assert diag.almost_surely_rank_one
+        assert is_scrambling(word_product(fam, diag.witness))
 
     def test_identity_family_does_not(self):
         diag = diagnose_convergence(MatrixFamily([np.eye(2)]))

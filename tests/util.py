@@ -12,12 +12,12 @@ import numpy as np
 from beliefdyn.chains import analyze_pattern, union_graph
 from beliefdyn.clusters import _safe_log
 from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
-                               _explore_patterns, _pattern_scrambling, nu_star)
+                               _pattern_scrambling, nu_star)
 from beliefdyn.homophily import FLOOR, _floored, kl_divergence, softmax_weights
 from beliefdyn.matrixio import _HEADER, ParseError
 from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
 from beliefdyn.sampling import SampledRun
-from beliefdyn.stochastic import max_abs_diff, row_normalize
+from beliefdyn.stochastic import MatrixFamily, max_abs_diff, row_normalize
 
 
 def random_stochastic(rng, rows, cols=None, zeros=0.0):
@@ -283,6 +283,61 @@ def enumerate_word_products(members, max_len):
                 prod = prod @ members[idx]
             out.append((word, prod))
     return out
+
+
+def _explore_patterns(family, max_patterns):
+    """Breadth-first closure of the family's patterns under boolean product.
+
+    Yields (word, pattern) in (length, lexicographic) order, each pattern
+    once, so any witness extracted from the stream is canonical.
+    """
+    family.require_square()
+    gens = [m > 0 for m in family.members]
+    seen = set()
+    frontier = []
+    for idx, g in enumerate(gens):
+        key = g.tobytes()
+        if key not in seen:
+            seen.add(key)
+            frontier.append(((idx,), g))
+    for word, pat in frontier:
+        yield word, pat
+    while frontier:
+        nxt = []
+        for word, pat in frontier:
+            for idx, g in enumerate(gens):
+                new = pat @ g
+                key = new.tobytes()
+                if key in seen:
+                    continue
+                if len(seen) >= max_patterns:
+                    raise BudgetExceededError(len(seen))
+                seen.add(key)
+                nxt.append((word + (idx,), new))
+        nxt.sort(key=lambda item: item[0])
+        for word, pat in nxt:
+            yield word, pat
+        frontier = nxt
+
+
+def word_product(family, word):
+    """Real product of the members a word names, left to right."""
+    prod = family.members[word[0]]
+    for idx in word[1:]:
+        prod = prod @ family.members[idx]
+    return prod
+
+
+def shift_swap_merge(n):
+    """A cyclic shift, a swap, and the identity with row 0 spread over {0, 1}.
+
+    Some word scrambles, but from 6 states on the shortest one lies past a
+    100,000-pattern breadth-first search of the pattern semigroup.
+    """
+    merge = np.eye(n)
+    merge[0, :2] = 0.5
+    return MatrixFamily([np.roll(np.eye(n), 1, axis=1),
+                         np.eye(n)[[1, 0, *range(2, n)]], merge])
 
 
 def search_scrambling_product(family, max_patterns=100_000):
