@@ -12,9 +12,16 @@ The only required key is ``mode``; the remaining keys match the
 subcommand flags (``beliefdyn <mode> --help``), plus the homophily keys
 ``freeze_network`` and ``freeze_concepts``, which have no flag.  Paths are
 resolved relative to the config file.
+
+Run as a program (``beliefdyn`` or ``python -m beliefdyn.cli``), the
+process ends through :func:`main_and_exit`, which skips the interpreter's
+finalization.  That is safe because every artifact is closed before
+``main`` returns: ``write_bytes`` and ``write_text`` close their files,
+and ``_writer`` reaps every forked shard writer before ``write`` returns.
 """
 
 import argparse
+import atexit
 import hashlib
 import json
 import os
@@ -558,5 +565,26 @@ def main(argv=None):
         return 2
 
 
+def main_and_exit(argv=None):
+    """Run ``main`` and end the process with its status, without finalization.
+
+    The ``atexit`` handlers run and stdout and stderr are flushed, then
+    ``os._exit`` skips the teardown of every loaded module, which costs
+    about 20 ms after a run.  An exception ``main`` does not catch, or a
+    flush that fails (a pipe whose reader has gone), goes through the
+    normal shutdown, which reports it as it would without this function.
+    A stream is None when its descriptor was closed at start-up.
+    """
+    status = main(argv)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    main_and_exit()

@@ -52,10 +52,6 @@ class NotSIAError(ValueError):
 class BudgetExceededError(RuntimeError):
     """The block-length search or its word enumeration outgrew a fixed cap."""
 
-    def __init__(self, pattern_count):
-        self.pattern_count = pattern_count
-        super().__init__(f"pattern semigroup exceeded cap ({pattern_count} patterns)")
-
 
 class NotConvergentFamilyError(ValueError):
     """The family admits products that never become scrambling."""
@@ -79,11 +75,18 @@ def ergodic_coefficient(p):
     n = a.shape[0]
     if n < 2:
         raise TooSmallError("ergodic coefficient needs at least a 2x2 matrix")
+    half = n // 2
+    if half * n * n <= _BLOCK_ELEMENTS:
+        # row i against rows (i + d) mod n, d = 1 .. n // 2, meets every pair
+        # once (the pairs n / 2 apart twice, when n is even)
+        later = a.take(np.arange(1, half + 1)[:, None] + np.arange(n), axis=0, mode="wrap")
+        return float(np.minimum(a, later).sum(axis=2).min())
     rows = max(1, _BLOCK_ELEMENTS // (n * n))
     g = 1.0
     for i in range(0, n - 1, rows):
         # block rows also meet themselves (a row sum, never below an overlap)
-        # and earlier rows (overlaps that other pairs count anyway)
+        # and earlier rows (overlaps that other pairs count anyway); past
+        # n = 128, blocks are single rows and meet only later rows
         block = np.minimum(a[i:i + rows, None, :], a[None, i + 1:]).sum(axis=2)
         g = min(g, float(block.min()))
     return g
@@ -110,9 +113,19 @@ def is_sia(p):
     return analysis.is_indecomposable and analysis.recurrent_aperiodic
 
 
+def _pattern_product(a, b):
+    """The boolean pattern of ``a @ b``, formed through BLAS.
+
+    numpy's boolean matmul does not use BLAS.  The float32 counts are
+    integers no larger than the inner dimension, so they are exact below
+    2^24 states.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 def _pattern_scrambling(pat):
     """Every two rows share a positive column (rows are never empty)."""
-    return bool((pat @ pat.T).all())
+    return bool(_pattern_product(pat, pat.T).all())
 
 
 def _merge_pointers(gens):
@@ -134,8 +147,8 @@ def _merge_pointers(gens):
             return None
         g = gens[k]
         # reach[i, b]: row i of g holds a state merged with b
-        reach = g @ merged
-        rows, cols = np.nonzero(np.triu(reach @ g.T > merged))
+        reach = _pattern_product(g, merged)
+        rows, cols = np.nonzero(np.triu(_pattern_product(reach, g.T) > merged))
         for s in range(0, rows.size, chunk):
             i, j = rows[s:s + chunk], cols[s:s + chunk]
             b = (reach[i] & g[j]).argmax(axis=1)
@@ -166,7 +179,7 @@ def exists_scrambling_product(family):
     word = []
     pat = np.eye(family.shape[0], dtype=bool)
     while True:
-        apart = ~(pat @ pat.T)
+        apart = ~_pattern_product(pat, pat.T)
         if not apart.any():
             return tuple(word)
         i, j = np.unravel_index(apart.argmax(), apart.shape)
@@ -174,7 +187,7 @@ def exists_scrambling_product(family):
         while a != b:
             k = int(member[a, b])
             word.append(k)
-            pat = pat @ gens[k]
+            pat = _pattern_product(pat, gens[k])
             a, b = first[a, b], second[a, b]
 
 
@@ -310,11 +323,12 @@ def _scrambling_block(gens, cap):
         nxt = {}
         for pat in level.values():
             for g in gens:
-                new = pat @ g
+                new = _pattern_product(pat, g)
                 if not _pattern_scrambling(new):
                     nxt[new.tobytes()] = new
                     if len(nxt) > _MAX_PATTERNS:
-                        raise BudgetExceededError(len(nxt))
+                        raise BudgetExceededError(
+                            f"pattern semigroup exceeded cap ({len(nxt)} patterns)")
         level = nxt
         seen.update(level)
     raise failure
@@ -338,7 +352,8 @@ def inhomogeneous_rate_certificate(family, nu=None):
     elif nu < 1:
         raise ValueError(f"nu must be at least 1, got {nu}")
     if len(family) ** nu > _MAX_WORDS:
-        raise BudgetExceededError(len(family) ** nu)
+        raise BudgetExceededError(f"{len(family) ** nu} words of length {nu} exceed "
+                                  f"the cap of {_MAX_WORDS} words")
     gamma = 1.0
     witness = None
     for word in iter_product(range(len(family)), repeat=nu):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -571,3 +573,68 @@ def test_homophily_trace_out(tmp_path, route, setting, trace_dir):
                      for kind in "phq" for t in range(1, steps + 1)}
         assert outputs[f"{trace_dir}/q_{steps:03d}.csv"] == outputs["q_final.csv"]
     assert set(outputs) == expected
+
+
+def _cli_process(argv, stdout, tmp_path, **options):
+    """Run ``python -m beliefdyn.cli`` with stdout block-buffered, as it is
+    when it is not a terminal and PYTHONUNBUFFERED is unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "beliefdyn.cli", *argv], cwd=tmp_path,
+                          env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+                          **options)
+
+
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+def test_cli_process_flushes_stdout_before_exit(tmp_path, capsys, sink):
+    cfg = str(FIXTURES / "five_person" / "homophily.cfg")
+    assert main(["run", cfg, "--out", str(tmp_path / "in_process")]) == 0
+    expected = capsys.readouterr().out.encode()
+    argv = ["run", cfg, "--out", str(tmp_path / "process")]
+    if sink == "file":
+        with open(tmp_path / "stdout.txt", "wb") as stdout:
+            result = _cli_process(argv, stdout, tmp_path)
+        printed = (tmp_path / "stdout.txt").read_bytes()
+    else:
+        result = _cli_process(argv, subprocess.PIPE, tmp_path)
+        printed = result.stdout
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b""
+    assert printed == expected
+    assert (json.loads((tmp_path / "process" / "manifest.json").read_text())["outputs"]
+            == json.loads((tmp_path / "in_process" / "manifest.json").read_text())["outputs"])
+
+
+def test_cli_process_bad_config_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TWO_CAMP_EVOLVE + "limit=yes\n")
+    result = _cli_process(["run", str(cfg)], subprocess.PIPE, tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr.decode().startswith("error: ")
+    assert "limit" in result.stderr.decode().split()
+
+
+def test_cli_process_closed_stdout_pipe_exits_120(tmp_path):
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        result = _cli_process(["run", str(FIXTURES / "five_person" / "homophily.cfg"),
+                               "--out", str(tmp_path / "out")], write_fd, tmp_path)
+    finally:
+        os.close(write_fd)
+    # CPython's own shutdown reports the failed flush this way
+    assert result.returncode == 120
+    assert b"Traceback" not in result.stderr
+    assert b"BrokenPipeError" in result.stderr
+
+
+def test_cli_process_without_stdout_exits_0(tmp_path):
+    # started with descriptor 1 closed, the interpreter sets sys.stdout to None
+    result = _cli_process(["run", str(FIXTURES / "five_person" / "homophily.cfg"),
+                           "--out", str(tmp_path / "out")], None, tmp_path,
+                          preexec_fn=lambda: os.close(1))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b""
+    assert (tmp_path / "out" / "manifest.json").is_file()

@@ -44,8 +44,9 @@ class TestErgodicCoefficient:
     @pytest.mark.parametrize("zeros", [0.0, 0.5, 0.9])
     def test_matches_pair_loop_exactly(self, zeros):
         rng = np.random.default_rng(int(zeros * 10))
-        # 181^2 elements still fit one row-block temporary and 182^2 do not
-        for n in [2, 3, 4, 5, 8, 13, 31, 64, 100, 181, 182, 200]:
+        # up to n = 40 every pair fits one gather; 181^2 elements still fit
+        # one row-block temporary and 182^2 do not
+        for n in [2, 3, 4, 5, 8, 13, 31, 40, 41, 64, 100, 181, 182, 200]:
             p = random_stochastic(rng, n, zeros=zeros)
             assert ergodic_coefficient(p) == pair_loop_ergodic_coefficient(p)
             assert ergodic_coefficient(np.asfortranarray(p)) == ergodic_coefficient(p)
@@ -147,6 +148,21 @@ class TestScramblingWitness:
                 assert is_scrambling(word_product(fam, witness))
         assert all(one_leaf_connected(fam) for fam in families[-3:])
         assert all(exists_scrambling_product(fam) is None for fam in families[-3:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)),
+       density=st.sampled_from([0.0, 0.05, 0.3, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_pattern_product_matches_boolean_matmul(shape, density, seed):
+    rng = np.random.default_rng(seed)
+    n, k, m = shape
+    a = rng.random((n, k)) < density
+    b = rng.random((k, m)) < density
+    a[rng.random(n) < 0.3] = False       # all-zero rows on both sides
+    b[rng.random(k) < 0.3] = False
+    product = ergodic._pattern_product(a, b)
+    assert product.dtype == bool
+    assert np.array_equal(product, a @ b)
 
 
 def cycle_and_transposition(n):
@@ -364,6 +380,14 @@ class TestInhomogeneousCertificate:
         fam = datasets.single_leaf_family()
         with pytest.raises(NotConvergentFamilyError):
             inhomogeneous_rate_certificate(fam)
+
+    def test_word_cap_counts_words(self, concept_structures):
+        h = concept_structures[0]
+        with pytest.raises(BudgetExceededError) as raised:
+            inhomogeneous_rate_certificate(MatrixFamily([h, h]), nu=20)
+        message = str(raised.value)
+        assert f"{2 ** 20} words of length 20" in message
+        assert "pattern" not in message
 
     @pytest.mark.parametrize("nu", [0, -1])
     def test_block_length_below_one_rejected(self, concept_structures, nu):

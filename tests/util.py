@@ -311,7 +311,7 @@ def _explore_patterns(family, max_patterns):
                 if key in seen:
                     continue
                 if len(seen) >= max_patterns:
-                    raise BudgetExceededError(len(seen))
+                    raise BudgetExceededError(f"{len(seen)} patterns")
                 seen.add(key)
                 nxt.append((word + (idx,), new))
         nxt.sort(key=lambda item: item[0])
@@ -370,7 +370,7 @@ def level_scan_block_length(family, max_patterns=100_000):
                 new = pat @ g
                 nxt[new.tobytes()] = new
                 if len(nxt) > max_patterns:
-                    raise BudgetExceededError(len(nxt))
+                    raise BudgetExceededError(f"{len(nxt)} patterns")
         level = nxt
     raise NotConvergentFamilyError("no block length up to nu* works")
 
