@@ -76,19 +76,18 @@ def ergodic_coefficient(p):
     if n < 2:
         raise TooSmallError("ergodic coefficient needs at least a 2x2 matrix")
     half = n // 2
-    if half * n * n <= _BLOCK_ELEMENTS:
+    step = min(half, max(1, _BLOCK_ELEMENTS // (n * n)))    # offsets per block
+    # one buffer serves every block; a fresh block per offset would be a
+    # new large allocation each time
+    later = np.empty((step, n, n), dtype=a.dtype)
+    g = 1.0
+    for d in range(1, half + 1, step):
         # row i against rows (i + d) mod n, d = 1 .. n // 2, meets every pair
         # once (the pairs n / 2 apart twice, when n is even)
-        later = a.take(np.arange(1, half + 1)[:, None] + np.arange(n), axis=0, mode="wrap")
-        return float(np.minimum(a, later).sum(axis=2).min())
-    rows = max(1, _BLOCK_ELEMENTS // (n * n))
-    g = 1.0
-    for i in range(0, n - 1, rows):
-        # block rows also meet themselves (a row sum, never below an overlap)
-        # and earlier rows (overlaps that other pairs count anyway); past
-        # n = 128, blocks are single rows and meet only later rows
-        block = np.minimum(a[i:i + rows, None, :], a[None, i + 1:]).sum(axis=2)
-        g = min(g, float(block.min()))
+        offsets = np.arange(d, min(d + step, half + 1))
+        block = a.take(offsets[:, None] + np.arange(n), axis=0,
+                       out=later[:offsets.size], mode="wrap")
+        g = min(g, float(np.minimum(a, block, out=block).sum(axis=2).min()))
     return g
 
 

@@ -44,8 +44,9 @@ class TestErgodicCoefficient:
     @pytest.mark.parametrize("zeros", [0.0, 0.5, 0.9])
     def test_matches_pair_loop_exactly(self, zeros):
         rng = np.random.default_rng(int(zeros * 10))
-        # up to n = 40 every pair fits one gather; 181^2 elements still fit
-        # one row-block temporary and 182^2 do not
+        # up to n = 40 every offset fits one gather block and n = 41 needs
+        # two; past n = 128 a block holds one offset, and past n = 181 that
+        # one offset outgrows the block cap
         for n in [2, 3, 4, 5, 8, 13, 31, 40, 41, 64, 100, 181, 182, 200]:
             p = random_stochastic(rng, n, zeros=zeros)
             assert ergodic_coefficient(p) == pair_loop_ergodic_coefficient(p)
