@@ -12,7 +12,7 @@ the KL-cluster lower bound on how many belief groups can survive.
 
 __version__ = "0.1.0"
 
-from .chains import ChainAnalysis, analyze, graph_of, one_leaf_connected, union_graph
+from .chains import ChainAnalysis, analyze, graph_of
 from .clusters import (ClusterPartition, epsilon_kl_clusters,
                        min_kl_hull_to_hull, min_kl_hull_to_point)
 from .ergodic import (RateCertificate, contraction_coefficient,
@@ -35,7 +35,7 @@ from .ternary import render_ternary
 
 __all__ = [
     "__version__",
-    "ChainAnalysis", "analyze", "graph_of", "one_leaf_connected", "union_graph",
+    "ChainAnalysis", "analyze", "graph_of",
     "ClusterPartition", "epsilon_kl_clusters", "min_kl_hull_to_hull",
     "min_kl_hull_to_point",
     "RateCertificate", "ergodic_coefficient",

@@ -13,21 +13,7 @@ from math import inf
 
 import numpy as np
 
-from .stochastic import NotSquareError, _as_family, require_square
-
-
-@dataclass(frozen=True)
-class TransitionGraph:
-    """Directed positivity graph of a square matrix."""
-
-    vertex_count: int
-    edges: frozenset
-
-    def adjacency(self):
-        a = np.zeros((self.vertex_count, self.vertex_count), dtype=bool)
-        for i, j in self.edges:
-            a[i, j] = True
-        return a
+from .stochastic import NotSquareError, require_square
 
 
 @dataclass(frozen=True)
@@ -51,10 +37,6 @@ class StateClassification:
 class ChainAnalysis:
     condensation: Condensation
     classification: StateClassification
-
-    def __iter__(self):
-        # allows: condensation, classification = analyze(p)
-        return iter((self.condensation, self.classification))
 
     @property
     def is_irreducible(self):
@@ -90,14 +72,9 @@ def _pattern(p, zero_threshold):
     return a > zero_threshold
 
 
-def _graph(pattern):
-    edges = frozenset(map(tuple, np.argwhere(pattern).tolist()))
-    return TransitionGraph(pattern.shape[0], edges)
-
-
 def graph_of(p, zero_threshold=0.0):
-    """Positivity graph of a square matrix: edge (i, j) iff p[i, j] > threshold."""
-    return _graph(_pattern(p, zero_threshold))
+    """Edges (i, j) with p[i, j] > zero_threshold, as a sorted list of pairs."""
+    return list(map(tuple, np.argwhere(_pattern(p, zero_threshold)).tolist()))
 
 
 def _strongly_connected_components(adj):
@@ -198,10 +175,10 @@ def _class_periods(adj, comp):
 def analyze(p, zero_threshold=0.0):
     """Full structural analysis of a square stochastic matrix.
 
-    Returns a :class:`ChainAnalysis`; unpacking it yields the condensation
-    and the per-state classification.  Predicates ``is_irreducible``,
-    ``is_indecomposable`` (at most one leaf class) and ``is_aperiodic``
-    (every period equal to 1) hang off the result.
+    Returns a :class:`ChainAnalysis` of the condensation and the per-state
+    classification.  Predicates ``is_irreducible``, ``is_indecomposable``
+    (at most one leaf class) and ``is_aperiodic`` (every period equal to 1)
+    hang off the result.
     """
     return analyze_pattern(_pattern(p, zero_threshold))
 
@@ -218,25 +195,3 @@ def analyze_pattern(adj):
     periods = tuple(class_period[c] for c in class_of.tolist())
     return ChainAnalysis(condensation, StateClassification(recurrent, periods))
 
-
-def _union_pattern(family, zero_threshold=0.0):
-    """OR of the members' positivity patterns."""
-    family = _as_family(family).require_square()
-    return np.logical_or.reduce([_pattern(m, zero_threshold) for m in family.members])
-
-
-def union_graph(family, zero_threshold=0.0):
-    """Union of the members' positivity graphs over a shared vertex set."""
-    return _graph(_union_pattern(family, zero_threshold))
-
-
-def one_leaf_connected(family):
-    """Union-graph criterion: condensation weakly connected with one leaf.
-
-    Necessary for almost-sure consensus of products drawn from the family,
-    not sufficient: a swap has one leaf and only permutation products
-    (:func:`~beliefdyn.ergodic.exists_scrambling_product` decides it
-    exactly).  Every class of a finite condensation reaches a leaf, so a
-    single leaf already makes the condensation weakly connected.
-    """
-    return analyze_pattern(_union_pattern(family)).is_indecomposable

@@ -77,8 +77,10 @@ def parse_config(path):
             continue
         if "=" not in line:
             raise ParseError(path, lineno, "expected key=value")
-        key, value = line.split("=", 1)
-        params[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in params:
+            raise ParseError(path, lineno, f"second value for {key}")
+        params[key] = value
     if "mode" not in params:
         raise ParseError(path, 0, "config must set mode=<" + "|".join(MODES) + ">")
     mode = params.pop("mode")
@@ -231,7 +233,7 @@ def _mode_analyze(v, write, say):
     p = v["p"]
     threshold = v["zero_threshold"]
     result = analyze(p, zero_threshold=threshold)
-    cond, states = result
+    cond, states = result.condensation, result.classification
     records = [
         {"record": "classes", "classes": [list(c) for c in cond.classes]},
         {"record": "leaves", "leaf_classes": [list(cond.classes[c]) for c in cond.leaf_classes]},
@@ -242,8 +244,7 @@ def _mode_analyze(v, write, say):
          "irreducible": result.is_irreducible,
          "indecomposable": result.is_indecomposable,
          "aperiodic": result.is_aperiodic},
-        {"record": "graph",
-         "edges": sorted(list(e) for e in graph_of(p, threshold).edges)},
+        {"record": "graph", "edges": graph_of(p, threshold)},
     ]
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
     write("analysis.jsonl", text=text)
@@ -352,9 +353,13 @@ def _seed_list(text):
 
 
 def _trace_dir(text):
-    """Subdirectory for per-step CSVs: ``true`` is ``trace``; empty or ``false`` is none."""
+    """Subdirectory of the output directory for per-step CSVs: ``true`` is
+    ``trace``; empty or ``false`` is none; an absolute or ``..`` path raises."""
     text = text.strip()
-    return {"": None, "false": None, "true": "trace"}.get(text.lower(), text)
+    name = {"": None, "false": None, "true": "trace"}.get(text.lower(), text)
+    if name and (Path(name).is_absolute() or ".." in Path(name).parts):
+        raise ValueError(f"trace_out must stay inside the output directory, got {text!r}")
+    return name
 
 
 def _nu(text):
@@ -489,16 +494,6 @@ def run(config):
     manifest_path = path("manifest.json")
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest_path
-
-
-def replay_manifest(path):
-    """Re-run the configuration recorded in a manifest; returns new manifest path."""
-    manifest = json.loads(Path(path).read_text())
-    params = dict(manifest["config"])
-    mode = params.pop("mode")
-    seed = int(params.pop("seed", "0"))
-    return run(RunConfig(mode=mode, params=params, out=Path(path).parent,
-                         seed=seed, quiet=True))
 
 
 def _add_common(sub):

@@ -92,11 +92,12 @@ def ergodic_coefficient(p):
 
 
 def contraction_coefficient(p):
-    """1 - ergodic_coefficient(p); strictly below 1 iff p is scrambling."""
+    """1 - ergodic_coefficient(p), below 1 iff p scrambles; public for claim c04."""
     return 1.0 - ergodic_coefficient(p)
 
 
 def is_scrambling(p):
+    """Every two rows overlap; public for claim c12, "scrambling implies SIA"."""
     return ergodic_coefficient(p) > 0.0
 
 
@@ -191,9 +192,9 @@ def exists_scrambling_product(family):
 
 
 def subdominant_modulus(p):
-    """Modulus of the second-largest eigenvalue of an SIA matrix.
+    """Modulus of the second-largest eigenvalue of an SIA matrix: the paper's lambda.
 
-    Strictly below 1 for SIA inputs; 0 for a rank-one matrix.
+    Strictly below 1 for SIA inputs; 0 for a rank-one matrix; the bench traces it.
     """
     a = require_square(p)
     if not is_sia(a):
@@ -376,7 +377,8 @@ def inhomogeneous_rate_certificate(family, nu=None):
 
 
 def power_contraction_holds(p, n, k):
-    """Check delta(p^n) <= lambda(p^k)^floor(n/k) for SIA p with p^k scrambling."""
+    """Check delta(p^n) <= lambda(p^k)^floor(n/k) for SIA p with p^k scrambling:
+    public as the block-rate inequality a sound static rate bound builds on."""
     pk = matrix_power(p, k)
     lam = contraction_coefficient(pk)
     if lam >= 1.0:

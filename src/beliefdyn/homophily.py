@@ -185,13 +185,13 @@ def build_concepts(m, cfg):
     return _homophily_structure(mhat.T, cfg.eps_h, cfg)
 
 
-def network_groups(p, threshold=0.0):
+def network_groups(p):
     """Weakly connected components of a network's positivity graph.
 
     Returns sorted person tuples ordered by their smallest member.  A
     person with no link to anyone else is a singleton without a search.
     """
-    a = np.asarray(p) > threshold
+    a = np.asarray(p) > 0
     a = a | a.T
     np.fill_diagonal(a, False)
     linked = a.any(axis=1)

@@ -137,14 +137,13 @@ def read_weights(path, count):
 def load_family(dirpath):
     """Load a MatrixFamily from a directory of member CSVs.
 
-    Members are renormalized by row after a loose validation (row sums
-    within 1e-3), matching how printed matrices are ingested elsewhere.
+    Each member is ingested as a ``--p`` matrix is (``ingest_rounded``).
     """
     dirpath = Path(dirpath)
     files = sorted(p for p in dirpath.iterdir() if p.suffix == ".csv")
     if not files:
         raise ParseError(dirpath, 0, "no member CSVs found")
-    members = [ingest_rounded(read_matrix(p), tol=1e-3) for p in files]
+    members = [ingest_rounded(read_matrix(p)) for p in files]
     weights_file = dirpath / "weights.txt"
     weights = None
     if weights_file.exists():

@@ -105,6 +105,7 @@ class Xoshiro256StarStar:
         return result
 
     def next_uint64(self):
+        """The next raw output: the reproducibility recipe's reference draw."""
         return self._lanes(self._next_uint64())
 
     def next_float(self):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-ROUNDED_TOL = 1e-3
 
 
 class NegativeEntryError(ValueError):
@@ -109,17 +108,16 @@ def validate_stochastic(m, tol=DEFAULT_TOL):
     return a
 
 
-def ingest_rounded(m, tol=None):
+def ingest_rounded(m):
     """Validate a matrix printed with rounded decimals, then renormalize.
 
     Published tables are typically rounded to 3 decimals, so each row sum
-    can drift from 1 by up to half an ulp per entry.  The default
-    tolerance scales accordingly (5e-4 per column, at least 1e-3); rows
-    are then rescaled so downstream invariants hold exactly.
+    can drift from 1 by up to half an ulp per entry.  The tolerance scales
+    accordingly (5e-4 per column, at least 1e-3); rows are then rescaled
+    so downstream invariants hold exactly.
     """
     a = as_matrix(m)
-    if tol is None:
-        tol = max(ROUNDED_TOL, 5e-4 * a.shape[1]) + 1e-12
+    tol = max(1e-3, 5e-4 * a.shape[1]) + 1e-12
     return row_normalize(validate_stochastic(a, tol=tol))
 
 

@@ -38,11 +38,6 @@ def bary_to_xy(p):
     return p @ _CORNERS
 
 
-def xy_to_bary(xy):
-    """Inverse barycentric coordinates of a plot point."""
-    return np.linalg.solve(_BARY_SYSTEM, np.array([xy[0], xy[1], 1.0]))
-
-
 def kl_region_polygon(center, eps, rays=720):
     """Points tracing {x : KL(center, x) = eps} inside the triangle.
 

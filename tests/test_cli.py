@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefdyn.cli import main, parse_config, replay_manifest, run
+from beliefdyn.cli import RunConfig, main, parse_config, run
 from beliefdyn.homophily import HomophilyConfig, run_homophily
-from beliefdyn.matrixio import read_matrix, write_matrix
+from beliefdyn.matrixio import ParseError, read_matrix, write_matrix
 from util import shift_swap_merge
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -324,7 +324,11 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
     manifest_path = run(config)
     manifest = json.loads(manifest_path.read_text())
     before = {name: (Path(out) / name).read_bytes() for name in manifest["outputs"]}
-    replay_manifest(manifest_path)
+    # the recorded configuration alone is enough to run again
+    params = dict(manifest["config"])
+    replay = RunConfig(mode=params.pop("mode"), seed=int(params.pop("seed")),
+                       params=params, out=Path(out), quiet=True)
+    assert json.loads(run(replay).read_text()) == manifest
     after = {name: (Path(out) / name).read_bytes() for name in manifest["outputs"]}
     assert before == after
 
@@ -388,6 +392,18 @@ def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err.split()
+    assert not out.exists()
+
+
+def test_repeated_config_key_fails(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mode=analyze\np={TWO_CAMP / 'p.csv'}\nzero_threshold=0.5\n"
+                   "zero_threshold=0\n")
+    with pytest.raises(ParseError, match="run.cfg:4: second value for zero_threshold$"):
+        parse_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "run.cfg:4:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -573,6 +589,24 @@ def test_homophily_trace_out(tmp_path, route, setting, trace_dir):
                      for kind in "phq" for t in range(1, steps + 1)}
         assert outputs[f"{trace_dir}/q_{steps:03d}.csv"] == outputs["q_final.csv"]
     assert set(outputs) == expected
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("where", ["absolute", "parent"])
+def test_homophily_trace_out_outside_output_fails(tmp_path, capsys, route, where):
+    outside = tmp_path / "steps"
+    setting = str(outside) if where == "absolute" else "../steps"
+    if route == "flag":
+        argv = HOMOPHILY_FLAGS + ["--trace-out", setting]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode=homophily\nm={FIXTURES / 'five_person' / 'm.csv'}\n"
+                       f"eps_p=0.3\neps_h=0.25\ntrace_out={setting}\n")
+        argv = ["run", str(cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "trace_out" in capsys.readouterr().err.split()
+    assert not out.exists() and not outside.exists()
 
 
 def _cli_process(argv, stdout, tmp_path, **options):

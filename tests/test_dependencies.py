@@ -1,12 +1,32 @@
-"""The package exports what it names, and imports only its declared
-dependency, numpy, and no process pools."""
+"""The package exports what it names, keeps only public names that
+something uses, and imports only its declared dependency, numpy, and no
+process pools."""
 
+import ast
+import importlib
+import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import beliefdyn
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names kept whether or not src/, demos/ or bench/ use them, each
+# with its reason: a paper claim, the benchmark or the reproducibility recipe.
+KEPT_WITHOUT_CALLER = {
+    "ergodic.is_scrambling": 'claim c12, "scrambling implies SIA"',
+    "ergodic.contraction_coefficient": "claim c04's contraction values",
+    "ergodic.subdominant_modulus": "the paper's rate lambda; the benchmark traces it",
+    "ergodic.power_contraction_holds": "the block-rate inequality of a sound rate bound",
+    "rng.Xoshiro256StarStar.next_uint64": "the documented reproducibility recipe",
+    "clusters.kl_divergence": "bench/test_bench.py reads this re-export",
+}
 
 IMPORT_ALL = """
 import importlib, pkgutil, sys
@@ -53,3 +73,70 @@ def test_evolve_trace_loads_no_process_pool(tmp_path):
                                  "--out", str(tmp_path), "--quiet")
     assert printed.strip() == "[]"
     assert len(list((tmp_path / "trace").iterdir())) == 201
+
+
+def _public_names():
+    """``module.name`` of every public function or class a module defines."""
+    names = {}
+    for info in pkgutil.iter_modules(beliefdyn.__path__):
+        module = importlib.import_module("beliefdyn." + info.name)
+        for name, obj in vars(module).items():
+            defined_here = getattr(obj, "__module__", None) == module.__name__
+            if (not name.startswith("_") and defined_here
+                    and (inspect.isfunction(obj) or inspect.isclass(obj))):
+                names[f"{info.name}.{name}"] = Path(inspect.getsourcefile(obj)).resolve()
+    return names
+
+
+def _words(node, docstrings):
+    """Identifiers that one AST node names: a name, an attribute, or a word of
+    a string that is not a docstring (the benchmark traces names as text)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings):
+        return re.findall(r"\w+", node.value)
+    return []
+
+
+def _users():
+    """Each identifier used in src/, demos/ or bench/ -> the (file, top-level
+    name) it is used in; imports and ``__all__`` are not uses."""
+    users = defaultdict(set)
+    paths = sorted(p for d in ("src", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for stmt in tree.body:
+            targets = getattr(stmt, "targets", [])
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                continue
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                for word in _words(node, docstrings):
+                    users[word].add((path.resolve(), owner))
+    return users
+
+
+def test_every_public_name_has_a_use_or_a_reason():
+    # a use inside the name's own definition does not count
+    users = _users()
+    unused = [key for key, path in _public_names().items()
+              if key not in KEPT_WITHOUT_CALLER
+              and not users[key.split(".")[-1]] - {(path, key.split(".")[-1])}]
+    assert unused == []
+
+
+def test_every_kept_name_exists():
+    missing = []
+    for key in KEPT_WITHOUT_CALLER:
+        obj = importlib.import_module("beliefdyn." + key.split(".")[0])
+        for part in key.split(".")[1:]:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(key)
+    assert missing == []

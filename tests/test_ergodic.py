@@ -11,13 +11,13 @@ from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
                                inhomogeneous_rate_certificate, is_scrambling,
                                is_sia, nu_star, power_contraction_holds,
                                subdominant_modulus)
-from beliefdyn.chains import one_leaf_connected
 from beliefdyn.homogeneous import evolve, limit_q
 from beliefdyn.matrixio import format_value
 from beliefdyn.stochastic import MatrixFamily, delta_coefficient, matrix_power
-from util import (enumerate_word_products, level_scan_block_length,
-                  pair_loop_ergodic_coefficient, power_iteration_subdominant,
-                  random_stochastic, search_scrambling_product, word_product)
+from util import (bfs_one_leaf_connected, enumerate_word_products,
+                  level_scan_block_length, pair_loop_ergodic_coefficient,
+                  power_iteration_subdominant, random_stochastic,
+                  search_scrambling_product, word_product)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -145,9 +145,9 @@ class TestScramblingWitness:
         for fam in families:
             witness = exists_scrambling_product(fam)
             if witness is not None:
-                assert one_leaf_connected(fam)
+                assert bfs_one_leaf_connected(fam)
                 assert is_scrambling(word_product(fam, witness))
-        assert all(one_leaf_connected(fam) for fam in families[-3:])
+        assert all(bfs_one_leaf_connected(fam) for fam in families[-3:])
         assert all(exists_scrambling_product(fam) is None for fam in families[-3:])
 
 

@@ -270,9 +270,8 @@ class TestConfigValidation:
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 40), density=st.floats(0.0, 0.6),
        isolated=st.floats(0.0, 0.5), one_way=st.booleans(),
-       threshold=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2 ** 32 - 1))
-def test_network_groups_match_bfs_oracle(n, density, isolated, one_way,
-                                         threshold, seed):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_network_groups_match_bfs_oracle(n, density, isolated, one_way, seed):
     rng = np.random.default_rng(seed)
     p = np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0)
     if one_way:
@@ -280,7 +279,7 @@ def test_network_groups_match_bfs_oracle(n, density, isolated, one_way,
     alone = rng.random(n) < isolated
     p[alone, :] = 0.0
     p[:, alone] = 0.0
-    assert network_groups(p, threshold) == bfs_network_groups(p, threshold)
+    assert network_groups(p) == bfs_network_groups(p)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beliefdyn.cli import _writer
+from beliefdyn.cli import _load, _writer
 from beliefdyn.matrixio import (ParseError, load_family, read_matrix,
                                 read_weights, write_matrix)
 from util import loop_read_matrix, loop_write_matrix, random_stochastic
@@ -114,6 +114,20 @@ def test_load_family_rejects_stray_weight_lines(tmp_path, text, line, message):
     assert err.value.path == str(tmp_path / "weights.txt")
     assert err.value.line == line
     assert str(err.value).endswith(message)
+
+
+def test_family_member_loads_as_a_single_matrix(tmp_path):
+    # twelve entries rounded to 3 decimals: every row sums to 0.998, inside
+    # the 12-column rounding tolerance of 0.006 but not inside 0.001
+    row = [0.083] * 10 + [0.084, 0.084]
+    text = "".join(",".join("%.3f" % x for x in row[-i:] + row[:-i]) + "\n"
+                   for i in range(12))
+    (tmp_path / "family").mkdir()
+    for path in (tmp_path / "p.csv", tmp_path / "family" / "m0.csv"):
+        path.write_text(text)
+    single = _load(tmp_path / "p.csv")
+    assert np.array_equal(load_family(tmp_path / "family").members[0], single)
+    assert np.allclose(single.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_bundled_fixture_parses():

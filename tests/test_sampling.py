@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets, sampling
-from beliefdyn.chains import one_leaf_connected
 from beliefdyn.homogeneous import evolve, limit_q
 from beliefdyn.rng import (CONCEPT_STREAM, MASK64, NETWORK_STREAM, Xoshiro256StarStar,
                            _nonzero_state, _splitmix64, weighted_index)
@@ -14,8 +13,9 @@ from beliefdyn.sampling import (diagnose_convergence, expectation_matrix,
                                 sample_trajectory)
 from beliefdyn.ergodic import is_scrambling
 from beliefdyn.stochastic import MatrixFamily, delta_coefficient, max_abs_diff
-from util import (ScalarXoshiro256StarStar, loop_sample_trajectory, random_stochastic,
-                  search_scrambling_product, shift_swap_merge, word_product)
+from util import (ScalarXoshiro256StarStar, bfs_one_leaf_connected, loop_sample_trajectory,
+                  random_stochastic, search_scrambling_product, shift_swap_merge,
+                  word_product)
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +304,7 @@ class TestDiagnosis:
     def test_one_leaf_permutation_family_does_not(self, members):
         # the union graph has one leaf, yet every product is a permutation
         fam = MatrixFamily(members)
-        assert one_leaf_connected(fam)
+        assert bfs_one_leaf_connected(fam)
         diag = diagnose_convergence(fam)
         assert not diag.almost_surely_rank_one
         assert diag.witness is None

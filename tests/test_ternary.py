@@ -3,7 +3,14 @@ import pytest
 
 from beliefdyn.homophily import kl_divergence
 from beliefdyn.ternary import (WrongDimensionError, bary_to_xy,
-                               kl_region_polygon, render_ternary, xy_to_bary)
+                               kl_region_polygon, render_ternary)
+
+
+def xy_to_bary(xy):
+    """Barycentric coordinates of a plot point: the corners' weights that
+    give (x, y) and sum to 1."""
+    corners = bary_to_xy(np.eye(3))
+    return np.linalg.solve(np.vstack([corners.T, np.ones(3)]), [xy[0], xy[1], 1.0])
 
 
 def test_barycenter_maps_to_triangle_centroid():

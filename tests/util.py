@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from beliefdyn.chains import analyze_pattern, union_graph
+from beliefdyn.chains import analyze_pattern
 from beliefdyn.clusters import _safe_log
 from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
                                _pattern_scrambling, nu_star)
@@ -194,10 +194,14 @@ def brute_force_indecomposable(p, tol=1e-9):
     return len(minimal_closed_subsets(p, tol)) <= 1
 
 
-def bfs_one_leaf_connected(family, zero_threshold=0.0):
-    """One leaf class, and a breadth-first search over the condensation's
-    edges, taken both ways, reaches every class."""
-    cond = analyze_pattern(union_graph(family, zero_threshold).adjacency()).condensation
+def bfs_one_leaf_connected(family):
+    """The paper's union-graph criterion, necessary for almost-sure consensus
+    of sampled products but not sufficient (a swap meets it): the OR of the
+    members' positivity patterns has one leaf class, and a breadth-first
+    search over the condensation's edges, taken both ways, reaches every
+    class."""
+    union = np.logical_or.reduce([np.asarray(m) > 0 for m in family.members])
+    cond = analyze_pattern(union).condensation
     if len(cond.leaf_classes) != 1:
         return False
     k = len(cond.classes)
@@ -218,10 +222,10 @@ def bfs_one_leaf_connected(family, zero_threshold=0.0):
     return len(seen) == k
 
 
-def bfs_network_groups(p, threshold=0.0):
+def bfs_network_groups(p):
     """Weakly connected components by a per-node search over the rows of
     the symmetrized positivity pattern."""
-    a = np.asarray(p) > threshold
+    a = np.asarray(p) > 0
     a = a | a.T
     n = a.shape[0]
     seen = [False] * n
