@@ -8,7 +8,6 @@ whose leaf classes (no outgoing edges) are exactly the closed sets.  States
 in leaf classes are recurrent, all others transient.
 """
 
-from dataclasses import dataclass
 from math import inf
 
 import numpy as np
@@ -16,27 +15,27 @@ import numpy as np
 from .stochastic import NotSquareError, require_square
 
 
-@dataclass(frozen=True)
 class Condensation:
     """Strongly connected classes and the DAG between them."""
 
-    classes: tuple            # tuple of sorted state tuples
-    dag_edges: frozenset      # edges between class indices, no self-edges
-    leaf_classes: tuple       # indices of classes with no outgoing dag edge
+    def __init__(self, classes, dag_edges, leaf_classes):
+        self.classes = classes              # tuple of sorted state tuples
+        self.dag_edges = dag_edges          # frozenset of class-index edges, no self-edges
+        self.leaf_classes = leaf_classes    # indices of classes with no outgoing dag edge
 
 
-@dataclass(frozen=True)
 class StateClassification:
     """Per-state recurrent/transient labels and periods (inf = no return)."""
 
-    recurrent: tuple
-    periods: tuple
+    def __init__(self, recurrent, periods):
+        self.recurrent = recurrent
+        self.periods = periods
 
 
-@dataclass(frozen=True)
 class ChainAnalysis:
-    condensation: Condensation
-    classification: StateClassification
+    def __init__(self, condensation, classification):
+        self.condensation = condensation
+        self.classification = classification
 
     @property
     def is_irreducible(self):

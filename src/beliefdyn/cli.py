@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,26 +44,25 @@ from .stochastic import col_normalize, delta_coefficient, ingest_rounded
 from .ternary import render_ternary
 
 
-@dataclass
 class RunConfig:
     """One resolved batch run: a mode plus its flat parameter map."""
 
-    mode: str
-    params: dict = field(default_factory=dict)
-    out: Path = None
-    seed: int = 0
-    quiet: bool = False
+    def __init__(self, mode, params=None, out=None, seed=0, quiet=False):
+        self.mode = mode
+        self.params = {} if params is None else params
+        self.out = out          # a Path, or None for ./beliefdyn-out
+        self.seed = seed
+        self.quiet = quiet
 
     def record(self):
         """Mode, seed and parameters as recorded text, sorted by key."""
         items = {**self.params, "mode": self.mode, "seed": self.seed}
         return {key: str(items[key]) for key in sorted(items)}
 
-    def canonical(self):
-        return "".join(f"{k}={v}\n" for k, v in self.record().items())
-
     def config_hash(self):
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
+        """sha256 of the record as ``key=value`` lines."""
+        canonical = "".join(f"{k}={v}\n" for k, v in self.record().items())
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def parse_config(path):
@@ -295,8 +293,9 @@ def _mode_sample(v, write, say):
 
 def _mode_homophily(v, write, say):
     m = v["m"]
-    names = {f.name for f in fields(HomophilyConfig)}
-    cfg = HomophilyConfig(**{key: x for key, x in v.items() if key in names})
+    cfg = HomophilyConfig(v["eps_p"], v["eps_h"], beta=v["beta"], tol=v["tol"],
+                          max_steps=v["max_steps"], freeze_network=v["freeze_network"],
+                          freeze_concepts=v["freeze_concepts"])
     try:
         trace = run_homophily(m, cfg)
     except StepLimitReached as exc:
@@ -502,18 +501,29 @@ def _add_common(sub):
     sub.add_argument("--quiet", action="store_true")
 
 
-def build_parser():
+def build_parser(command):
+    """The parser of a command line whose first word is ``command``.
+
+    Every subcommand is listed with its help line, so ``--help`` and an
+    unknown command's error read the same whatever ``command`` is.  Flags
+    are added to subcommand ``command`` alone: argparse reads only the
+    flags of the subcommand it dispatches to, and building every mode's
+    flags would add about 3 ms to each run.
+    """
     parser = argparse.ArgumentParser(
         prog="beliefdyn",
         description="Belief evolution over network and concept structures.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("run", help="execute a key=value config file")
-    s.add_argument("config")
-    _add_common(s)
+    if command == "run":
+        s.add_argument("config")
+        _add_common(s)
 
     for mode, (_, help_text, params) in _MODES.items():
         s = subs.add_parser(mode, help=help_text)
+        if mode != command:
+            continue
         for key, typ, default in params:
             if key in _CONFIG_ONLY:
                 continue
@@ -533,8 +543,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "run":
             config = parse_config(args.config)

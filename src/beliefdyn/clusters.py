@@ -32,8 +32,6 @@ eps may resolve either way.  Tests check the solver against
 a brute-force barycentric grid and an alternating-minimization heuristic.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .homophily import _floored, _pairwise_kl, network_groups
@@ -51,13 +49,14 @@ class NonConvergenceError(RuntimeError):
         super().__init__(f"duality gap {gap:.3e} after {iterations} iterations")
 
 
-@dataclass(frozen=True)
 class ClusterPartition:
-    clusters: tuple          # tuple of sorted index tuples
-    epsilon: float
-    internal_condition_holds: bool = None
-    iterations: int = 0      # Frank-Wolfe iterations over all decisions
-    max_gap: float = 0.0     # largest final duality gap among them
+    def __init__(self, clusters, epsilon, internal_condition_holds=None, iterations=0,
+                 max_gap=0.0):
+        self.clusters = clusters        # tuple of sorted index tuples
+        self.epsilon = epsilon
+        self.internal_condition_holds = internal_condition_holds
+        self.iterations = iterations    # Frank-Wolfe iterations over all decisions
+        self.max_gap = max_gap          # largest final duality gap among them
 
     def __len__(self):
         return len(self.clusters)

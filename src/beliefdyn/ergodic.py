@@ -30,7 +30,6 @@ pair for good, so at most n(n-1)/2 rounds of at most n(n-1)/2 letters
 each give a scrambling word.
 """
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
@@ -216,7 +215,6 @@ def nu_star(n):
     return (3 ** n - 2 ** (n + 1) + 1) // 2
 
 
-@dataclass(frozen=True)
 class RateCertificate:
     """Geometric error certificate: error(n) <= constant * base^floor(n/block).
 
@@ -226,13 +224,15 @@ class RateCertificate:
     the product base against; no decay rate of transient states is kept.
     """
 
-    kind: str                 # "homogeneous" | "inhomogeneous"
-    base: float
-    block: int = 1
-    constant_hint: float = None
-    nu_star: int = None
-    witness: tuple = None
-    per_structure: dict = None
+    def __init__(self, kind, base, block=1, constant_hint=None, nu_star=None, witness=None,
+                 per_structure=None):
+        self.kind = kind              # "homogeneous" | "inhomogeneous"
+        self.base = base
+        self.block = block
+        self.constant_hint = constant_hint
+        self.nu_star = nu_star
+        self.witness = witness
+        self.per_structure = per_structure
 
     def predicted_bound(self, n):
         c = 1.0 if self.constant_hint is None else self.constant_hint

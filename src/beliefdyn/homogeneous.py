@@ -14,8 +14,6 @@ absorption probabilities.  Periodic recurrent classes get the time-average
 (Cesaro) limit, flagged on the report.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import chains
@@ -35,12 +33,12 @@ class SingularSystemError(ValueError):
     """A linear solve met a (numerically) singular system."""
 
 
-@dataclass
 class EvolutionTrace:
     """Snapshots Q_0..Q_n of a finite-horizon evolution."""
 
-    snapshots: list
-    stabilized_at: int = None
+    def __init__(self, snapshots, stabilized_at=None):
+        self.snapshots = snapshots
+        self.stabilized_at = stabilized_at
 
     @property
     def horizon(self):
@@ -51,12 +49,13 @@ class EvolutionTrace:
         return self.snapshots[-1]
 
 
-@dataclass
 class LimitReport:
-    limit: np.ndarray
-    case: str            # H_indecomposable | P_indecomposable | both_decomposable | periodic_cesaro
-    homogeneous: bool    # all rows equal within 1e-9
-    periodic: bool = False
+    def __init__(self, limit, case, homogeneous, periodic=False):
+        self.limit = limit
+        # H_indecomposable | P_indecomposable | both_decomposable | periodic_cesaro
+        self.case = case
+        self.homogeneous = homogeneous  # all rows equal within 1e-9
+        self.periodic = periodic
 
 
 def evolve(p, m, h, steps, tol=1e-9):

@@ -20,8 +20,6 @@ resolve differently between the two.  The diagonal is set to exactly 0,
 so self links always hold.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .chains import _levels
@@ -50,9 +48,8 @@ class StepLimitReached(RuntimeError):
         super().__init__(f"no stabilization within {len(trace.beliefs) - 1} steps")
 
 
-@dataclass(frozen=True)
 class HomophilyConfig:
-    """Thresholds and knobs of the homophily iteration.
+    """Thresholds and knobs of the homophily iteration, validated and immutable.
 
     ``beta`` is the softmax inverse temperature (0 gives uniform weights
     over the linked set; it must be finite).  ``freeze_network`` /
@@ -60,27 +57,27 @@ class HomophilyConfig:
     which is how the one-sided group bounds are exercised.
     """
 
-    eps_p: float
-    eps_h: float
-    beta: float = 1.0
-    tol: float = 1e-9
-    max_steps: int = 100
-    freeze_network: bool = False
-    freeze_concepts: bool = False
-
-    def __post_init__(self):
+    def __init__(self, eps_p, eps_h, beta=1.0, tol=1e-9, max_steps=100,
+                 freeze_network=False, freeze_concepts=False):
         # written as "not ..." so that NaN fails them too
-        if not (self.eps_p > 0 and self.eps_h > 0):
+        if not (eps_p > 0 and eps_h > 0):
             raise ValueError("similarity thresholds eps_p and eps_h must be positive")
-        if not 0 <= self.beta < np.inf:
+        if not 0 <= beta < np.inf:
             raise ValueError("beta must be nonnegative and finite")
-        if not self.tol > 0:
+        if not tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_steps < 1:
+        if max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        vars(self).update(eps_p=eps_p, eps_h=eps_h, beta=beta, tol=tol, max_steps=max_steps,
+                          freeze_network=freeze_network, freeze_concepts=freeze_concepts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HomophilyConfig is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"HomophilyConfig is immutable: cannot delete {name}")
 
 
-@dataclass
 class HomophilyTrace:
     """Per-step structures and beliefs of one homophily run.
 
@@ -91,12 +88,14 @@ class HomophilyTrace:
     coarser than the link groups.
     """
 
-    networks: list = field(default_factory=list)
-    concepts: list = field(default_factory=list)
-    beliefs: list = field(default_factory=list)
-    stabilized_at: int = None
-    final_groups: tuple = ()
-    belief_groups: tuple = ()
+    def __init__(self, networks=None, concepts=None, beliefs=None, stabilized_at=None,
+                 final_groups=(), belief_groups=()):
+        self.networks = [] if networks is None else networks
+        self.concepts = [] if concepts is None else concepts
+        self.beliefs = [] if beliefs is None else beliefs
+        self.stabilized_at = stabilized_at
+        self.final_groups = final_groups
+        self.belief_groups = belief_groups
 
 
 def _floored(x, floor=FLOOR):

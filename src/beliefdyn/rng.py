@@ -18,23 +18,22 @@ streams
     every seed's network stream followed by every seed's concept stream.
 
 floats and index draws
-    ``next_float`` takes the top 53 bits of the next output, giving a
-    uniform double in [0, 1).  ``next_index(weights)`` inverts the running
-    sum of the weights at that uniform (:func:`weighted_index`).
     ``next_floats(count)`` draws the next ``count`` uniforms of every lane as
-    one ``(count, lanes)`` array, which :func:`weighted_index` inverts with
-    one ``searchsorted``.
+    one ``(count, lanes)`` array; each takes the top 53 bits of the lane's
+    next output, giving a uniform double in [0, 1).  ``next_index(weights)``
+    inverts the running sum of the weights at the next uniform, and
+    :func:`weighted_index` inverts a whole block with one ``searchsorted``.
 
 lanes
     One generator advances many (seed, stream) pairs at once: its state is
     four numpy ``uint64`` arrays with one lane per pair.  Wrapping multiply,
     shift and xor are exact on ``uint64``, so every lane draws bit for bit
     what a generator seeded with that lane's seed and stream alone would
-    draw.  Seeds and
-    stream offsets are reduced modulo 2^64 as Python integers first, so
-    negative and oversized seeds keep their meaning.  A generator built
-    from a scalar seed is one lane and returns Python scalars; one built
-    from a sequence of seeds returns one array entry per lane.
+    draw.  Seeds and stream offsets are reduced modulo 2^64 as Python
+    integers first, so negative and oversized seeds keep their meaning.  A
+    generator built from a scalar seed is one lane, and its ``next_uint64``
+    and ``next_index`` return Python scalars; one built from a sequence of
+    seeds returns one array entry per lane.
 """
 
 import numpy as np
@@ -107,9 +106,6 @@ class Xoshiro256StarStar:
     def next_uint64(self):
         """The next raw output: the reproducibility recipe's reference draw."""
         return self._lanes(self._next_uint64())
-
-    def next_float(self):
-        return self._lanes(self.next_floats(1)[0])
 
     def next_floats(self, count):
         """The next ``count`` uniforms of every lane, one row per draw."""

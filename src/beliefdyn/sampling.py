@@ -21,8 +21,6 @@ single-seed run computes, so a seed's words, final beliefs and stabilization
 step do not depend on which other seeds run beside it.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ergodic import exists_scrambling_product
@@ -36,22 +34,22 @@ _BLOCK = 32                 # steps of words drawn per generator call
 _GATHER_BYTES = 1 << 17     # byte cap on one gather: 16 members of 32 x 32
 
 
-@dataclass
 class SampledRun:
     """One seeded trajectory: the words actually drawn and the final beliefs."""
 
-    seed: int
-    horizon: int
-    word_p: tuple
-    word_h: tuple
-    final_q: np.ndarray
-    stabilized_at: int = None
+    def __init__(self, seed, horizon, word_p, word_h, final_q, stabilized_at=None):
+        self.seed = seed
+        self.horizon = horizon
+        self.word_p = word_p
+        self.word_h = word_h
+        self.final_q = final_q
+        self.stabilized_at = stabilized_at
 
 
-@dataclass
 class ConvergenceDiagnosis:
-    almost_surely_rank_one: bool
-    witness: tuple = None     # scrambling word over the family, when one exists
+    def __init__(self, almost_surely_rank_one, witness=None):
+        self.almost_surely_rank_one = almost_surely_rank_one
+        self.witness = witness    # scrambling word over the family, when one exists
 
 
 def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):

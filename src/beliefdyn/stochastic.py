@@ -11,8 +11,6 @@ A homophily run at 1000 to 2000 people is a planned scale (ROADMAP item
 4), where one matrix takes 8 to 32 MB.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -191,16 +189,13 @@ def max_abs_diff(a, b):
     return float(np.max(np.abs(as_matrix(a) - as_matrix(b))))
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixFamily:
     """A finite set of same-shape stochastic matrices with sampling weights.
 
     Weights must be finite and strictly positive; they are rescaled to sum
-    to 1 at construction.
+    to 1 at construction.  Two families are equal only when they are the
+    same object.
     """
-
-    members: tuple
-    weights: np.ndarray = field(default=None)
 
     def __init__(self, members, weights=None):
         members = tuple(validate_stochastic(m, tol=1e-7) for m in members)
@@ -219,8 +214,8 @@ class MatrixFamily:
             if not np.all((w > 0) & (w < np.inf)):     # NaN fails both
                 raise ValueError("sampling weights must be finite and strictly positive")
             w = w / w.sum()
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "weights", w)
+        self.members = members
+        self.weights = w
 
     def __len__(self):
         return len(self.members)

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefdyn.cli import RunConfig, main, parse_config, run
+from beliefdyn.cli import MODES, RunConfig, main, parse_config, run
 from beliefdyn.homophily import HomophilyConfig, run_homophily
 from beliefdyn.matrixio import ParseError, read_matrix, write_matrix
 from util import shift_swap_merge
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+HELP = Path(__file__).resolve().parent / "help"
 
 TWO_CAMP_LIMIT_ROW = np.array([0.285, 0.203, 0.200, 0.155, 0.156])
 
@@ -672,3 +673,40 @@ def test_cli_process_without_stdout_exits_0(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stderr == b""
     assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("command", [None, "run", *MODES])
+def test_help_text_pinned(monkeypatch, capsys, command):
+    # tests/help holds each text as printed by the parser that gave every
+    # subcommand its flags, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit:
+        main([command, "--help"] if command else ["--help"])
+    assert exit.value.code == 0
+    printed = capsys.readouterr()
+    assert printed.out == (HELP / f"{command or 'beliefdyn'}.txt").read_text()
+    assert printed.err == ""
+
+
+TOP_USAGE = """usage: beliefdyn [-h]
+                 {run,analyze,evolve,sample,homophily,clusters,certify} ...
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'run', "
+                     "'analyze', 'evolve', 'sample', 'homophily', 'clusters', 'certify')"),
+    (["analyze", "--p", "p.csv", "--steps", "3"], "unrecognized arguments: --steps 3"),
+    (["run", "x.cfg", "--eps-p", "0.1"], "unrecognized arguments: --eps-p 0.1"),
+    (["evolve", "--p", "p.csv", "--m", "m.csv", "--h", "h.csv", "--zero-threshold", "0"],
+     "unrecognized arguments: --zero-threshold 0"),
+], ids=["unknown-command", "analyze-steps", "run-eps-p", "evolve-zero-threshold"])
+def test_command_line_errors_pinned(monkeypatch, capsys, argv, message):
+    # an unknown subcommand, and a flag of another mode or of no mode
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit:
+        main(argv)
+    assert exit.value.code == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"{TOP_USAGE}beliefdyn: error: {message}\n"

@@ -266,6 +266,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="beta"):
             HomophilyConfig(eps_p=0.1, eps_h=0.1, beta=beta)
 
+    def test_immutable(self):
+        cfg = HomophilyConfig(eps_p=0.1, eps_h=0.1)
+        with pytest.raises(AttributeError):
+            cfg.eps_p = 0.0
+        with pytest.raises(AttributeError):
+            del cfg.beta
+        with pytest.raises(AttributeError):
+            cfg.extra = 1
+        assert (cfg.eps_p, cfg.beta, cfg.max_steps) == (0.1, 1.0, 100)
+
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 40), density=st.floats(0.0, 0.6),

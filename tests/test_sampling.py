@@ -48,8 +48,9 @@ class TestRngGolden:
 
     def test_floats_in_unit_interval(self):
         g = Xoshiro256StarStar(9, stream=0)
-        xs = [g.next_float() for _ in range(1000)]
-        assert all(0.0 <= x < 1.0 for x in xs)
+        xs = g.next_floats(1000)
+        assert xs.shape == (1000, 1) and xs.dtype == np.float64
+        assert np.all((0.0 <= xs) & (xs < 1.0))
         assert 0.4 < float(np.mean(xs)) < 0.6
 
     def test_index_draws_roughly_weighted(self):
@@ -73,8 +74,8 @@ class TestRngLanes:
         for _ in range(64):
             assert lanes.next_uint64().tolist() == [g.next_uint64() for g in oracles]
             assert single.next_uint64() == first.next_uint64()
-        assert lanes.next_float().tolist() == [g.next_float() for g in oracles]
-        assert single.next_float() == first.next_float()
+        assert lanes.next_floats(1)[0].tolist() == [g.next_float() for g in oracles]
+        assert single.next_floats(1).tolist() == [[first.next_float()]]
         w = np.array(weights)
         for _ in range(64):
             assert lanes.next_index(w).tolist() == [g.next_index(w) for g in oracles]
@@ -100,7 +101,6 @@ class TestRngLanes:
     def test_scalar_seed_draws_python_scalars(self):
         g = Xoshiro256StarStar(3, stream=1)
         assert type(g.next_uint64()) is int
-        assert type(g.next_float()) is float
         assert type(g.next_index([1.0, 2.0])) is int
 
     def test_all_zero_lane_is_bumped(self):
