@@ -15,9 +15,9 @@ resolved relative to the config file.
 
 Run as a program (``beliefdyn`` or ``python -m beliefdyn.cli``), the
 process ends through :func:`main_and_exit`, which skips the interpreter's
-finalization.  That is safe because every artifact is closed before
-``main`` returns: ``write_bytes`` and ``write_text`` close their files,
-and ``_writer`` reaps every forked shard writer before ``write`` returns.
+finalization.  That is safe because every artifact is written by this
+process and closed before ``main`` returns: ``write_matrix``,
+``write_bytes`` and ``write_text`` each close their file.
 """
 
 import argparse
@@ -99,70 +99,14 @@ def _load(path):
     return ingest_rounded(read_matrix(path))
 
 
-def _digest(data):
-    return hashlib.sha256(data).hexdigest()
-
-
-def _usable_cpus():
-    """CPUs this process may run on; 1 where the platform does not say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
-def _write_shard_and_exit(shard, fd):
-    """The whole life of a forked shard writer; never returns.
-
-    Writes each ``(name, path, matrix)`` of ``shard`` and sends
-    ``{name: sha256}`` as JSON over ``fd``, or the error that stopped it,
-    naming the file.  ``os._exit`` keeps the child out of the parent's
-    code, cleanup and buffered output, whatever is raised.
-    """
-    status = 1
-    try:
-        with open(fd, "w") as pipe:
-            digests = {}
-            for name, path, matrix in shard:
-                try:
-                    digests[name] = _digest(write_matrix(path, matrix))
-                except Exception as exc:      # the parent raises it as OSError
-                    pipe.write(f"could not write {path}: {exc}")
-                    break
-            else:
-                pipe.write(json.dumps(digests))
-                status = 0
-    finally:
-        os._exit(status)
-
-
-def _fork_shard_writer(shard):
-    """Fork a child that writes ``shard``; returns (pid, read end of its pipe, shard)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _write_shard_and_exit(shard, write_fd)
-    except OSError:
-        os.close(read_fd)
-        raise
-    finally:
-        os.close(write_fd)
-    return pid, read_fd, shard
-
-
 def _writer(out):
     """Output directory ``out``'s ``path`` and ``write``, and its ``written`` digests.
 
     ``path(name)`` is where ``name`` goes, its directory made on first use,
     so not even ``out`` exists before the first file is written.
     ``write(name, text=...)`` writes one text file and ``write(name,
-    matrix=...)`` one CSV; ``write(matrices=[(name, matrix), ...])`` writes
-    a batch of CSVs, split round-robin into one shard per usable CPU (never
-    more shards than matrices).  This process writes shard 0; a forked child
-    writes each other shard and sends back only the digests.  Every child is
-    reaped before ``write`` returns or raises, and a child's failure raises
-    OSError naming the file.  Every byte comes from ``write_matrix``.
+    matrix=...)`` one CSV through ``write_matrix``; each records the file's
+    sha256 under ``name``.
     """
     out = Path(out)
     made = set()
@@ -175,33 +119,13 @@ def _writer(out):
             made.add(p.parent)
         return p
 
-    def write(name=None, text=None, matrix=None, matrices=()):
+    def write(name, text=None, matrix=None):
         if text is not None:
             data = text.encode()
             path(name).write_bytes(data)
-            written[name] = _digest(data)
-            return
-        if matrix is not None:
-            matrices = [(name, matrix)]
-        jobs = [(n, path(n), m) for n, m in matrices]
-        count = max(1, min(_usable_cpus(), len(jobs)))
-        shards = [jobs[k::count] for k in range(count)]
-        children, replies = [], []
-        try:
-            for shard in shards[1:]:
-                children.append(_fork_shard_writer(shard))
-            for n, p, m in shards[0]:
-                written[n] = _digest(write_matrix(p, m))
-        finally:
-            for pid, read_fd, shard in children:
-                with open(read_fd) as pipe:
-                    reply = pipe.read()
-                replies.append((shard, reply, os.waitpid(pid, 0)[1]))
-        for shard, reply, status in replies:
-            if status:
-                raise OSError(reply or f"the writer of {shard[0][1]} and {len(shard) - 1} "
-                              f"more files ended with wait status {status}")
-            written.update(json.loads(reply))
+        else:
+            data = write_matrix(path(name), matrix)
+        written[name] = hashlib.sha256(data).hexdigest()
 
     return path, write, written
 
@@ -255,8 +179,8 @@ def _mode_evolve(v, write, say):
     trace = evolve(p, m, h, v["steps"], v["tol"])
     write("q_final.csv", matrix=trace.final)
     if v["trace"]:
-        write(matrices=[(f"trace/q_{k:04d}.csv", snap)
-                        for k, snap in enumerate(trace.snapshots)])
+        for k, snap in enumerate(trace.snapshots):
+            write(f"trace/q_{k:04d}.csv", matrix=snap)
     info = {"stabilized_at": trace.stabilized_at}
     if v["limit"]:
         report = limit_q(p, m, h)
@@ -304,11 +228,10 @@ def _mode_homophily(v, write, say):
     write("q_final.csv", matrix=trace.beliefs[-1])
     trace_dir = v["trace_out"]
     if trace_dir:
-        write(matrices=[(f"{trace_dir}/{kind}_{t:03d}.csv", matrix)
-                        for t in range(1, len(trace.beliefs))
-                        for kind, matrix in (("p", trace.networks[t - 1]),
-                                             ("h", trace.concepts[t - 1]),
-                                             ("q", trace.beliefs[t]))])
+        for t in range(1, len(trace.beliefs)):
+            write(f"{trace_dir}/p_{t:03d}.csv", matrix=trace.networks[t - 1])
+            write(f"{trace_dir}/h_{t:03d}.csv", matrix=trace.concepts[t - 1])
+            write(f"{trace_dir}/q_{t:03d}.csv", matrix=trace.beliefs[t])
     if v["plot"] and m.shape[1] == 3:
         for t in range(1, len(trace.beliefs)):
             linked = trace.networks[t - 1] > 0

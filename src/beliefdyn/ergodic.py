@@ -351,8 +351,10 @@ def inhomogeneous_rate_certificate(family, nu=None):
         nu = _scrambling_block([m > 0 for m in family.members], cap)
     elif nu < 1:
         raise ValueError(f"nu must be at least 1, got {nu}")
-    if len(family) ** nu > _MAX_WORDS:
-        raise BudgetExceededError(f"{len(family) ** nu} words of length {nu} exceed "
+    words = len(family) ** min(nu, 64)      # >= 2 ** 64 past nu = 64, bar one member
+    if words > _MAX_WORDS:
+        count = words if words < 2 ** 64 else f"{len(family)}^{nu}"
+        raise BudgetExceededError(f"{count} words of length {nu} exceed "
                                   f"the cap of {_MAX_WORDS} words")
     gamma = 1.0
     witness = None

@@ -266,12 +266,18 @@ def test_two_camp_certificate_pinned(tmp_path):
     }
 
 
+def _outputs_digest(outputs):
+    return hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+
+
+TWO_CAMP_TRACE_FLAGS = ["evolve", *_two_camp_flags("p", "m", "h"), "--trace", "--limit"]
+TWO_CAMP_TRACE_DIGEST = "2a7d77ca22df2a9a136a20488617e7750a42bf63a0fba31be2326080aa394989"
+
+
 def test_two_camp_trace_outputs_pinned(tmp_path):
-    outputs = _two_camp_outputs(
-        tmp_path, ["evolve", *_two_camp_flags("p", "m", "h"), "--trace", "--limit"])
+    outputs = _two_camp_outputs(tmp_path, TWO_CAMP_TRACE_FLAGS)
     assert len(outputs) == 203
-    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
-    assert digest == "2a7d77ca22df2a9a136a20488617e7750a42bf63a0fba31be2326080aa394989"
+    assert _outputs_digest(outputs) == TWO_CAMP_TRACE_DIGEST
 
 
 def test_trace_run_makes_each_directory_once(tmp_path, monkeypatch):
@@ -288,20 +294,14 @@ def test_trace_run_makes_each_directory_once(tmp_path, monkeypatch):
     assert made == [Path("two_camp"), Path("two_camp/trace")]
 
 
-# with two usable CPUs, q_0000 is in this process's shard and q_0001 in the
-# forked child's
 @pytest.mark.parametrize("planted", ["trace/q_0000.csv", "trace/q_0001.csv"])
-def test_unwritable_trace_file_fails_and_reaps_every_writer(
-        tmp_path, capsys, monkeypatch, planted):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_unwritable_trace_file_fails_without_manifest(tmp_path, capsys, planted):
     out = tmp_path / "out"
     (out / planted).mkdir(parents=True)
     assert main(["evolve", *_two_camp_flags("p", "m", "h"), "--trace",
                  "--out", str(out), "--quiet"]) == 2
     assert str(out / planted) in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -562,6 +562,28 @@ def test_sample_seed_flag_without_seeds_runs_that_seed(tmp_path):
 
 HOMOPHILY_FLAGS = ["homophily", "--m", str(FIXTURES / "five_person" / "m.csv"),
                    "--eps-p", "0.3", "--eps-h", "0.25"]
+FIVE_PERSON_TRACE_DIGEST = "d192ff8ec8b25a4d6d987146cdb2e7ab57b20fe682a89ae4eae4a81b6d4bf6cd"
+
+
+def test_five_person_trace_outputs_pinned(tmp_path):
+    outputs = _two_camp_outputs(tmp_path, HOMOPHILY_FLAGS + ["--trace-out"])
+    assert len(outputs) == 20
+    assert _outputs_digest(outputs) == FIVE_PERSON_TRACE_DIGEST
+
+
+def _no_fork():
+    raise AssertionError("a trace write forked")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (TWO_CAMP_TRACE_FLAGS, TWO_CAMP_TRACE_DIGEST),
+    (HOMOPHILY_FLAGS + ["--trace-out"], FIVE_PERSON_TRACE_DIGEST),
+], ids=["evolve", "homophily"])
+def test_trace_files_are_written_without_forking(tmp_path, monkeypatch, argv, digest):
+    # two usable CPUs, and no process may be forked to use the second
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert _outputs_digest(_two_camp_outputs(tmp_path, argv)) == digest
 
 
 @pytest.mark.parametrize("route, setting, trace_dir", [

@@ -71,8 +71,8 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 
 def test_evolve_trace_loads_no_process_pool(tmp_path):
-    # the trace's shard writers are bare forks: a pool's import and workers
-    # would raise the run's import floor and peak memory
+    # the CLI process writes every trace file itself: a pool's import and
+    # workers would raise the run's import floor and peak memory
     two_camp = Path(__file__).resolve().parents[1] / "fixtures" / "two_camp"
     inputs = [arg for name in "pmh"
               for arg in (f"--{name}", str(two_camp / f"{name}.csv"))]

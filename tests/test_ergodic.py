@@ -383,12 +383,15 @@ class TestInhomogeneousCertificate:
             inhomogeneous_rate_certificate(fam)
 
     def test_word_cap_counts_words(self, concept_structures):
+        # past 2 ** 64 words the count is printed as a power, never formed
         h = concept_structures[0]
-        with pytest.raises(BudgetExceededError) as raised:
-            inhomogeneous_rate_certificate(MatrixFamily([h, h]), nu=20)
-        message = str(raised.value)
-        assert f"{2 ** 20} words of length 20" in message
-        assert "pattern" not in message
+        for nu, count in [(20, 2 ** 20), (10 ** 5, "2^100000"),
+                          (10 ** 8, "2^100000000")]:
+            with pytest.raises(BudgetExceededError) as raised:
+                inhomogeneous_rate_certificate(MatrixFamily([h, h]), nu=nu)
+            message = str(raised.value)
+            assert f"{count} words of length {nu}" in message
+            assert "pattern" not in message
 
     @pytest.mark.parametrize("nu", [0, -1])
     def test_block_length_below_one_rejected(self, concept_structures, nu):

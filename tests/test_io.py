@@ -1,5 +1,4 @@
 import hashlib
-import os
 import re
 import tempfile
 import tracemalloc
@@ -327,17 +326,13 @@ def test_read_peak_memory_pinned(tmp_path):
     assert peaks[0] < READ_PEAK_CAP < peaks[1], peaks
 
 
-def _no_fork():
-    raise AssertionError("a one-shard batch forked")
-
-
 @settings(max_examples=40, deadline=None)
 @given(batch=st.lists(hnp.arrays(
     np.float64,
     st.tuples(st.integers(0, 6), st.integers(0, 6)),
     elements=st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(width=64))),
     max_size=7))
-def test_batch_writer_matches_element_oracle_on_any_cpu_count(batch):
+def test_writer_matches_element_oracle(batch):
     names = [f"d{k % 2}/m{k}.csv" for k in range(len(batch))]
     with tempfile.TemporaryDirectory() as tmp:
         expected = {}
@@ -346,21 +341,10 @@ def test_batch_writer_matches_element_oracle_on_any_cpu_count(batch):
             path.parent.mkdir(parents=True, exist_ok=True)
             loop_write_matrix(path, m)
             expected[name] = path.read_bytes()
-        # None: a platform without os.sched_getaffinity
-        for cpus in (None, 1, 2, 3):
-            with pytest.MonkeyPatch.context() as patch:
-                if cpus is None:
-                    patch.delattr(os, "sched_getaffinity", raising=False)
-                else:
-                    patch.setattr(os, "sched_getaffinity",
-                                  lambda pid, cpus=cpus: set(range(cpus)), raising=False)
-                if (cpus or 1) == 1:
-                    patch.setattr(os, "fork", _no_fork)
-                path, write, written = _writer(Path(tmp, str(cpus)))
-                write(matrices=list(zip(names, batch)))
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-            assert written == {name: hashlib.sha256(data).hexdigest()
-                               for name, data in expected.items()}
-            for name, data in expected.items():
-                assert path(name).read_bytes() == data
+        path, write, written = _writer(Path(tmp, "out"))
+        for name, m in zip(names, batch):
+            write(name, matrix=m)
+        assert written == {name: hashlib.sha256(data).hexdigest()
+                           for name, data in expected.items()}
+        for name, data in expected.items():
+            assert path(name).read_bytes() == data
