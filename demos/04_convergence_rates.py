@@ -31,7 +31,7 @@ concept = cert.per_structure["concept"]
 print("  observed error vs the two candidate geometric rates:")
 print("   n   error       concept-rate^n  product-base^n")
 for n in (5, 10, 20, 30, 40):
-    err = np.abs(trace.snapshots[n] - limit).max()
+    err = np.abs(trace.beliefs[n] - limit).max()
     print(f"  {n:3d}  {err:.3e}    {concept ** n:.3e}      {cert.base ** n:.3e}")
 print("  in general the error is bounded by the slower single-structure rate;")
 print("  H is SIA here, so it follows the concept rate alone, and the product")

@@ -22,9 +22,9 @@ from .ergodic import (RateCertificate, contraction_coefficient,
                       nu_star, subdominant_modulus)
 from .homogeneous import (EvolutionTrace, LimitReport, absorption_probabilities,
                           evolve, limit_q, stationary_distribution)
-from .homophily import (HomophilyConfig, HomophilyTrace, StepLimitReached,
-                        build_concepts, build_network, kl_divergence,
-                        run_homophily, softmax_weights)
+from .homophily import (HomophilyConfig, StepLimitReached, build_concepts,
+                        build_network, kl_divergence, run_homophily,
+                        softmax_weights)
 from .sampling import (ConvergenceDiagnosis, SampledRun, diagnose_convergence,
                        expectation_matrix, expected_limit, sample_trajectories,
                        sample_trajectory)
@@ -44,8 +44,8 @@ __all__ = [
     "is_scrambling", "is_sia", "nu_star", "subdominant_modulus",
     "EvolutionTrace", "LimitReport", "absorption_probabilities", "evolve",
     "limit_q", "stationary_distribution",
-    "HomophilyConfig", "HomophilyTrace", "StepLimitReached", "build_concepts",
-    "build_network", "kl_divergence", "run_homophily", "softmax_weights",
+    "HomophilyConfig", "StepLimitReached", "build_concepts", "build_network",
+    "kl_divergence", "run_homophily", "softmax_weights",
     "ConvergenceDiagnosis", "SampledRun", "diagnose_convergence",
     "expectation_matrix", "expected_limit", "sample_trajectories",
     "sample_trajectory",

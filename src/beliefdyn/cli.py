@@ -179,7 +179,7 @@ def _mode_evolve(v, write, say):
     trace = evolve(p, m, h, v["steps"], v["tol"])
     write("q_final.csv", matrix=trace.final)
     if v["trace"]:
-        for k, snap in enumerate(trace.snapshots):
+        for k, snap in enumerate(trace.beliefs):
             write(f"trace/q_{k:04d}.csv", matrix=snap)
     info = {"stabilized_at": trace.stabilized_at}
     if v["limit"]:
@@ -270,8 +270,18 @@ def _mode_certify(v, write, say):
     return {}
 
 
+def _count(text):
+    count = int(text)
+    if count < 0:
+        raise ValueError("must be nonnegative")
+    return count
+
+
 def _seed_list(text):
-    return [int(s) for s in text.split(",")]
+    seeds = [int(s) for s in text.split(",")]
+    if not all(0 <= s < 2 ** 64 for s in seeds):
+        raise ValueError("each seed must be in [0, 2^64)")
+    return seeds
 
 
 def _trace_dir(text):
@@ -280,7 +290,7 @@ def _trace_dir(text):
     text = text.strip()
     name = {"": None, "false": None, "true": "trace"}.get(text.lower(), text)
     if name and (Path(name).is_absolute() or ".." in Path(name).parts):
-        raise ValueError(f"trace_out must stay inside the output directory, got {text!r}")
+        raise ValueError("must stay inside the output directory")
     return name
 
 
@@ -289,7 +299,7 @@ def _nu(text):
         return None
     nu = int(text)
     if nu < 1:
-        raise ValueError(f"nu must be auto or at least 1, got {text!r}")
+        raise ValueError("must be auto or at least 1")
     return nu
 
 
@@ -311,11 +321,11 @@ _MODES = {
         ("p", _load, _REQUIRED), ("zero_threshold", float, 0.0))),
     "evolve": (_mode_evolve, "static-structure evolution", (
         ("p", _load, _REQUIRED), ("m", _load, _REQUIRED), ("h", _load, _REQUIRED),
-        ("steps", int, 200), ("tol", float, 1e-9), ("trace", bool, False),
+        ("steps", _count, 200), ("tol", float, 1e-9), ("trace", bool, False),
         ("limit", bool, False))),
     "sample": (_mode_sample, "i.i.d. sampled structures", (
         ("sp_dir", load_family, _REQUIRED), ("sh_dir", load_family, _REQUIRED),
-        ("m", _load, _REQUIRED), ("seeds", _seed_list, _SEED), ("horizon", int, 300))),
+        ("m", _load, _REQUIRED), ("seeds", _seed_list, _SEED), ("horizon", _count, 300))),
     "homophily": (_mode_homophily, "belief-driven dynamic structures", (
         ("m", _load, _REQUIRED), ("eps_p", float, _REQUIRED), ("eps_h", float, _REQUIRED),
         ("beta", float, 1.0), ("tol", float, 1e-9), ("max_steps", int, 100),
@@ -348,10 +358,10 @@ def _text(value):
 def _values(config):
     """The run's parameters read by type, each absent one at its default.
 
-    A key the mode does not read, a value outside its choices, bool text
-    other than true/false in any case, or a certify run without its kind's
-    inputs raises ValueError.  Files are read last, so any of these is
-    reported before a bad file.
+    A key the mode does not read, a value outside its choices or rejected by
+    its type (the error names the key), bool text other than true/false in
+    any case, or a certify run without its kind's inputs raises ValueError.
+    Files are read last, so any of these is reported before a bad file.
     """
     params = _MODES[config.mode][2]
     unknown = sorted(set(config.params) - {key for key, _, _ in params})
@@ -377,7 +387,10 @@ def _values(config):
                                  f"got {text!r}")
             values[key] = text == "true" if typ is bool else text
         else:
-            values[key] = text if typ in _READERS else typ(text)
+            try:
+                values[key] = text if typ in _READERS else typ(text)
+            except ValueError as exc:
+                raise ValueError(f"{key} {text!r}: {exc}") from None
     for key in _CERTIFY_INPUTS.get(values.get("kind"), ()):
         if values[key] is None:
             raise ValueError(f"certify kind {values['kind']} needs {key}")
@@ -459,7 +472,7 @@ def build_parser(command):
                 s.add_argument(
                     flag, required=default is _REQUIRED,
                     default=None if default in (_REQUIRED, _SEED) else default,
-                    type=typ if typ in (int, float) else None,
+                    type={int: int, float: float, _count: int}.get(typ),
                     choices=typ if isinstance(typ, tuple) else None)
         _add_common(s)
     return parser

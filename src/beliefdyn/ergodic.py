@@ -285,7 +285,7 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
     limit = _limit(p, p_analysis)[0] @ m @ _limit(h, h_analysis)[0]
     constant = 0.0
     for n in range(1, probe_horizon + 1):
-        err = float(np.abs(trace.snapshots[n] - limit).max())
+        err = float(np.abs(trace.beliefs[n] - limit).max())
         if base > 0:
             constant = max(constant, err / base ** n)
         elif err > 0:
@@ -346,11 +346,15 @@ def inhomogeneous_rate_certificate(family, nu=None):
     family = _as_family(family).require_square()
     n_states = family.shape[0]
     cap = nu_star(n_states)
+    gens = [m > 0 for m in family.members]
+    failure = NotConvergentFamilyError("a length-nu word is not scrambling")
 
     if nu is None:
-        nu = _scrambling_block([m > 0 for m in family.members], cap)
+        nu = _scrambling_block(gens, cap)
     elif nu < 1:
         raise ValueError(f"nu must be at least 1, got {nu}")
+    elif _merge_pointers(gens) is None:     # no word of any length scrambles
+        raise failure
     words = len(family) ** min(nu, 64)      # >= 2 ** 64 past nu = 64, bar one member
     if words > _MAX_WORDS:
         count = words if words < 2 ** 64 else f"{len(family)}^{nu}"
@@ -367,7 +371,7 @@ def inhomogeneous_rate_certificate(family, nu=None):
             gamma = g
             witness = word
     if gamma <= 0.0:
-        raise NotConvergentFamilyError("a length-nu word is not scrambling")
+        raise failure
     return RateCertificate(
         kind="inhomogeneous",
         base=1.0 - gamma,

@@ -34,19 +34,26 @@ class SingularSystemError(ValueError):
 
 
 class EvolutionTrace:
-    """Snapshots Q_0..Q_n of a finite-horizon evolution."""
+    """Beliefs Q_0..Q_n of one run and the structures of each step.
 
-    def __init__(self, snapshots, stabilized_at=None):
-        self.snapshots = snapshots
-        self.stabilized_at = stabilized_at
+    ``beliefs[0]`` is the initial matrix; ``networks[t-1]``,
+    ``concepts[t-1]`` and ``beliefs[t]`` belong to step t.  Only a homophily
+    run sets ``final_groups`` (the weakly connected components of the final
+    network) and ``belief_groups`` (people with near-equal final belief
+    rows, which can be coarser).
+    """
 
-    @property
-    def horizon(self):
-        return len(self.snapshots) - 1
+    def __init__(self, m):
+        self.beliefs = [m.copy()]
+        self.networks = []
+        self.concepts = []
+        self.stabilized_at = None
+        self.final_groups = ()
+        self.belief_groups = ()
 
     @property
     def final(self):
-        return self.snapshots[-1]
+        return self.beliefs[-1]
 
 
 class LimitReport:
@@ -58,8 +65,30 @@ class LimitReport:
         self.periodic = periodic
 
 
+def _run(m, structures, steps, tol, stop):
+    """Q_t = P_t Q_{t-1} H_t for t = 1..steps, (P_t, H_t) = structures(Q_{t-1}).
+
+    The first step whose max-norm difference is below ``tol`` > 0 sets
+    ``stabilized_at``; with ``stop`` the run ends there.
+    """
+    trace = EvolutionTrace(m)
+    q = m
+    for t in range(1, steps + 1):
+        p_t, h_t = structures(q)
+        nxt = p_t @ q @ h_t
+        trace.networks.append(p_t)
+        trace.concepts.append(h_t)
+        trace.beliefs.append(nxt)
+        if trace.stabilized_at is None and tol > 0 and max_abs_diff(nxt, q) < tol:
+            trace.stabilized_at = t
+            if stop:
+                break
+        q = nxt
+    return trace
+
+
 def evolve(p, m, h, steps, tol=1e-9):
-    """Iterate Q_{k+1} = P Q_k H for ``steps`` steps, recording snapshots.
+    """Iterate Q_{k+1} = P Q_k H for ``steps`` steps, recording every Q_k.
 
     ``stabilized_at`` is the first k whose max-norm step difference falls
     below ``tol`` (pass tol=0 to disable stabilization marking); a negative
@@ -73,15 +102,7 @@ def evolve(p, m, h, steps, tol=1e-9):
     if m.shape != (p.shape[0], h.shape[0]):
         raise DimensionMismatchError(
             f"beliefs {m.shape} incompatible with network {p.shape} / concepts {h.shape}")
-    snaps = [m.copy()]
-    stabilized = None
-    q = m
-    for k in range(1, steps + 1):
-        q = p @ q @ h
-        snaps.append(q)
-        if stabilized is None and tol > 0 and max_abs_diff(snaps[-1], snaps[-2]) < tol:
-            stabilized = k
-    return EvolutionTrace(snaps, stabilized)
+    return _run(m, lambda q: (p, h), steps, tol, stop=False)
 
 
 def stationary_distribution(p):

@@ -23,7 +23,8 @@ so self links always hold.
 import numpy as np
 
 from .chains import _levels
-from .stochastic import col_normalize, max_abs_diff, validate_stochastic
+from .homogeneous import _run
+from .stochastic import col_normalize, validate_stochastic
 
 FLOOR = 1e-12               # smallest probability a divergence reads
 
@@ -76,26 +77,6 @@ class HomophilyConfig:
 
     def __delattr__(self, name):
         raise AttributeError(f"HomophilyConfig is immutable: cannot delete {name}")
-
-
-class HomophilyTrace:
-    """Per-step structures and beliefs of one homophily run.
-
-    ``beliefs[0]`` is the initial matrix; ``networks[t-1]``,
-    ``concepts[t-1]`` and ``beliefs[t]`` belong to step t.  Groups are the
-    weakly connected components of the final network; ``belief_groups``
-    partitions people by (near-)equal belief rows instead, which can be
-    coarser than the link groups.
-    """
-
-    def __init__(self, networks=None, concepts=None, beliefs=None, stabilized_at=None,
-                 final_groups=(), belief_groups=()):
-        self.networks = [] if networks is None else networks
-        self.concepts = [] if concepts is None else concepts
-        self.beliefs = [] if beliefs is None else beliefs
-        self.stabilized_at = stabilized_at
-        self.final_groups = final_groups
-        self.belief_groups = belief_groups
 
 
 def _floored(x, floor=FLOOR):
@@ -225,7 +206,7 @@ def belief_groups(m):
 
 
 def run_homophily(m0, cfg):
-    """Iterate the homophily model until beliefs stabilize.
+    """Iterate the homophily model until beliefs stabilize; the trace has groups.
 
     Raises :class:`StepLimitReached` (carrying the partial trace) when the
     max-norm step difference never falls below ``cfg.tol`` within
@@ -233,20 +214,12 @@ def run_homophily(m0, cfg):
     """
     m0 = validate_stochastic(m0, tol=1e-7)
     r, s = m0.shape
-    trace = HomophilyTrace(beliefs=[m0.copy()])
-    q = m0
-    for t in range(1, cfg.max_steps + 1):
-        p_t = np.eye(r) if cfg.freeze_network else build_network(q, cfg)
-        h_t = np.eye(s) if cfg.freeze_concepts else build_concepts(q, cfg)
-        nxt = p_t @ q @ h_t
-        trace.networks.append(p_t)
-        trace.concepts.append(h_t)
-        trace.beliefs.append(nxt.copy())
-        if max_abs_diff(nxt, q) < cfg.tol:
-            trace.stabilized_at = t
-            q = nxt
-            break
-        q = nxt
+
+    def structures(q):
+        return (np.eye(r) if cfg.freeze_network else build_network(q, cfg),
+                np.eye(s) if cfg.freeze_concepts else build_concepts(q, cfg))
+
+    trace = _run(m0, structures, cfg.max_steps, cfg.tol, stop=True)
     trace.final_groups = network_groups(trace.networks[-1])
     trace.belief_groups = belief_groups(trace.beliefs[-1])
     if trace.stabilized_at is None:

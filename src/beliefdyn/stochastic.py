@@ -7,8 +7,8 @@ operations are pure functions; nothing here mutates its inputs.
 
 Everything is stored dense.  The benchmark workloads run at 32 to 400
 states; the largest matrix, of the 400-person static study, takes 1.3 MB.
-A homophily run at 1000 to 2000 people is a planned scale (ROADMAP item
-4), where one matrix takes 8 to 32 MB.
+A homophily run at 1000 to 2000 people is a planned scale, where one
+matrix takes 8 to 32 MB.
 """
 
 import numpy as np

@@ -185,7 +185,7 @@ def test_c07_homogeneous_rate_soundness():
     first_violation = None
     worst_ratio = 0.0
     for n in range(21, 201):
-        err = float(np.abs(trace.snapshots[n] - limit).max())
+        err = float(np.abs(trace.beliefs[n] - limit).max())
         # float64 errors stop falling near 2.2e-16, so allow for rounding
         bound = cert.predicted_bound(n) * (1 + 1e-6) + 16 * np.finfo(float).eps
         if err > bound:

@@ -363,6 +363,10 @@ TWO_CAMP = FIXTURES / "two_camp"
 TWO_CAMP_EVOLVE = (f"mode=evolve\np={TWO_CAMP / 'p.csv'}\nm={TWO_CAMP / 'm.csv'}\n"
                    f"h={TWO_CAMP / 'h.csv'}\n")
 
+SINGLE_LEAF_SAMPLE = (f"mode=sample\nsp_dir={FIXTURES / 'single_leaf'}\n"
+                      f"sh_dir={FIXTURES / 'identity3'}\n"
+                      f"m={FIXTURES / 'identity3' / 'member0.csv'}\n")
+
 
 @pytest.mark.parametrize("lines, key", [
     (f"mode=clusters\nm={FIXTURES / 'five_person' / 'm.csv'}\nepsilon=0.3\n"
@@ -386,6 +390,12 @@ TWO_CAMP_EVOLVE = (f"mode=evolve\np={TWO_CAMP / 'p.csv'}\nm={TWO_CAMP / 'm.csv'}
     (f"mode=certify\nkind=inhomogeneous\nfamily_dir={FIXTURES / 'scrambling_pair'}\n"
      "nu=-1\n", "nu"),
     (TWO_CAMP_EVOLVE + "tol=nan\n", "tol"),
+    (TWO_CAMP_EVOLVE + "steps=-1\n", "steps"),
+    (SINGLE_LEAF_SAMPLE + "horizon=-2\n", "horizon"),
+    (SINGLE_LEAF_SAMPLE + "seeds=-3\n", "seeds"),
+    (SINGLE_LEAF_SAMPLE + f"seeds=0,{2 ** 64}\n", "seeds"),
+    (SINGLE_LEAF_SAMPLE + "seeds=\n", "seeds"),
+    (SINGLE_LEAF_SAMPLE + "seed=-3\n", "seeds"),
 ])
 def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     cfg = tmp_path / "run.cfg"
@@ -394,6 +404,36 @@ def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err.split()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["evolve", "--p", "p.csv", "--m", "m.csv", "--h", "h.csv", "--steps", "-1"], "steps"),
+    (["sample", "--sp-dir", "a", "--sh-dir", "b", "--m", "m.csv", "--horizon", "-2"],
+     "horizon"),
+    (["sample", "--sp-dir", "a", "--sh-dir", "b", "--m", "m.csv", "--seeds=-3"], "seeds"),
+    (["sample", "--sp-dir", "a", "--sh-dir", "b", "--m", "m.csv", "--seeds", ""], "seeds"),
+])
+def test_bad_flag_value_is_one_error_line(tmp_path, capsys, argv, key):
+    # the value is read before any input file, so the paths need not exist
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert len(printed.err.splitlines()) == 1
+    assert printed.err.startswith("error: ") and key in printed.err.split()
+    assert not out.exists()
+
+
+def test_zero_step_counts_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TWO_CAMP_EVOLVE + "steps=0\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "evolve"), "--quiet"]) == 0
+    final = read_matrix(tmp_path / "evolve" / "q_final.csv")
+    assert np.array_equal(final, read_matrix(TWO_CAMP / "m.csv"))
+    cfg.write_text(SINGLE_LEAF_SAMPLE + "horizon=0\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "sample"), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "sample" / "summary.json").read_text())
+    assert summary["horizon"] == 0
 
 
 def test_repeated_config_key_fails(tmp_path, capsys):
@@ -427,6 +467,18 @@ def test_certify_never_scrambling_family_fails_fast(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 5
     assert "nu* = 926505799458625" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_given_nu_on_never_scrambling_family_fails_fast(tmp_path, capsys):
+    # no word over the identity scrambles, which is decided before any of
+    # the one length-nu word's products (about 2 s per million)
+    start = time.perf_counter()
+    assert main(["certify", "--kind", "inhomogeneous",
+                 "--family-dir", str(FIXTURES / "identity3"), "--nu", "10000000",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 5
+    assert "a length-nu word is not scrambling" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

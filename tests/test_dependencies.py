@@ -4,6 +4,7 @@ process pools and no dataclasses."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -155,3 +156,23 @@ def test_every_kept_name_exists():
         if obj is None:
             missing.append(key)
     assert missing == []
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # bench/tracing.py rebinds each traced module.function, the RNG class's
+    # next_index and __init__, and the CLI's own run_homophily binding; a
+    # refactor that drops one of them would otherwise break only the benchmark
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name in tracing.traced_names():
+        module, func = name.split(".")
+        if module != "rng" and not hasattr(importlib.import_module(f"beliefdyn.{module}"), func):
+            missing.append(name)
+    assert missing == []
+    from beliefdyn.rng import Xoshiro256StarStar
+    assert {"next_index", "__init__"} <= set(vars(Xoshiro256StarStar))
+    import beliefdyn.cli
+    import beliefdyn.homophily
+    assert beliefdyn.cli.run_homophily is beliefdyn.homophily.run_homophily

@@ -291,7 +291,7 @@ class TestHomogeneousCertificate:
         limit = limit_q(p, m, h).limit
         trace = evolve(p, m, h, 40, tol=0.0)
         for n in range(1, 41):
-            err = float(np.abs(trace.snapshots[n] - limit).max())
+            err = float(np.abs(trace.beliefs[n] - limit).max())
             assert err <= cert.predicted_bound(n) * (1 + 1e-6)
 
     def test_decomposable_side_uses_slowest_class(self):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from beliefdyn import datasets
+from beliefdyn import datasets, homogeneous
 from beliefdyn.homogeneous import (NotAperiodicError, NotIndecomposableError,
                                    absorption_probabilities, evolve, limit_q,
                                    limit_structure, stationary_distribution)
-from beliefdyn.stochastic import delta_coefficient, matrix_power
-from util import random_stochastic
+from beliefdyn.stochastic import delta_coefficient, matrix_power, max_abs_diff
+from util import loop_evolve, random_stochastic
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -32,7 +33,7 @@ class TestEvolve:
     def test_identity_structures_fix_beliefs(self):
         m = datasets.five_person_beliefs()
         trace = evolve(np.eye(5), m, np.eye(4), 10)
-        for snap in trace.snapshots:
+        for snap in trace.beliefs:
             assert np.array_equal(snap, m)
         assert trace.stabilized_at == 1
 
@@ -46,7 +47,7 @@ class TestEvolve:
         trace = evolve(p, m, h, 12, tol=0.0)
         for k in (0, 3, 7, 12):
             direct = matrix_power(p, k) @ m @ matrix_power(h, k)
-            assert np.max(np.abs(trace.snapshots[k] - direct)) < 1e-12
+            assert np.max(np.abs(trace.beliefs[k] - direct)) < 1e-12
 
     def test_two_camp_long_run(self):
         p, m, h = datasets.two_camp_society()
@@ -57,7 +58,7 @@ class TestEvolve:
     def test_snapshots_stay_stochastic(self):
         p, m, h = datasets.two_anchor_society()
         trace = evolve(p, m, h, 50, tol=0.0)
-        for snap in trace.snapshots:
+        for snap in trace.beliefs:
             assert np.allclose(snap.sum(axis=1), 1.0, atol=1e-9)
             assert snap.min() >= -1e-15
 
@@ -65,11 +66,27 @@ class TestEvolve:
         p, m, h = datasets.two_camp_society()
         trace = evolve(p, m, h, 300, tol=0.0)
         diffs = [np.abs(a - b).max()
-                 for a, b in zip(trace.snapshots[1:], trace.snapshots[:-1])]
+                 for a, b in zip(trace.beliefs[1:], trace.beliefs[:-1])]
         assert diffs[-1] < 1e-12
         # eventually monotone: after the first few steps it never grows
         tail = diffs[5:]
         assert all(b <= a * (1 + 1e-9) + 1e-15 for a, b in zip(tail, tail[1:]))
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_step_differences_end_at_the_mark(self, monkeypatch, tol):
+        # a difference is measured only up to the first marked step, and
+        # never with tol=0, which marks none
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return max_abs_diff(a, b)
+
+        monkeypatch.setattr(homogeneous, "max_abs_diff", counted)
+        p, m, h = datasets.two_camp_society()
+        trace = evolve(p, m, h, 200, tol)
+        assert len(calls) == (trace.stabilized_at or 0)
+        assert (trace.stabilized_at is None) == (tol == 0)
 
 
 class TestStationaryDistribution:
@@ -222,3 +239,23 @@ class TestLimitStructure:
         p, _, _ = datasets.two_anchor_society()
         inf_form, _ = limit_structure(p)
         assert np.allclose(inf_form.sum(axis=1), 1.0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.integers(1, 6), s=st.integers(1, 5), zeros=st.floats(0.0, 0.8),
+       steps=st.integers(0, 40), tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_evolve_matches_its_own_loop(r, s, zeros, steps, tol, seed):
+    rng = np.random.default_rng(seed)
+    p = random_stochastic(rng, r, zeros=zeros)
+    m = random_stochastic(rng, r, s)
+    h = random_stochastic(rng, s, zeros=zeros)
+    snapshots, stabilized_at = loop_evolve(p, m, h, steps, tol)
+    trace = evolve(p, m, h, steps, tol)
+    assert len(trace.beliefs) == len(snapshots) == steps + 1
+    assert all(np.array_equal(a, b) for a, b in zip(trace.beliefs, snapshots))
+    assert len(trace.networks) == len(trace.concepts) == steps
+    assert all(np.array_equal(a, p) for a in trace.networks)
+    assert all(np.array_equal(a, h) for a in trace.concepts)
+    assert trace.stabilized_at == stabilized_at
+    assert trace.final_groups == trace.belief_groups == ()

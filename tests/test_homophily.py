@@ -13,7 +13,8 @@ from beliefdyn.homophily import (HomophilyConfig, InfiniteDivergenceError,
                                  kl_divergence, network_groups, run_homophily,
                                  softmax_weights)
 from beliefdyn.stochastic import col_normalize
-from util import bfs_network_groups, loop_belief_groups, loop_homophily_structure
+from util import (bfs_network_groups, loop_belief_groups, loop_homophily,
+                  loop_homophily_structure)
 
 SIM_CFG = HomophilyConfig(eps_p=0.3, eps_h=0.25)
 
@@ -306,3 +307,32 @@ def test_belief_groups_match_loop_oracle(r, base, offset, seed):
     nudged = rng.random(r) < 0.5
     m[nudged, rng.integers(4)] += offset * rng.choice([-1.0, 1.0], size=nudged.sum())
     assert belief_groups(m) == loop_belief_groups(m)
+
+
+def _run_or_partial(run, m, cfg):
+    """``run``'s trace and the StepLimitReached message, or None."""
+    try:
+        return run(m, cfg), None
+    except StepLimitReached as exc:
+        return exc.trace, str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=belief_matrices(), eps_p=st.sampled_from([0.05, 0.3, 3.0]),
+       eps_h=st.sampled_from([0.05, 0.25, 3.0]), beta=st.sampled_from([0.0, 1.0, 8.0]),
+       tol=st.sampled_from([1e-9, 1e-3, 0.1]), max_steps=st.integers(1, 15),
+       freeze_network=st.booleans(), freeze_concepts=st.booleans())
+def test_run_homophily_matches_its_own_loop(m, eps_p, eps_h, beta, tol, max_steps,
+                                            freeze_network, freeze_concepts):
+    cfg = HomophilyConfig(eps_p, eps_h, beta=beta, tol=tol, max_steps=max_steps,
+                          freeze_network=freeze_network, freeze_concepts=freeze_concepts)
+    got, got_limit = _run_or_partial(run_homophily, m, cfg)
+    expected, expected_limit = _run_or_partial(loop_homophily, m, cfg)
+    assert got_limit == expected_limit
+    for name in ("beliefs", "networks", "concepts"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert len(a) == len(b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert got.stabilized_at == expected.stabilized_at
+    assert got.final_groups == expected.final_groups
+    assert got.belief_groups == expected.belief_groups

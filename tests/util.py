@@ -6,6 +6,7 @@ deliberately independent of the library's own algorithms.
 
 from itertools import combinations, product as iter_product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -13,11 +14,14 @@ from beliefdyn.chains import analyze_pattern
 from beliefdyn.clusters import _safe_log
 from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
                                _pattern_scrambling, nu_star)
-from beliefdyn.homophily import FLOOR, _floored, kl_divergence, softmax_weights
+from beliefdyn.homophily import (FLOOR, StepLimitReached, _floored, belief_groups,
+                                 build_concepts, build_network, kl_divergence,
+                                 network_groups, softmax_weights)
 from beliefdyn.matrixio import _HEADER, ParseError
 from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
 from beliefdyn.sampling import SampledRun
-from beliefdyn.stochastic import MatrixFamily, max_abs_diff, row_normalize
+from beliefdyn.stochastic import (MatrixFamily, max_abs_diff, row_normalize,
+                                  validate_stochastic)
 
 
 def random_stochastic(rng, rows, cols=None, zeros=0.0):
@@ -90,6 +94,47 @@ def loop_homophily_structure(points, eps, cfg):
         linked = divs[i] < eps        # strict; self always qualifies at 0
         out[i, linked] = softmax_weights(divs[i, linked], cfg.beta)
     return row_normalize(out), divs
+
+
+def loop_evolve(p, m, h, steps, tol=1e-9):
+    """The static model's loop written on its own, the oracle of the shared
+    step loop: (snapshots Q_0..Q_steps, stabilized_at)."""
+    snaps = [m.copy()]
+    stabilized = None
+    q = m
+    for k in range(1, steps + 1):
+        q = p @ q @ h
+        snaps.append(q)
+        if stabilized is None and tol > 0 and max_abs_diff(snaps[-1], snaps[-2]) < tol:
+            stabilized = k
+    return snaps, stabilized
+
+
+def loop_homophily(m0, cfg):
+    """The homophily model's loop written on its own, the oracle of the
+    shared step loop; its plain record has the trace's fields."""
+    m0 = validate_stochastic(m0, tol=1e-7)
+    r, s = m0.shape
+    trace = SimpleNamespace(networks=[], concepts=[], beliefs=[m0.copy()],
+                            stabilized_at=None)
+    q = m0
+    for t in range(1, cfg.max_steps + 1):
+        p_t = np.eye(r) if cfg.freeze_network else build_network(q, cfg)
+        h_t = np.eye(s) if cfg.freeze_concepts else build_concepts(q, cfg)
+        nxt = p_t @ q @ h_t
+        trace.networks.append(p_t)
+        trace.concepts.append(h_t)
+        trace.beliefs.append(nxt.copy())
+        if max_abs_diff(nxt, q) < cfg.tol:
+            trace.stabilized_at = t
+            q = nxt
+            break
+        q = nxt
+    trace.final_groups = network_groups(trace.networks[-1])
+    trace.belief_groups = belief_groups(trace.beliefs[-1])
+    if trace.stabilized_at is None:
+        raise StepLimitReached(trace)
+    return trace
 
 
 def _scalar_splitmix64(state):
