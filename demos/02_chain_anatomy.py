@@ -16,12 +16,11 @@ np.set_printoptions(precision=3, suppress=True)
 
 def describe(name, p):
     result = analyze(p)
-    cond = result.condensation
     print(f"{name}:")
-    print(f"  classes: {cond.classes}")
-    print(f"  leaf classes: {[cond.classes[c] for c in cond.leaf_classes]}")
-    print(f"  recurrent: {result.classification.recurrent}")
-    print(f"  periods: {result.classification.periods}")
+    print(f"  classes: {result.classes}")
+    print(f"  leaf classes: {[result.classes[c] for c in result.leaf_classes]}")
+    print(f"  recurrent: {result.recurrent}")
+    print(f"  periods: {result.periods}")
     print(f"  irreducible={result.is_irreducible} "
           f"indecomposable={result.is_indecomposable} "
           f"aperiodic={result.is_aperiodic}")

@@ -5,7 +5,9 @@ A transition matrix induces a directed graph with an edge (i, j) whenever
 entry (i, j) is positive.  Communicating classes are the strongly connected
 components of that graph; collapsing them gives an acyclic condensation
 whose leaf classes (no outgoing edges) are exactly the closed sets.  States
-in leaf classes are recurrent, all others transient.
+in leaf classes are recurrent, all others transient.  One
+:class:`ChainAnalysis` record holds the classes, the leaf classes and each
+state's label and period; the condensation's edges are not kept.
 """
 
 from math import inf
@@ -15,39 +17,27 @@ import numpy as np
 from .stochastic import NotSquareError, require_square
 
 
-class Condensation:
-    """Strongly connected classes and the DAG between them."""
+class ChainAnalysis:
+    """Communicating classes, the leaf (closed) classes among them, and each
+    state's recurrent label and period (inf = no return)."""
 
-    def __init__(self, classes, dag_edges, leaf_classes):
-        self.classes = classes              # tuple of sorted state tuples
-        self.dag_edges = dag_edges          # frozenset of class-index edges, no self-edges
-        self.leaf_classes = leaf_classes    # indices of classes with no outgoing dag edge
-
-
-class StateClassification:
-    """Per-state recurrent/transient labels and periods (inf = no return)."""
-
-    def __init__(self, recurrent, periods):
+    def __init__(self, classes, leaf_classes, recurrent, periods):
+        self.classes = classes              # tuple of sorted state tuples, in Tarjan's order
+        self.leaf_classes = leaf_classes    # indices of classes with no edge leaving them
         self.recurrent = recurrent
         self.periods = periods
 
-
-class ChainAnalysis:
-    def __init__(self, condensation, classification):
-        self.condensation = condensation
-        self.classification = classification
-
     @property
     def is_irreducible(self):
-        return len(self.condensation.classes) == 1
+        return len(self.classes) == 1
 
     @property
     def is_indecomposable(self):
-        return len(self.condensation.leaf_classes) <= 1
+        return len(self.leaf_classes) <= 1
 
     @property
     def is_aperiodic(self):
-        return all(d == 1 for d in self.classification.periods)
+        return all(d == 1 for d in self.periods)
 
     @property
     def recurrent_aperiodic(self):
@@ -57,10 +47,7 @@ class ChainAnalysis:
         transient states with no return path (period inf) do not obstruct
         the limit.
         """
-        return all(d == 1
-                   for d, rec in zip(self.classification.periods,
-                                     self.classification.recurrent)
-                   if rec)
+        return all(d == 1 for d, rec in zip(self.periods, self.recurrent) if rec)
 
 
 def _pattern(p, zero_threshold):
@@ -85,61 +72,57 @@ def _strongly_connected_components(adj):
     on_stack = [False] * n
     stack = []
     comps = []
-    counter = [0]
+    counter = 0
+
+    def enter(v):
+        """Number ``v``, push it, and pair it with its unvisited successors."""
+        nonlocal counter
+        index[v] = low[v] = counter
+        counter += 1
+        stack.append(v)
+        on_stack[v] = True
+        return v, iter(succ[v])
 
     for root in range(n):
         if index[root] is not None:
             continue
-        work = [(root, 0)]
+        work = [enter(root)]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
+            v, successors = work[-1]
+            for w in successors:
                 if index[w] is None:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    work.append(enter(w))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(tuple(sorted(comp)))
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
     return comps
 
 
 def _condense(adj, comps):
-    """Condensation of ``adj`` and each state's class index."""
+    """Indices of the leaf classes (no edge leaves them), and each state's
+    class index."""
     class_of = np.empty(adj.shape[0], dtype=int)
     for ci, comp in enumerate(comps):
         class_of[list(comp)] = ci
     rows, cols = np.nonzero(adj)
     ci, cj = class_of[rows], class_of[cols]
-    cross = ci != cj
     closed = np.ones(len(comps), dtype=bool)
-    closed[ci[cross]] = False
-    dag = frozenset(zip(ci[cross].tolist(), cj[cross].tolist()))
-    leaves = tuple(np.flatnonzero(closed).tolist())
-    return Condensation(tuple(comps), dag, leaves), class_of
+    closed[ci[ci != cj]] = False
+    return tuple(np.flatnonzero(closed).tolist()), class_of
 
 
 def _levels(adj, root):
@@ -174,10 +157,10 @@ def _class_periods(adj, comp):
 def analyze(p, zero_threshold=0.0):
     """Full structural analysis of a square stochastic matrix.
 
-    Returns a :class:`ChainAnalysis` of the condensation and the per-state
-    classification.  Predicates ``is_irreducible``, ``is_indecomposable``
-    (at most one leaf class) and ``is_aperiodic`` (every period equal to 1)
-    hang off the result.
+    Returns a :class:`ChainAnalysis` of the classes, the leaf classes and
+    the per-state labels.  Predicates ``is_irreducible``,
+    ``is_indecomposable`` (at most one leaf class) and ``is_aperiodic``
+    (every period equal to 1) hang off the result.
     """
     return analyze_pattern(_pattern(p, zero_threshold))
 
@@ -187,10 +170,10 @@ def analyze_pattern(adj):
     adj = np.asarray(adj, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise NotSquareError(f"expected a square pattern, got {adj.shape}")
-    comps = _strongly_connected_components(adj)
-    condensation, class_of = _condense(adj, comps)
-    recurrent = tuple(np.isin(class_of, condensation.leaf_classes).tolist())
-    class_period = [_class_periods(adj, comp) for comp in condensation.classes]
+    comps = tuple(_strongly_connected_components(adj))
+    leaves, class_of = _condense(adj, comps)
+    recurrent = tuple(np.isin(class_of, leaves).tolist())
+    class_period = [_class_periods(adj, comp) for comp in comps]
     periods = tuple(class_period[c] for c in class_of.tolist())
-    return ChainAnalysis(condensation, StateClassification(recurrent, periods))
+    return ChainAnalysis(comps, leaves, recurrent, periods)
 

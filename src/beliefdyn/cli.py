@@ -84,7 +84,7 @@ def parse_config(path):
     mode = params.pop("mode")
     if mode not in MODES:
         raise ParseError(path, 0, f"unknown mode {mode!r}")
-    seed = int(params.pop("seed", "0"))
+    seed = _read("seed", int, params.pop("seed", "0"))
     out = params.pop("out", None)
     base = path.parent
     for key, typ, _ in _MODES[mode][2]:
@@ -155,13 +155,13 @@ def _mode_analyze(v, write, say):
     p = v["p"]
     threshold = v["zero_threshold"]
     result = analyze(p, zero_threshold=threshold)
-    cond, states = result.condensation, result.classification
+    classes = result.classes
     records = [
-        {"record": "classes", "classes": [list(c) for c in cond.classes]},
-        {"record": "leaves", "leaf_classes": [list(cond.classes[c]) for c in cond.leaf_classes]},
+        {"record": "classes", "classes": [list(c) for c in classes]},
+        {"record": "leaves", "leaf_classes": [list(classes[c]) for c in result.leaf_classes]},
         {"record": "states",
-         "recurrent": list(states.recurrent),
-         "periods": [None if d == float("inf") else int(d) for d in states.periods]},
+         "recurrent": list(result.recurrent),
+         "periods": [None if d == float("inf") else int(d) for d in result.periods]},
         {"record": "predicates",
          "irreducible": result.is_irreducible,
          "indecomposable": result.is_indecomposable,
@@ -355,6 +355,14 @@ def _text(value):
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
+def _read(key, typ, text):
+    """``typ(text)``, re-raising a ValueError with the key and text named."""
+    try:
+        return typ(text)
+    except ValueError as exc:
+        raise ValueError(f"{key} {text!r}: {exc}") from None
+
+
 def _values(config):
     """The run's parameters read by type, each absent one at its default.
 
@@ -387,10 +395,7 @@ def _values(config):
                                  f"got {text!r}")
             values[key] = text == "true" if typ is bool else text
         else:
-            try:
-                values[key] = text if typ in _READERS else typ(text)
-            except ValueError as exc:
-                raise ValueError(f"{key} {text!r}: {exc}") from None
+            values[key] = text if typ in _READERS else _read(key, typ, text)
     for key in _CERTIFY_INPUTS.get(values.get("kind"), ()):
         if values[key] is None:
             raise ValueError(f"certify kind {values['kind']} needs {key}")

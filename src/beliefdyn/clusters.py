@@ -50,10 +50,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class ClusterPartition:
-    def __init__(self, clusters, epsilon, internal_condition_holds=None, iterations=0,
-                 max_gap=0.0):
+    def __init__(self, clusters, internal_condition_holds=None, iterations=0, max_gap=0.0):
         self.clusters = clusters        # tuple of sorted index tuples
-        self.epsilon = epsilon
         self.internal_condition_holds = internal_condition_holds
         self.iterations = iterations    # Frank-Wolfe iterations over all decisions
         self.max_gap = max_gap          # largest final duality gap among them
@@ -221,5 +219,4 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6):
 
     internal = all(below(pts[[j for j in comp if j != i]], pts[[i]])
                    for comp in components if len(comp) > 1 for i in comp)
-    return ClusterPartition(components, float(epsilon), internal, iterations,
-                            max_gap)
+    return ClusterPartition(components, internal, iterations, max_gap)

@@ -250,10 +250,10 @@ def _slowest_class_modulus(a, analysis):
         raise NotSIAError("a periodic closed class has no geometric rate")
     if analysis.is_indecomposable:
         return _second_modulus(a)
-    classes = analysis.condensation.classes
+    classes = analysis.classes
     # a closed aperiodic class is SIA on its own
     return max(_second_modulus(a[np.ix_(classes[c], classes[c])])
-               for c in analysis.condensation.leaf_classes)
+               for c in analysis.leaf_classes)
 
 
 def _probe_matrix(rows, cols):

@@ -11,7 +11,7 @@ three regimes, depending on which structure keeps a single closed class:
 
 Limits are computed in closed form from stationary distributions and
 absorption probabilities.  Periodic recurrent classes get the time-average
-(Cesaro) limit, flagged on the report.
+(Cesaro) limit, reported as case ``periodic_cesaro``.
 """
 
 import numpy as np
@@ -57,12 +57,11 @@ class EvolutionTrace:
 
 
 class LimitReport:
-    def __init__(self, limit, case, homogeneous, periodic=False):
+    def __init__(self, limit, case, homogeneous):
         self.limit = limit
         # H_indecomposable | P_indecomposable | both_decomposable | periodic_cesaro
         self.case = case
         self.homogeneous = homogeneous  # all rows equal within 1e-9
-        self.periodic = periodic
 
 
 def _run(m, structures, steps, tol, stop):
@@ -153,17 +152,16 @@ def absorption_probabilities(p, analysis=None):
     a = require_square(p)
     if analysis is None:
         analysis = chains.analyze(a)
-    cond = analysis.condensation
-    leaves = cond.leaf_classes
+    classes, leaves = analysis.classes, analysis.leaf_classes
     n = a.shape[0]
     out = np.zeros((n, len(leaves)))
-    transient = [s for s in range(n) if not analysis.classification.recurrent[s]]
+    transient = [s for s in range(n) if not analysis.recurrent[s]]
     for k, c in enumerate(leaves):
-        out[list(cond.classes[c]), k] = 1.0
+        out[list(classes[c]), k] = 1.0
     if transient:
         lhs = np.eye(len(transient)) - a[np.ix_(transient, transient)]
         for k, c in enumerate(leaves):
-            b = a[np.ix_(transient, list(cond.classes[c]))].sum(axis=1)
+            b = a[np.ix_(transient, list(classes[c]))].sum(axis=1)
             try:
                 out[transient, k] = np.linalg.solve(lhs, b)
             except np.linalg.LinAlgError as exc:
@@ -183,12 +181,11 @@ def limit_structure(p):
 
 def _limit(a, analysis):
     """:func:`limit_structure` of ``a`` from its analysis."""
-    cond = analysis.condensation
     absorb = absorption_probabilities(a, analysis)
     n = a.shape[0]
     out = np.zeros((n, n))
-    for k, c in enumerate(cond.leaf_classes):
-        members = list(cond.classes[c])
+    for k, c in enumerate(analysis.leaf_classes):
+        members = list(analysis.classes[c])
         pi = _stationary(a[np.ix_(members, members)])
         out[:, members] += absorb[:, [k]] * pi[None, :]
     return out, not analysis.recurrent_aperiodic
@@ -207,8 +204,7 @@ def limit_q(p, m, h):
     p_inf, p_periodic = _limit(p, p_analysis)
     h_inf, h_periodic = _limit(h, h_analysis)
     limit = p_inf @ m @ h_inf
-    periodic = p_periodic or h_periodic
-    if periodic:
+    if p_periodic or h_periodic:
         case = "periodic_cesaro"
     elif h_analysis.is_indecomposable:
         case = "H_indecomposable"
@@ -220,5 +216,4 @@ def limit_q(p, m, h):
         limit=limit,
         case=case,
         homogeneous=delta_coefficient(limit) < 1e-9,
-        periodic=periodic,
     )

@@ -37,9 +37,8 @@ _GATHER_BYTES = 1 << 17     # byte cap on one gather: 16 members of 32 x 32
 class SampledRun:
     """One seeded trajectory: the words actually drawn and the final beliefs."""
 
-    def __init__(self, seed, horizon, word_p, word_h, final_q, stabilized_at=None):
+    def __init__(self, seed, word_p, word_h, final_q, stabilized_at=None):
         self.seed = seed
-        self.horizon = horizon
         self.word_p = word_p
         self.word_h = word_h
         self.final_q = final_q
@@ -116,7 +115,7 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
             track = not stabilized.all()
         q, nxt = nxt, q
     for k, seed in enumerate(seeds):
-        yield SampledRun(seed, steps, tuple(words_p[:, k].tolist()),
+        yield SampledRun(seed, tuple(words_p[:, k].tolist()),
                          tuple(words_h[:, k].tolist()), q[k].copy(),
                          int(stabilized[k]) or None)
 

@@ -312,8 +312,7 @@ def test_c12_property_suites():
         p = random_stochastic(rng, n, zeros=0.55)
         result = analyze(p)
         chains_ok &= result.is_indecomposable == brute_force_indecomposable(p)
-        chains_ok &= (len(result.condensation.leaf_classes)
-                      == len(minimal_closed_subsets(p)))
+        chains_ok &= len(result.leaf_classes) == len(minimal_closed_subsets(p))
     lines.append(("leaf/closed-set equivalence", chains_ok))
 
     # scrambling implies SIA; scrambling factor propagates through products

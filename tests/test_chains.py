@@ -2,12 +2,14 @@ from math import inf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets
-from beliefdyn.chains import analyze, graph_of
+from beliefdyn.chains import analyze, analyze_pattern, graph_of
 from beliefdyn.stochastic import MatrixFamily, NotSquareError
 from util import (bfs_one_leaf_connected, brute_force_indecomposable,
-                  brute_force_period, minimal_closed_subsets, random_stochastic)
+                  brute_force_period, class_edges, loop_strongly_connected_components,
+                  minimal_closed_subsets, random_stochastic)
 
 DRAIN = np.array([[0.0, 0.7, 0.3], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -36,15 +38,14 @@ def test_two_cycle_is_irreducible_period_two():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     result = analyze(swap)
     assert result.is_irreducible
-    assert result.classification.periods == (2, 2)
+    assert result.periods == (2, 2)
     assert not result.is_aperiodic
 
 
 def test_two_camp_network_classes():
     p, _, _ = datasets.two_camp_society()
     result = analyze(p)
-    cond = result.condensation
-    leaves = {cond.classes[c] for c in cond.leaf_classes}
+    leaves = {result.classes[c] for c in result.leaf_classes}
     assert leaves == {(0, 1, 2), (3, 4)}
     assert not result.is_indecomposable
     assert result.is_aperiodic
@@ -52,17 +53,17 @@ def test_two_camp_network_classes():
 
 def test_drain_matrix_classification():
     result = analyze(DRAIN)
-    assert result.condensation.classes == ((1,), (2,), (0,))
-    assert result.classification.recurrent == (False, True, True)
+    assert result.classes == ((1,), (2,), (0,))
+    assert result.recurrent == (False, True, True)
     # state 0 never returns
-    assert result.classification.periods[0] == inf
-    assert result.classification.periods[1] == 1
+    assert result.periods[0] == inf
+    assert result.periods[1] == 1
 
 
 def test_camps_and_loner_components():
     p, _, _ = datasets.camps_and_loner()
     result = analyze(p)
-    leaves = {result.condensation.classes[c] for c in result.condensation.leaf_classes}
+    leaves = {result.classes[c] for c in result.leaf_classes}
     assert leaves == {(0, 1), (2,)}
 
 
@@ -70,9 +71,9 @@ def test_union_graph_single_leaf_family():
     # the members' summed matrix is positive exactly on their union graph
     union = sum(datasets.single_leaf_family().members)
     assert graph_of(union) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
-    cond = analyze(union).condensation
-    assert set(cond.classes) == {(0,), (1, 2)}
-    assert len(cond.leaf_classes) == 1
+    result = analyze(union)
+    assert set(result.classes) == {(0,), (1, 2)}
+    assert len(result.leaf_classes) == 1
 
 
 def test_one_leaf_connected_cases():
@@ -86,11 +87,15 @@ def test_condensation_acyclic_random():
     rng = np.random.default_rng(5)
     for _ in range(30):
         p = random_stochastic(rng, 6, zeros=0.6)
-        cond = analyze(p).condensation
+        result = analyze(p)
+        edges = class_edges(p > 0, result.classes)
+        # the leaf classes are exactly those that no edge leaves
+        sources = {src for src, _ in edges}
+        assert result.leaf_classes == tuple(c for c in range(len(result.classes))
+                                            if c not in sources)
         # a cycle among classes would contradict SCC maximality; check by
         # topological elimination
-        remaining = set(range(len(cond.classes)))
-        edges = set(cond.dag_edges)
+        remaining = set(range(len(result.classes)))
         while remaining:
             sinks = [c for c in remaining
                      if not any(src == c and dst in remaining for src, dst in edges)]
@@ -98,13 +103,23 @@ def test_condensation_acyclic_random():
             remaining -= set(sinks)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), density=st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_classes_in_tarjan_order(n, density, seed):
+    # analysis.jsonl prints the classes in this order, so the order itself
+    # must match the resume-index loop, not only the set of classes
+    adj = np.random.default_rng(seed).random((n, n)) < density
+    assert analyze_pattern(adj).classes == tuple(loop_strongly_connected_components(adj))
+
+
 def test_leaf_classes_are_closed_sets():
     rng = np.random.default_rng(6)
     for _ in range(30):
         p = random_stochastic(rng, 6, zeros=0.5)
         result = analyze(p)
-        for c in result.condensation.leaf_classes:
-            members = list(result.condensation.classes[c])
+        for c in result.leaf_classes:
+            members = list(result.classes[c])
             inside = p[np.ix_(members, members)].sum(axis=1)
             assert np.all(np.abs(inside - 1.0) <= 1e-9)
 
@@ -122,7 +137,7 @@ def test_leaf_count_matches_minimal_closed_sets():
     for _ in range(25):
         p = random_stochastic(rng, 6, zeros=0.55)
         result = analyze(p)
-        assert len(result.condensation.leaf_classes) == len(minimal_closed_subsets(p))
+        assert len(result.leaf_classes) == len(minimal_closed_subsets(p))
 
 
 def test_self_loop_means_period_one():
@@ -132,7 +147,7 @@ def test_self_loop_means_period_one():
         np.fill_diagonal(p, np.maximum(p.diagonal(), 0.05))
         p = p / p.sum(axis=1, keepdims=True)
         result = analyze(p)
-        assert result.classification.periods == (1,) * 5
+        assert result.periods == (1,) * 5
 
 
 def _block_cyclic(rng, period):
@@ -157,9 +172,9 @@ def test_periods_match_bruteforce():
     seen = set()
     for p in matrices:
         result = analyze(p)
-        seen.update(result.classification.periods)
+        seen.update(result.periods)
         for state in range(p.shape[0]):
-            assert result.classification.periods[state] == brute_force_period(p, state)
+            assert result.periods[state] == brute_force_period(p, state)
     assert {2, 3, 4} <= seen
 
 

@@ -396,6 +396,7 @@ SINGLE_LEAF_SAMPLE = (f"mode=sample\nsp_dir={FIXTURES / 'single_leaf'}\n"
     (SINGLE_LEAF_SAMPLE + f"seeds=0,{2 ** 64}\n", "seeds"),
     (SINGLE_LEAF_SAMPLE + "seeds=\n", "seeds"),
     (SINGLE_LEAF_SAMPLE + "seed=-3\n", "seeds"),
+    (SINGLE_LEAF_SAMPLE + "seed=abc\n", "seed"),
 ])
 def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     cfg = tmp_path / "run.cfg"

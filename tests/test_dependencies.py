@@ -11,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
 from collections import defaultdict
 from pathlib import Path
 
@@ -27,6 +28,8 @@ KEPT_WITHOUT_CALLER = {
     "ergodic.power_contraction_holds": "the block-rate inequality of a sound rate bound",
     "rng.Xoshiro256StarStar.next_uint64": "the documented reproducibility recipe",
     "clusters.kl_divergence": "bench/test_bench.py reads this re-export",
+    "sampling.SampledRun.word_h": "the concept stream's drawn word, the other half "
+                                  "of the reproducibility record beside word_p",
 }
 
 IMPORT_ALL = """
@@ -83,9 +86,31 @@ def test_evolve_trace_loads_no_process_pool(tmp_path):
     assert len(list((tmp_path / "trace").iterdir())) == 201
 
 
+def _fields(cls):
+    """Attributes that ``cls.__init__`` assigns: each ``self.<name> = ...``
+    target and each keyword of ``vars(self).update(...)``."""
+    init = vars(cls).get("__init__")
+    if not inspect.isfunction(init):
+        return []
+    fields = []
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(init)))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) == "self"):
+            fields.append(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "update"
+              and ast.unparse(node.func.value) == "vars(self)"):
+            fields.extend(keyword.arg for keyword in node.keywords)
+    return fields
+
+
 def _public_names():
-    """``module.name`` of every public function or class a module defines, and
-    ``module.Class.name`` of every public method or property of such a class."""
+    """``module.name`` of every public function or class a module defines;
+    ``module.Class.name`` of every public method or property of such a class
+    and, unless it is an exception (its fields are fault data), of every
+    public field its ``__init__`` sets.  Each maps to its source file and the
+    word a use must name: the name itself, or ``.name`` for a field, which
+    only an attribute read uses (a field's name is often also a local
+    variable's or a config key's)."""
     names = {}
     for info in pkgutil.iter_modules(beliefdyn.__path__):
         module = importlib.import_module("beliefdyn." + info.name)
@@ -94,22 +119,26 @@ def _public_names():
             if (not name.startswith("_") and defined_here
                     and (inspect.isfunction(obj) or inspect.isclass(obj))):
                 path = Path(inspect.getsourcefile(obj)).resolve()
-                names[f"{info.name}.{name}"] = path
+                names[f"{info.name}.{name}"] = path, name
                 if inspect.isclass(obj):
-                    names.update((f"{info.name}.{name}.{attr}", path)
+                    names.update((f"{info.name}.{name}.{attr}", (path, attr))
                                  for attr, member in vars(obj).items()
                                  if not attr.startswith("_")
                                  and (inspect.isfunction(member) or isinstance(member, property)))
+                    if not issubclass(obj, BaseException):
+                        names.update((f"{info.name}.{name}.{attr}", (path, "." + attr))
+                                     for attr in _fields(obj) if not attr.startswith("_"))
     return names
 
 
 def _words(node, docstrings):
-    """Identifiers that one AST node names: a name, an attribute, or a word of
-    a string that is not a docstring (the benchmark traces names as text)."""
+    """Identifiers that one AST node names: a name, an attribute (also as
+    ``.attr``), or a word of a string that is not a docstring (the benchmark
+    traces names as text)."""
     if isinstance(node, ast.Name):
         return [node.id]
     if isinstance(node, ast.Attribute):
-        return [node.attr]
+        return [node.attr, "." + node.attr]
     if (isinstance(node, ast.Constant) and isinstance(node.value, str)
             and id(node) not in docstrings):
         return re.findall(r"\w+", node.value)
@@ -139,21 +168,23 @@ def _users():
 
 def test_every_public_name_has_a_use_or_a_reason():
     # a use inside the name's own definition does not count, nor, for a
-    # method, a use inside its own class: such a method could be private
+    # method or a record field, a use inside its own class: such a method
+    # could be private, and such a field need not be stored
     users = _users()
-    unused = [key for key, path in _public_names().items()
+    unused = [key for key, (path, word) in _public_names().items()
               if key not in KEPT_WITHOUT_CALLER
-              and not users[key.split(".")[-1]] - {(path, key.split(".")[1])}]
+              and not users[word] - {(path, key.split(".")[1])}]
     assert unused == []
 
 
 def test_every_kept_name_exists():
     missing = []
     for key in KEPT_WITHOUT_CALLER:
-        obj = importlib.import_module("beliefdyn." + key.split(".")[0])
-        for part in key.split(".")[1:]:
+        module, *parts, last = key.split(".")
+        obj = importlib.import_module("beliefdyn." + module)
+        for part in parts:
             obj = getattr(obj, part, None)
-        if obj is None:
+        if not (hasattr(obj, last) or inspect.isclass(obj) and last in _fields(obj)):
             missing.append(key)
     assert missing == []
 

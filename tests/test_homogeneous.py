@@ -209,7 +209,6 @@ class TestLimitQ:
         h = np.array([[0.75, 0.25], [0.25, 0.75]])
         report = limit_q(SWAP, m, h)
         assert report.case == "periodic_cesaro"
-        assert report.periodic
         # Cesaro average of the swap alternation is the uniform mix
         expected = np.full((2, 2), 0.5) @ m @ np.array([[0.5, 0.5], [0.5, 0.5]])
         assert np.allclose(report.limit, expected, atol=1e-12)

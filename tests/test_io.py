@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from beliefdyn import datasets
 from beliefdyn.cli import _load, _writer
 from beliefdyn.matrixio import (ParseError, load_family, read_matrix,
                                 read_weights, write_matrix)
+from beliefdyn.stochastic import max_abs_diff
 from util import loop_read_matrix, loop_write_matrix, random_stochastic
 
 
@@ -136,6 +138,36 @@ def test_bundled_fixture_parses():
     assert m.shape == (5, 5)
     fam = load_family(root / "scrambling_pair")
     assert len(fam) == 2
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+# each fixtures/ matrix and the bundled dataset it restates
+BUNDLED = {
+    "two_camp/p.csv": lambda: datasets.two_camp_society()[0],
+    "two_camp/m.csv": lambda: datasets.two_camp_society()[1],
+    "two_camp/h.csv": lambda: datasets.two_camp_society()[2],
+    "five_person/m.csv": datasets.five_person_beliefs,
+    "triangle/m.csv": datasets.five_person_triangle,
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_fixture_agrees_with_bundled_dataset(name):
+    # the two copies, each ingested as its users ingest it, differ by at
+    # most 1.12e-13 (triangle/m.csv)
+    fixture, data = _load(FIXTURES / name), BUNDLED[name]()
+    assert fixture.shape == data.shape
+    assert max_abs_diff(fixture, data) <= 2e-13
+
+
+def test_fixture_family_agrees_with_bundled_dataset():
+    fixture, data = load_family(FIXTURES / "single_leaf"), datasets.single_leaf_family()
+    assert len(fixture) == len(data)
+    for a, b in zip(fixture.members, data.members):
+        assert a.shape == b.shape and max_abs_diff(a, b) <= 2e-13
+    assert np.max(np.abs(fixture.weights - data.weights)) <= 2e-13
 
 
 def test_ragged_row_after_equal_token_total(tmp_path):

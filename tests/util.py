@@ -205,7 +205,7 @@ def loop_sample_trajectory(sp, sh, m, seed, steps, tol=1e-9):
         if stabilized is None and tol > 0 and max_abs_diff(nxt, q) < tol:
             stabilized = t
         q = nxt
-    return SampledRun(int(seed), steps, tuple(word_p), tuple(word_h), q, stabilized)
+    return SampledRun(int(seed), tuple(word_p), tuple(word_h), q, stabilized)
 
 
 def pair_loop_ergodic_coefficient(p):
@@ -239,19 +239,80 @@ def brute_force_indecomposable(p, tol=1e-9):
     return len(minimal_closed_subsets(p, tol)) <= 1
 
 
+def class_edges(adj, classes):
+    """Edges (ci, cj), ci != cj, between the classes that contain the two
+    ends of some edge of the pattern ``adj``."""
+    class_of = {s: ci for ci, comp in enumerate(classes) for s in comp}
+    edges = {(class_of[i], class_of[j]) for i, j in zip(*np.nonzero(adj))}
+    return {(ci, cj) for ci, cj in edges if ci != cj}
+
+
+def loop_strongly_connected_components(adj):
+    """Tarjan's algorithm with a (state, successor position) resume index
+    per stack frame.  Returns components as sorted tuples, in the order
+    they complete."""
+    n = adj.shape[0]
+    succ = [np.flatnonzero(adj[i]).tolist() for i in range(n)]
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = [0]
+
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter[0]
+                counter[0] += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(succ[v]):
+                w = succ[v][pi]
+                pi += 1
+                if index[w] is None:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(tuple(sorted(comp)))
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return comps
+
+
 def bfs_one_leaf_connected(family):
     """The paper's union-graph criterion, necessary for almost-sure consensus
     of sampled products but not sufficient (a swap meets it): the OR of the
     members' positivity patterns has one leaf class, and a breadth-first
-    search over the condensation's edges, taken both ways, reaches every
-    class."""
+    search over the edges between its classes, taken both ways, reaches
+    every class."""
     union = np.logical_or.reduce([np.asarray(m) > 0 for m in family.members])
-    cond = analyze_pattern(union).condensation
-    if len(cond.leaf_classes) != 1:
+    result = analyze_pattern(union)
+    if len(result.leaf_classes) != 1:
         return False
-    k = len(cond.classes)
+    k = len(result.classes)
     neighbours = {ci: set() for ci in range(k)}
-    for ci, cj in cond.dag_edges:
+    for ci, cj in class_edges(union, result.classes):
         neighbours[ci].add(cj)
         neighbours[cj].add(ci)
     seen = {0}
