@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beliefdyn import datasets
+from beliefdyn import datasets, matrixio
 from beliefdyn.cli import _load, _writer
+from beliefdyn.homogeneous import evolve, limit_q
 from beliefdyn.matrixio import (ParseError, load_family, read_matrix,
                                 read_weights, write_matrix)
 from beliefdyn.stochastic import max_abs_diff
@@ -221,6 +222,69 @@ def test_csv_io_matches_element_oracle(m):
         read = read_matrix(fast)
         assert np.array_equal(read, np.array(expected), equal_nan=True)
         assert write_matrix(again, read) == data
+
+
+def _assert_writes_like_loop(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, loop = Path(tmp) / "a", Path(tmp) / "b"
+        data = write_matrix(fast, m)
+        loop_write_matrix(loop, m)
+        assert fast.read_bytes() == data == loop.read_bytes()
+
+
+# doubles at and next to the decades where the number of zeros after the
+# point changes, and values whose 12 digits round up to the next decade
+DECADES = [x for d in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+           for x in (np.nextafter(d, 0.0), d, np.nextafter(d, 2.0))]
+ROUND_UP = [0.0999999999999995, 0.9999999999995] + [
+    d * (1 - 3e-13) for d in (1e-3, 1e-2, 1e-1, 1.0)]
+
+LARGE_ELEMENTS = st.one_of(
+    st.sampled_from(DECADES + ROUND_UP + SPECIAL_VALUES),
+    # half-way between two 12-digit decimals
+    st.builds(lambda d, k: (10 * d + 5) / 10 ** (13 + k),
+              st.integers(10 ** 11, 10 ** 12 - 1), st.integers(0, 3)),
+    # short decimals, whose 12 digits end in zeros
+    st.integers(1, 9999).map(lambda i: i / 10000),
+    st.floats(0, 1e-4),
+    # every decade alike, where st.floats(0, 1) mostly draws above 1e-2
+    st.floats(-4.5, 0).map(lambda e: 10.0 ** e),
+    st.floats(0, 1))
+
+
+@st.composite
+def large_matrices(draw):
+    """16-48 x 32-48 matrices: at least 512 values, so past the floor below
+    which ``write_matrix`` never tries integer digits.
+
+    Drawing each of up to 2,304 elements costs hypothesis about 0.1 ms, so
+    the values come from a drawn pool of at most 40, placed by a drawn
+    seed.  Half the draws repeat one row, so every row has the same pieces.
+    """
+    rows, cols = draw(st.integers(16, 48)), draw(st.integers(32, 48))
+    pool = np.array(draw(st.lists(LARGE_ELEMENTS, min_size=1, max_size=40)))
+    pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
+        len(pool), size=(1 if draw(st.booleans()) else rows, cols))
+    return np.broadcast_to(pool[pick], (rows, cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=large_matrices())
+def test_digit_path_matches_element_oracle(m):
+    assert m.size >= matrixio._DIGITS_FLOOR
+    _assert_writes_like_loop(m)
+
+
+def test_write_matches_element_oracle_on_evolve_snapshots():
+    rng = np.random.default_rng(23)
+    p = random_stochastic(rng, 400, zeros=0.95)
+    m = random_stochastic(rng, 400, 12)
+    h = random_stochastic(rng, 12, zeros=0.5)
+    trace = evolve(p, m, h, 60)
+    snapshots = trace.beliefs + [limit_q(p, m, h).limit]
+    for q in snapshots + [random_stochastic(rng, 400), snapshots[0].T]:
+        assert q.size >= matrixio._DIGITS_FLOOR
+        _assert_writes_like_loop(q)
 
 
 def _read(reader, path):
