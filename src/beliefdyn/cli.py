@@ -171,7 +171,6 @@ def _mode_analyze(v, write, say):
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
     write("analysis.jsonl", text=text)
     say(text.rstrip("\n"))
-    return {}
 
 
 def _mode_evolve(v, write, say):
@@ -181,14 +180,12 @@ def _mode_evolve(v, write, say):
     if v["trace"]:
         for k, snap in enumerate(trace.beliefs):
             write(f"trace/q_{k:04d}.csv", matrix=snap)
-    info = {"stabilized_at": trace.stabilized_at}
     if v["limit"]:
         report = limit_q(p, m, h)
         write("q_limit.csv", matrix=report.limit)
         say(f"limit case: {report.case} homogeneous: {report.homogeneous}")
-        info["case"] = report.case
     say(f"evolved {v['steps']} steps, stabilized_at={trace.stabilized_at}")
-    return info
+    return trace.stabilized_at
 
 
 def _mode_sample(v, write, say):
@@ -212,7 +209,7 @@ def _mode_sample(v, write, say):
     }
     write("summary.json", text=json.dumps(summary, sort_keys=True, indent=2) + "\n")
     say(json.dumps(summary, sort_keys=True))
-    return {"stabilized_at": stabilized}
+    return stabilized
 
 
 def _mode_homophily(v, write, say):
@@ -243,7 +240,7 @@ def _mode_homophily(v, write, say):
     write("groups.txt", text=report + "\n")
     say(report)
     say(f"stabilized_at={trace.stabilized_at}")
-    return {"stabilized_at": trace.stabilized_at}
+    return trace.stabilized_at
 
 
 def _mode_clusters(v, write, say):
@@ -256,7 +253,6 @@ def _mode_clusters(v, write, say):
     say(f"internal_condition_holds={partition.internal_condition_holds}")
     say(f"frank_wolfe_iterations={partition.iterations} "
         f"max_duality_gap={partition.max_gap:.3e}")
-    return {}
 
 
 def _mode_certify(v, write, say):
@@ -267,7 +263,6 @@ def _mode_certify(v, write, say):
     text = _certificate_text(cert)
     write("certificate.txt", text=text)
     say(text.rstrip("\n"))
-    return {}
 
 
 def _count(text):
@@ -310,7 +305,8 @@ _READERS = (_load, load_family)     # types that read a file at their path
 # the inputs each certify kind needs; the certify table leaves them optional
 _CERTIFY_INPUTS = {"homogeneous": ("p", "h"), "inhomogeneous": ("family_dir",)}
 
-# Each mode's runner, subcommand help and parameters.  A parameter is
+# Each mode's runner, subcommand help and parameters.  A runner returns the
+# run's stabilization step, or None where nothing stabilizes.  A parameter is
 # (key, type, default): its flag is --key with dashes for underscores, and
 # ``type`` reads its recorded text (a bool is a switch, a tuple lists the
 # choices, a reader loads the file at that path, resolved against a config
@@ -356,9 +352,12 @@ def _text(value):
 
 
 def _read(key, typ, text):
-    """``typ(text)``, re-raising a ValueError with the key and text named."""
+    """``typ(text)``, re-raising a ValueError with the key and text named;
+    a ParseError names its file already."""
     try:
         return typ(text)
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ValueError(f"{key} {text!r}: {exc}") from None
 
@@ -401,7 +400,7 @@ def _values(config):
             raise ValueError(f"certify kind {values['kind']} needs {key}")
     for key, typ, _ in params:
         if typ in _READERS and values[key] is not None:
-            values[key] = typ(values[key])
+            values[key] = _read(key, typ, values[key])
     return values
 
 
@@ -420,7 +419,7 @@ def run(config):
         if not config.quiet:
             print(message)
 
-    info = _MODES[config.mode][0](values, write, say)
+    stabilized_at = _MODES[config.mode][0](values, write, say)
 
     manifest = {
         "tool": f"beliefdyn {__version__}",
@@ -428,7 +427,7 @@ def run(config):
         "seed": config.seed,
         "config": config.record(),
         "config_hash": config.config_hash(),
-        "stabilized_at": info.get("stabilized_at"),
+        "stabilized_at": stabilized_at,
         "outputs": written,
     }
     manifest_path = path("manifest.json")

@@ -299,27 +299,24 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
     )
 
 
-def _scrambling_block(gens, cap):
-    """Smallest length at which every word over the patterns ``gens`` scrambles.
+def _scrambling_block(gens, limit):
+    """Smallest length up to ``limit`` at which every word over the patterns
+    ``gens`` scrambles, or None when there is none.
 
     Each length keeps only its distinct non-scrambling patterns (module
-    docstring).  Raises NotConvergentFamilyError when no word scrambles at
-    all, past ``cap``, the bound nu_star, or as soon as a non-scrambling
-    word is longer than the number of distinct non-scrambling patterns met
-    so far: two of its prefixes then share a pattern, so the part between
-    them can be repeated into non-scrambling words of every length.
+    docstring).  The walk gives up at ``limit``, or as soon as a
+    non-scrambling word is longer than the number of distinct
+    non-scrambling patterns met so far: two of its prefixes then share a
+    pattern, so the part between them can be repeated into non-scrambling
+    words of every length.
     """
-    failure = NotConvergentFamilyError(
-        f"no block length up to nu* = {cap} makes every word scrambling")
-    if _merge_pointers(gens) is None:
-        raise failure
     level = {g.tobytes(): g for g in gens if not _pattern_scrambling(g)}
     seen = set(level)
-    for length in range(1, cap + 1):
+    for length in range(1, limit + 1):
         if not level:
             return length
-        if length > len(seen):
-            break
+        if length == limit or length > len(seen):
+            return None
         nxt = {}
         for pat in level.values():
             for g in gens:
@@ -331,7 +328,7 @@ def _scrambling_block(gens, cap):
                             f"pattern semigroup exceeded cap ({len(nxt)} patterns)")
         level = nxt
         seen.update(level)
-    raise failure
+    return None
 
 
 def inhomogeneous_rate_certificate(family, nu=None):
@@ -341,25 +338,35 @@ def inhomogeneous_rate_certificate(family, nu=None):
     that length over the family has a scrambling pattern; it never needs to
     exceed nu_star(N) = (3^N - 2^(N+1) + 1)/2.  gamma is then minimized
     over the real-valued products of all words of length nu.  A given nu
-    below 1 raises ValueError.
+    below 1 raises ValueError; a given nu is checked on patterns first, so
+    a length-nu word that does not scramble is refused before any real
+    product is formed.
     """
     family = _as_family(family).require_square()
-    n_states = family.shape[0]
-    cap = nu_star(n_states)
+    cap = nu_star(family.shape[0])
     gens = [m > 0 for m in family.members]
-    failure = NotConvergentFamilyError("a length-nu word is not scrambling")
-
-    if nu is None:
-        nu = _scrambling_block(gens, cap)
-    elif nu < 1:
+    given = nu is not None
+    if given and nu < 1:
         raise ValueError(f"nu must be at least 1, got {nu}")
-    elif _merge_pointers(gens) is None:     # no word of any length scrambles
+    failure = NotConvergentFamilyError(
+        "a length-nu word is not scrambling" if given else
+        f"no block length up to nu* = {cap} makes every word scrambling")
+    if _merge_pointers(gens) is None:       # no word of any length scrambles
         raise failure
+    if not given:
+        nu = _scrambling_block(gens, cap)
+        if nu is None:
+            raise failure
     words = len(family) ** min(nu, 64)      # >= 2 ** 64 past nu = 64, bar one member
     if words > _MAX_WORDS:
         count = words if words < 2 ** 64 else f"{len(family)}^{nu}"
         raise BudgetExceededError(f"{count} words of length {nu} exceed "
                                   f"the cap of {_MAX_WORDS} words")
+    try:        # past the pattern cap, the real products below decide
+        if given and _scrambling_block(gens, nu) is None:
+            raise failure
+    except BudgetExceededError:
+        pass
     gamma = 1.0
     witness = None
     for word in iter_product(range(len(family)), repeat=nu):

@@ -19,13 +19,10 @@ rewriting a parsed file is byte-stable; ``nan``, ``inf`` and ``-0`` as
 Python prints them), each line ending in a newline; a matrix with no rows
 is its header line alone.  One ``%`` fills a whole-matrix template, and
 the bytes written are returned, so callers hash them without reading the
-file back.  From 512 values up, where at least 80% of them lie in
-``[1e-4, 1)``, numpy computes the template's digits: each such value whose
-12 digits it gets exactly becomes an integer in a ``0.<zeros>%d`` piece,
-which CPython prints about 3x faster than ``%.12g``, and every other value
-keeps a ``%.12g`` piece.  Other matrices use ``%.12g`` throughout: numpy's
-fixed cost, or the mixed template and its arguments, would cost more than
-the integers save.  The bytes are the same either way.
+file back.  numpy computes the template's digits: each value in
+``[1e-4, 1)`` whose 12 digits it gets exactly becomes an integer in a
+``0.<zeros>%d`` piece, which CPython prints about 3x faster than
+``%.12g``; every other value keeps a ``%.12g`` piece.
 
 A family directory holds one ``.csv`` per member (ordered by file name)
 and an optional ``weights.txt`` of ``index weight`` lines, 0-based against
@@ -41,12 +38,6 @@ from .stochastic import MatrixFamily, ingest_rounded
 
 _HEADER = re.compile(r"#\s*rows=(\d+)\s+cols=(\d+)\s*$")
 _VALUE = "%.12g"
-# Below this many values numpy's fixed cost (about 50 us) outweighs what
-# _digits_text saves over formatting every value with _VALUE.
-_DIGITS_FLOOR = 512
-# Nor below this share of values in [1e-4, 1): the others cost more in a
-# mixed template and its arguments than the integers save.
-_DIGITS_SHARE = 0.8
 _SCALES = np.array([1e12, 1e13, 1e14, 1e15])
 # _digits_text's pieces by code: k = 0..3 zeros after the point, or any other
 # value; the codes are floats, like the rest of its arrays
@@ -71,19 +62,11 @@ def write_matrix(path, m):
     if m.ndim != 2:
         raise ValueError(f"write_matrix needs a 2-D matrix, got shape {m.shape}")
     text = "# rows=%d cols=%d\n" % m.shape
-    if m.size >= _DIGITS_FLOOR:
+    if len(m):
         text += _digits_text(m)
-    elif len(m):
-        text += _value_text(m)
     data = text.encode()
     Path(path).write_bytes(data)
     return data
-
-
-def _value_text(m):
-    rows, cols = m.shape
-    template = "\n".join([",".join([_VALUE] * cols)] * rows) + "\n"
-    return template % tuple(m.ravel().tolist())
 
 
 def _digits_text(m):
@@ -99,16 +82,13 @@ def _digits_text(m):
     half-integer, ``rint(y)`` is the correctly rounded digit string, and
     below 1e12 it has 12 digits.  Every other value (zeros, nan, inf,
     values of 1 or more or below 1e-4, ties and values that round up to the
-    next decade) keeps a ``%.12g`` piece.  Where too few values lie in
-    ``[1e-4, 1)``, this is ``_value_text(m)``.
+    next decade) keeps a ``%.12g`` piece.
 
     The arithmetic stays in float64: bool or integer arithmetic here would
     page in numpy loops that nothing else in an ``evolve`` run uses, about
     64 KB of peak RSS each.
     """
     inside = (m >= 1e-4) & (m < 1.0)
-    if np.count_nonzero(inside) < _DIGITS_SHARE * m.size:
-        return _value_text(m)
     k = np.where(m < 1e-1, 1.0, 0.0)
     k[m < 1e-2] = 2.0
     k[m < 1e-3] = 3.0

@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from beliefdyn import cli
 from beliefdyn.cli import MODES, RunConfig, main, parse_config, run
 from beliefdyn.homophily import HomophilyConfig, run_homophily
 from beliefdyn.matrixio import ParseError, read_matrix, write_matrix
@@ -785,3 +790,161 @@ def test_command_line_errors_pinned(monkeypatch, capsys, argv, message):
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err == f"{TOP_USAGE}beliefdyn: error: {message}\n"
+
+
+# The CLI boundary: whatever text a config gives a mode's keys, a run either
+# finishes with every listed output written or fails with one error line.
+# Each key's texts are drawn by its type in the mode table.  A file key draws
+# the name of an input case; "good" is the fixture that fits the mode.
+# Counts stop at 1000: a count past realistic scale, such as steps=2**64, is
+# accepted and would not finish, so it stays out of the drawn range.
+
+BOUNDARY_CSVS = {
+    "malformed": "0.5,abc\n0.5,0.5\n",
+    "ragged": "1,0\n1\n",
+    "negative": "2,-1\n0,1\n",
+    "row_sum": "0.5,0.7\n0.2,0.2\n",
+    "mis_shaped": "".join("0.1,0.2,0.3,0.4\n" for _ in range(5)),
+}
+BOUNDARY_GOOD = {
+    "p": TWO_CAMP / "p.csv", "h": TWO_CAMP / "h.csv",
+    "sp_dir": FIXTURES / "single_leaf", "sh_dir": FIXTURES / "identity3",
+    "family_dir": FIXTURES / "scrambling_pair",
+}
+# m's fixture has the shape the mode's other inputs need
+BOUNDARY_GOOD_M = {
+    "evolve": TWO_CAMP / "m.csv", "certify": TWO_CAMP / "m.csv",
+    "sample": FIXTURES / "identity3" / "member0.csv",
+    "homophily": FIXTURES / "triangle" / "m.csv",
+    "clusters": FIXTURES / "five_person" / "m.csv",
+}
+# good texts of the keys that have no default
+BOUNDARY_VALUES = {"eps_p": "0.3", "eps_h": "0.25", "epsilon": "0.3"}
+
+
+@pytest.fixture(scope="module")
+def boundary_inputs(tmp_path_factory):
+    """Each bad input case's path, for CSV keys and for family keys."""
+    root = tmp_path_factory.mktemp("boundary")
+    csvs = {"missing": root / "missing.csv", "directory": root}
+    families = {"missing": root / "missing", "file": TWO_CAMP / "p.csv",
+                "empty": root / "empty"}
+    families["empty"].mkdir()
+    for name, text in BOUNDARY_CSVS.items():
+        csvs[name] = root / f"{name}.csv"
+        csvs[name].write_text(text)
+        families[name] = root / f"{name}_family"
+        families[name].mkdir()
+        (families[name] / "member1.csv").write_text(text)
+    # a whole family of the wrong size, rather than members that differ
+    write_matrix(families["mis_shaped"] / "member1.csv", np.full((4, 4), 0.25))
+    return {cli._load: csvs, cli.load_family: families}
+
+
+NUMBER_TEXTS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "-1", "0", "1e-300", "text", ""]),
+    st.floats(-1, 2).map(repr))
+COUNT_TEXTS = st.one_of(st.integers(0, 1000).map(str),
+                        st.sampled_from(["-1", "1.5", "text", ""]))
+BOUNDARY_TEXTS = {
+    float: NUMBER_TEXTS,
+    int: COUNT_TEXTS,
+    cli._count: COUNT_TEXTS,
+    cli._seed_list: st.one_of(COUNT_TEXTS, st.sampled_from(
+        [str(2 ** 64), "0,1", "1,,2"])),
+    bool: st.sampled_from(["true", "false", "TRUE", "False", "yes", "1", ""]),
+    cli._nu: st.one_of(st.integers(1, 8).map(str),
+                       st.sampled_from(["auto", "AUTO", "0", "-1", "100000", "text", ""])),
+    cli._trace_dir: st.sampled_from(["", "true", "false", "TRUE", "steps", "a/b",
+                                     "../up", "/outside"]),
+    cli._load: st.sampled_from(["good", *BOUNDARY_CSVS, "missing", "directory"]),
+    cli.load_family: st.sampled_from(["good", *BOUNDARY_CSVS, "missing", "file",
+                                      "empty"]),
+}
+
+
+@st.composite
+def boundary_configs(draw):
+    """A mode and its keys' texts: at most two keys drawn, the others good."""
+    mode = draw(st.sampled_from(MODES))
+    params = cli._MODES[mode][2]
+    drawn = draw(st.sets(st.sampled_from([key for key, _, _ in params]), max_size=2))
+    texts = {}
+    for key, typ, _ in params:
+        if key in drawn:
+            if isinstance(typ, tuple):
+                strategy = st.sampled_from([*typ, "bogus", ""])
+            else:
+                strategy = BOUNDARY_TEXTS[typ]
+            text = draw(st.none() | strategy)
+        elif typ in (cli._load, cli.load_family):
+            text = "good"
+        else:
+            text = BOUNDARY_VALUES.get(key)
+        if text is not None:
+            texts[key] = text
+    return mode, texts
+
+
+def _boundary_config(mode, texts, inputs, root):
+    """The run.cfg text of ``mode`` with ``texts``, file cases made paths."""
+    lines = [f"mode={mode}"]
+    for key, typ, _ in cli._MODES[mode][2]:
+        if key not in texts:
+            continue
+        text = texts[key]
+        if typ in inputs:
+            if text == "good":
+                text = BOUNDARY_GOOD_M[mode] if key == "m" else BOUNDARY_GOOD[key]
+            else:
+                text = inputs[typ][text]
+        elif text == "/outside":
+            text = root / "outside"
+        lines.append(f"{key}={text}")
+    return "".join(line + "\n" for line in lines)
+
+
+BOUNDARY_CAP_S = 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=boundary_configs())
+@example(config=("evolve", {"p": "good", "m": "good", "h": "good", "steps": "-1"}))
+@example(config=("sample", {"sp_dir": "good", "sh_dir": "good", "m": "good",
+                            "horizon": "-2"}))
+@example(config=("sample", {"sp_dir": "good", "sh_dir": "good", "m": "good",
+                            "seeds": "-3"}))
+@example(config=("sample", {"sp_dir": "good", "sh_dir": "good", "m": "good",
+                            "seeds": ""}))
+# the library rejects these shapes with a message that names no key or file
+@example(config=("analyze", {"p": "mis_shaped"}))
+@example(config=("evolve", {"p": "good", "m": "mis_shaped", "h": "good"}))
+def test_cli_boundary_runs_or_fails_with_one_line(boundary_inputs, config):
+    mode, texts = config
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg, out = root / "run.cfg", root / "out"
+        cfg.write_text(_boundary_config(mode, texts, boundary_inputs, root))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = main(["run", str(cfg), "--out", str(out), "--quiet"])
+        assert time.perf_counter() - start < BOUNDARY_CAP_S
+        assert stdout.getvalue() == ""
+        if status == 0:
+            outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+            assert all((out / name).is_file() for name in outputs)
+            return
+        assert status == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not out.exists() and not (root / "outside").exists()
+        try:
+            cli._values(parse_config(cfg))
+        except (ValueError, OSError) as exc:
+            # an error of the config or of an input file names a key or file
+            message = str(exc)
+            keys = [key for key, _, _ in cli._MODES[mode][2]]
+            paths = [line.partition("=")[2] for line in cfg.read_text().splitlines()]
+            assert (any(key in message.replace(":", " ").split() for key in keys)
+                    or any(path.startswith("/") and path in message for path in paths)), message

@@ -393,6 +393,34 @@ class TestInhomogeneousCertificate:
             assert f"{count} words of length {nu}" in message
             assert "pattern" not in message
 
+    def test_given_nu_refused_before_any_product(self, monkeypatch):
+        # 2 ** 17 words pass the word cap, but the identity repeated never
+        # scrambles, which the patterns alone decide
+        def no_product(p):
+            raise AssertionError("a real product was formed")
+
+        monkeypatch.setattr(ergodic, "ergodic_coefficient", no_product)
+        fam = MatrixFamily([np.eye(3), np.full((3, 3), 1 / 3)])
+        with pytest.raises(NotConvergentFamilyError) as raised:
+            inhomogeneous_rate_certificate(fam, nu=17)
+        assert str(raised.value) == "a length-nu word is not scrambling"
+
+    def test_given_nu_past_the_pattern_cap_is_decided_by_products(self, monkeypatch):
+        # a heap family of depth 3: its length-3 words all scramble, its
+        # shorter ones do not, so the pattern walk has levels to build
+        members = []
+        for parent in ([0, 0, 0, 1, 1, 2, 2], [0, 0, 0, 1, 2, 1, 2]):
+            a = 0.5 * np.eye(7)
+            a[np.arange(7), parent] += 0.5
+            members.append(a)
+        fam = MatrixFamily(members)
+        expected = inhomogeneous_rate_certificate(fam, nu=3)
+        monkeypatch.setattr(ergodic, "_MAX_PATTERNS", 0)
+        cert = inhomogeneous_rate_certificate(fam, nu=3)
+        assert expected.block == 3
+        assert (cert.block, cert.base, cert.witness) == (
+            expected.block, expected.base, expected.witness)
+
     @pytest.mark.parametrize("nu", [0, -1])
     def test_block_length_below_one_rejected(self, concept_structures, nu):
         with pytest.raises(ValueError, match="nu must be at least 1"):
@@ -409,3 +437,32 @@ class TestInhomogeneousCertificate:
             for idx in word[1:]:
                 prod = fam.members[idx] @ prod
             assert delta_coefficient(prod) <= cert.predicted_bound(len(word)) + 1e-12
+
+
+def _enumerated_certificate(family, nu):
+    """(block, base, witness) of the given-``nu`` certificate, from the real
+    product of every length-``nu`` word, or the refusal's type and text."""
+    gamma, witness = 1.0, None
+    for word, prod in enumerate_word_products(family.members, nu):
+        if len(word) < nu:
+            continue
+        g = ergodic_coefficient(prod)
+        if g < gamma:
+            gamma, witness = g, word
+    if gamma <= 0.0:
+        return NotConvergentFamilyError, "a length-nu word is not scrambling"
+    return nu, 1.0 - gamma, witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 5), k=st.integers(2, 3), zeros=st.floats(0.0, 0.9),
+       nu=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_given_nu_matches_word_enumeration(n, k, zeros, nu, seed):
+    rng = np.random.default_rng(seed)
+    fam = MatrixFamily([random_stochastic(rng, n, zeros=zeros) for _ in range(k)])
+    try:
+        cert = inhomogeneous_rate_certificate(fam, nu=nu)
+        got = cert.block, cert.base, cert.witness
+    except NotConvergentFamilyError as exc:
+        got = type(exc), str(exc)
+    assert got == _enumerated_certificate(fam, nu)

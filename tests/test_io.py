@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beliefdyn import datasets, matrixio
+from beliefdyn import datasets
 from beliefdyn.cli import _load, _writer
 from beliefdyn.homogeneous import evolve, limit_q
 from beliefdyn.matrixio import (ParseError, load_family, read_matrix,
@@ -254,8 +254,7 @@ LARGE_ELEMENTS = st.one_of(
 
 @st.composite
 def large_matrices(draw):
-    """16-48 x 32-48 matrices: at least 512 values, so past the floor below
-    which ``write_matrix`` never tries integer digits.
+    """16-48 x 32-48 matrices of values at the edges of the digit path.
 
     Drawing each of up to 2,304 elements costs hypothesis about 0.1 ms, so
     the values come from a drawn pool of at most 40, placed by a drawn
@@ -271,7 +270,6 @@ def large_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(m=large_matrices())
 def test_digit_path_matches_element_oracle(m):
-    assert m.size >= matrixio._DIGITS_FLOOR
     _assert_writes_like_loop(m)
 
 
@@ -283,8 +281,19 @@ def test_write_matches_element_oracle_on_evolve_snapshots():
     trace = evolve(p, m, h, 60)
     snapshots = trace.beliefs + [limit_q(p, m, h).limit]
     for q in snapshots + [random_stochastic(rng, 400), snapshots[0].T]:
-        assert q.size >= matrixio._DIGITS_FLOOR
         _assert_writes_like_loop(q)
+
+
+def test_write_matches_element_oracle_on_sample_shapes():
+    """The small matrices a ``sample`` run writes: 32x6 final beliefs, at
+    consensus and not, a 6x6 and a 97%-zero 32x32 expectation, matrices
+    with no rows or no columns, and each decade double alone."""
+    rng = np.random.default_rng(24)
+    consensus = np.broadcast_to(random_stochastic(rng, 1, 6), (32, 6))
+    shapes = [consensus, random_stochastic(rng, 32, 6), random_stochastic(rng, 6),
+              random_stochastic(rng, 32, zeros=0.97), np.zeros((0, 5)), np.zeros((5, 0))]
+    for m in shapes + [np.array([[x]]) for x in DECADES + ROUND_UP]:
+        _assert_writes_like_loop(m)
 
 
 def _read(reader, path):
