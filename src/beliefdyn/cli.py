@@ -40,7 +40,8 @@ from .homophily import HomophilyConfig, StepLimitReached, run_homophily
 from .matrixio import (format_value, load_family, read_matrix, write_matrix,
                        ParseError)
 from .sampling import diagnose_convergence, expectation_matrix, sample_trajectories
-from .stochastic import col_normalize, delta_coefficient, ingest_rounded
+from .stochastic import (DimensionMismatchError, NotSquareError, col_normalize,
+                         delta_coefficient, ingest_rounded)
 from .ternary import render_ternary
 
 
@@ -409,7 +410,8 @@ def run(config):
 
     Fails fast: the parameters are read and all referenced input files are
     parsed before any output is produced, and the mode runs on those
-    parsed inputs.
+    parsed inputs.  A shape the inputs do not fit together raises a
+    ValueError that names the input keys the run read.
     """
     values = _values(config)
     out = config.out if config.out is not None else Path.cwd() / "beliefdyn-out"
@@ -419,7 +421,12 @@ def run(config):
         if not config.quiet:
             print(message)
 
-    stabilized_at = _MODES[config.mode][0](values, write, say)
+    runner, _, params = _MODES[config.mode]
+    try:
+        stabilized_at = runner(values, write, say)
+    except (DimensionMismatchError, NotSquareError) as exc:
+        inputs = [key for key, typ, _ in params if typ in _READERS and values[key] is not None]
+        raise ValueError(f"{', '.join(inputs)}: {exc}") from None
 
     manifest = {
         "tool": f"beliefdyn {__version__}",

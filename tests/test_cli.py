@@ -916,9 +916,10 @@ BOUNDARY_CAP_S = 10
                             "seeds": "-3"}))
 @example(config=("sample", {"sp_dir": "good", "sh_dir": "good", "m": "good",
                             "seeds": ""}))
-# the library rejects these shapes with a message that names no key or file
+# the mode, not _values, rejects these shapes: the run names the keys it read
 @example(config=("analyze", {"p": "mis_shaped"}))
 @example(config=("evolve", {"p": "good", "m": "mis_shaped", "h": "good"}))
+@example(config=("sample", {"sp_dir": "good", "sh_dir": "good", "m": "mis_shaped"}))
 def test_cli_boundary_runs_or_fails_with_one_line(boundary_inputs, config):
     mode, texts = config
     with tempfile.TemporaryDirectory() as tmp:
@@ -939,12 +940,11 @@ def test_cli_boundary_runs_or_fails_with_one_line(boundary_inputs, config):
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not out.exists() and not (root / "outside").exists()
-        try:
-            cli._values(parse_config(cfg))
-        except (ValueError, OSError) as exc:
-            # an error of the config or of an input file names a key or file
-            message = str(exc)
-            keys = [key for key, _, _ in cli._MODES[mode][2]]
-            paths = [line.partition("=")[2] for line in cfg.read_text().splitlines()]
-            assert (any(key in message.replace(":", " ").split() for key in keys)
-                    or any(path.startswith("/") and path in message for path in paths)), message
+        # an error of the config, of an input file or of the mode on the
+        # parsed inputs names a key or file
+        message = lines[0][len("error: "):]
+        keys = [key for key, _, _ in cli._MODES[mode][2]]
+        paths = [line.partition("=")[2] for line in cfg.read_text().splitlines()]
+        assert (any(key in message.replace(":", " ").replace(",", " ").split()
+                    for key in keys)
+                or any(path.startswith("/") and path in message for path in paths)), message

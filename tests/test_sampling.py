@@ -138,8 +138,8 @@ def _random_family(rng, n, members, zeros):
                         weights=0.1 + rng.random(members))
 
 
-# 32 x 32 network members fill a 16-lane gather, 45 x 45 concept members an
-# 8-lane one
+# 32 x 32 network members fill a 128-lane gather, 45 x 45 concept members a
+# 64-lane one
 PEOPLE, CONCEPTS = 32, 45
 CHUNK = sampling._GATHER_BYTES // (8 * PEOPLE * PEOPLE)
 
@@ -173,7 +173,7 @@ class TestSampleTrajectories:
     @pytest.mark.parametrize("horizon", [0, 1, sampling._BLOCK, sampling._BLOCK + 1])
     @pytest.mark.parametrize("lanes", [1, CHUNK, CHUNK + 1])
     def test_chunk_and_block_boundaries_match_loop(self, lanes, horizon, members):
-        assert CHUNK == 16
+        assert CHUNK == 128
         rng = np.random.default_rng(1000 * lanes + 10 * horizon + members)
         # the last member of each family is rarely drawn, and the concept
         # identity lets lanes stabilize once their beliefs reach consensus
@@ -213,6 +213,41 @@ class TestSampleTrajectories:
         assert run.word_p == () and run.stabilized_at is None
         assert np.array_equal(run.final_q, m)
         self.assert_matches_loop(sp, sh, m, [2 ** 64 + 5, 5, -1, 5], 30)
+
+    def test_unmoving_first_entry_leaves_the_full_test_to_decide(self):
+        # person 0 is absorbing and the concept family is the identity, so
+        # entry (0, 0) never moves and passes the one-entry gate on every
+        # step: a lane stabilizes exactly at its first network-identity draw
+        rng = np.random.default_rng(11)
+        moving = random_stochastic(rng, PEOPLE, zeros=0.5)
+        moving[0] = np.eye(PEOPLE)[0]
+        sp = MatrixFamily([np.eye(PEOPLE), moving], weights=[0.15, 0.85])
+        sh = MatrixFamily([np.eye(3)])
+        m = random_stochastic(rng, PEOPLE, 3)
+        runs = self.assert_matches_loop(sp, sh, m, list(range(CHUNK + 1)), 12)
+        for run in runs:
+            first = run.word_p.index(0) + 1 if 0 in run.word_p else None
+            assert run.stabilized_at == first
+        marks = {run.stabilized_at for run in runs}
+        assert None in marks and len(marks) > 2
+
+    def test_first_entry_moving_by_exactly_tol_does_not_stabilize(self):
+        # each person's row alternates between (a, (1-a)/2, (1-a)/2) and
+        # (1-a, a/2, a/2) under h; person 0 (a = 1, absorbing) moves entry
+        # (0, 0) by exactly 1 every step, and every other entry moves by less
+        h = np.array([[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]])
+        rng = np.random.default_rng(12)
+        mixing = random_stochastic(rng, 6, zeros=0.3)
+        mixing[0] = np.eye(6)[0]
+        sp = MatrixFamily([np.eye(6), mixing])
+        a = np.concatenate([[1.0], rng.uniform(0.1, 0.9, size=5)])
+        m = np.column_stack([a, (1 - a) / 2, (1 - a) / 2])
+        seeds = list(range(40))
+        runs = self.assert_matches_loop(sp, MatrixFamily([h]), m, seeds, 20, tol=1.0)
+        assert all(run.stabilized_at is None for run in runs)
+        runs = self.assert_matches_loop(sp, MatrixFamily([h]), m, seeds, 20,
+                                        tol=np.nextafter(1.0, 2.0))
+        assert all(run.stabilized_at == 1 for run in runs)
 
     def test_step_difference_equal_to_tol_does_not_stabilize(self):
         rng = np.random.default_rng(3)
