@@ -253,7 +253,7 @@ def _mode_clusters(v, write, say):
     say(report)
     say(f"internal_condition_holds={partition.internal_condition_holds}")
     say(f"frank_wolfe_iterations={partition.iterations} "
-        f"max_duality_gap={partition.max_gap:.3e}")
+        f"max_duality_gap={partition.max_gap:.3e} screened={partition.screened}")
 
 
 def _mode_certify(v, write, say):
@@ -328,7 +328,7 @@ _MODES = {
         ("beta", float, 1.0), ("tol", float, 1e-9), ("max_steps", int, 100),
         ("trace_out", _trace_dir, None), ("plot", bool, False),
         ("freeze_network", bool, False), ("freeze_concepts", bool, False))),
-    "clusters": (_mode_clusters, "eps-KL cluster lower bound", (
+    "clusters": (_mode_clusters, "eps-KL clusters (group bound, concepts frozen)", (
         ("m", _load, _REQUIRED), ("epsilon", float, _REQUIRED),
         ("axis", ("rows", "cols"), "rows"), ("tol", float, 1e-6))),
     "certify": (_mode_certify, "convergence-rate certificates", (

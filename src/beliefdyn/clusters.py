@@ -1,9 +1,10 @@
-"""Cluster lower bounds on the probability simplex.
+"""Eps-KL clusters on the probability simplex.
 
 An eps-KL cluster of a point set is a group whose members stay within eps
 (in KL divergence) of the convex hull of the rest, while outsiders stay at
-least eps away.  Counting these clusters bounds from below how many
-distinct belief groups a homophily dynamic can end with.
+least eps away.  With the concept structure frozen, the cluster count
+bounds from below how many belief groups a homophily run can end with; with
+concepts updating it can fail (``H_t`` may blur every belief toward one).
 
 The construction mirrors how groups can ever merge: first link points
 whose pairwise divergence is below eps, then repeatedly merge components
@@ -19,17 +20,22 @@ weight simplices (|A| + |B| weights); hull-to-point is the case with one
 vertex in B.  Frank-Wolfe solves it one hull at a time: each iteration
 moves weight in A from its worst active vertex to its best, then does the
 same in B, each at the exact step size (pairwise steps, Lacoste-Julien &
-Jaggi, NeurIPS 2015).  Every iterate is feasible and, by convexity, its
+Jaggi, NeurIPS 2015); every 20th iteration is one Newton step on the face
+of the current supports instead (projected Newton, Bertsekas, SIAM J.
+Control Optim. 1982).  Every iterate is feasible and, by convexity, its
 duality gap, the sum of the two hulls' gaps, bounds the minimum from
 below: it lies in [value - gap, value].
 
 Tie policy: a pair of single points is decided by ``_pairwise_kl < eps``
-alone, as in :mod:`beliefdyn.homophily`.  A pair of hulls is decided by
-the certified test "min KL < eps": it is "below" as soon as value < eps
-and "not below" as soon as value - gap >= eps; otherwise the solver runs
-until gap <= tol and decides by value < eps, so a minimum within tol of
-eps may resolve either way.  Tests check the solver against
-a brute-force barycentric grid and an alternating-minimization heuristic.
+alone, as in :mod:`beliefdyn.homophily`.  A pair of hulls is "not below"
+if a Pinsker screen on their coordinate ranges (``_apart``) proves min KL
+>= eps (1 + 1e-9), which the solver would decide alike or fail to decide;
+otherwise by the certified test "min KL < eps": "below" as soon as value
+< eps and "not below" as soon as value - gap >= eps; otherwise the solver
+runs until gap <= tol and decides by value < eps, so a minimum within tol
+of eps may resolve either way.  Tests check the solver against a
+brute-force barycentric grid, an alternating-minimization heuristic and
+the Frank-Wolfe loop without the Newton step.
 """
 
 import numpy as np
@@ -38,6 +44,8 @@ from .homophily import _floored, _pairwise_kl, network_groups
 from .homophily import kl_divergence  # noqa: F401 (bench/test_bench.py rebinds it here)
 
 _MAX_ITER = 10_000           # Frank-Wolfe iterations per solve
+_NEWTON_EVERY = 20           # every such iteration takes a Newton step instead
+_SCREEN_MARGIN = 1e-9        # relative margin of the Pinsker range screen
 
 
 class NonConvergenceError(RuntimeError):
@@ -50,11 +58,13 @@ class NonConvergenceError(RuntimeError):
 
 
 class ClusterPartition:
-    def __init__(self, clusters, internal_condition_holds=None, iterations=0, max_gap=0.0):
+    def __init__(self, clusters, internal_condition_holds=None, iterations=0, max_gap=0.0,
+                 screened=0):
         self.clusters = clusters        # tuple of sorted index tuples
         self.internal_condition_holds = internal_condition_holds
-        self.iterations = iterations    # Frank-Wolfe iterations over all decisions
+        self.iterations = iterations    # Frank-Wolfe iterations over all solves that ran
         self.max_gap = max_gap          # largest final duality gap among them
+        self.screened = screened        # merge pairs the range screen decided, unsolved
 
     def __len__(self):
         return len(self.clusters)
@@ -113,14 +123,70 @@ def _pairwise(w, scores):
     return int(np.argmin(scores)), int(active[np.argmax(scores[active])])
 
 
+def _apart(lo, hi, i, epsilon):
+    """Whether the range screen decides hull i "not below" each later hull.
+
+    ``lo[j]`` and ``hi[j]`` are hull j's per-coordinate min and max.  Where
+    two hulls' ranges are ``sep`` apart in l1, every q, p in them have
+    ``KL(q, p) >= ||q - p||_1^2 / 2 >= sep^2 / 2`` both ways (Pinsker).
+    """
+    sep = np.maximum(np.maximum(lo[i] - hi[i + 1:], lo[i + 1:] - hi[i]), 0.0).sum(axis=1)
+    return sep ** 2 / 2 >= epsilon * (1.0 + _SCREEN_MARGIN)
+
+
+def _newton_step(va, vb, wa, wb, q, p, score_a, score_b, val):
+    """One Newton step on the face of the supports of ``wa`` and ``wb``, in place.
+
+    The weights' Hessian has blocks ``A diag(1/q) A^T``, ``-A diag(1/p) B^T``
+    and ``B diag(q/p^2) B^T``, singular when a hull has more vertices than
+    dimensions, so the KKT system with the two sum constraints is solved by
+    least squares.  Backtracks from the full step, capped where a weight
+    reaches 0 (that vertex leaves); False, weights unchanged, if no descent.
+    """
+    sa, sb = np.flatnonzero(wa > 0), np.flatnonzero(wb > 0)
+    a, b = va[sa], vb[sb]
+    na, n = len(sa), len(sa) + len(sb)
+    kkt = np.zeros((n + 2, n + 2))
+    kkt[:na, :na] = (a / q) @ a.T
+    kkt[:na, na:n] = -(a / p) @ b.T
+    kkt[na:n, :na] = kkt[:na, na:n].T
+    kkt[na:n, na:n] = (b * (q / p ** 2)) @ b.T
+    kkt[n, :na] = kkt[:na, n] = 1.0
+    kkt[n + 1, na:n] = kkt[na:n, n + 1] = 1.0
+    grad = np.concatenate([score_a[sa], score_b[sb]])
+    x = np.linalg.lstsq(kkt, np.concatenate([-grad, [0.0, 0.0]]), rcond=None)[0][:n]
+    x[:na] -= x[:na].mean()      # an inconsistent system leaves some residual
+    x[na:] -= x[na:].mean()
+    slope = float(grad @ x)
+    if not slope < 0:
+        return False
+    w = np.concatenate([wa[sa], wb[sb]])
+    caps = np.full(n, np.inf)
+    caps[x < 0] = -w[x < 0] / x[x < 0]
+    leaves = int(np.argmin(caps))
+    t = min(1.0, caps[leaves])
+    for _ in range(30):
+        wt = np.maximum(w + t * x, 0.0)
+        if t == caps[leaves]:
+            wt[leaves] = 0.0
+        qt, pt = wt[:na] @ a, wt[na:] @ b
+        if float(qt @ (_safe_log(qt) - _safe_log(pt))) <= val + 1e-4 * t * slope:
+            wa[sa] = wt[:na] / wt[:na].sum()
+            wb[sb] = wt[na:] / wt[na:].sum()
+            return True
+        t *= 0.5
+    return False
+
+
 def _min_kl(va, vb, tol, epsilon=None):
     """min KL(q, p) over q in Conv(va), p in Conv(vb) as (value, gap, iterations).
 
     Frank-Wolfe over the two hulls' weights (module docstring), started at
-    the best vertex pair; B's step uses the gradient after A's step.  Stops
-    as the tie policy says, ``epsilon`` making it the certified test
-    "minimum < epsilon"; raises NonConvergenceError after _MAX_ITER
-    iterations.  Two single points return at iteration 0 with gap 0.
+    the best vertex pair; B's step uses the gradient after A's step, and
+    on every _NEWTON_EVERY-th iteration a Newton step that descends
+    replaces both.  Stops as the tie policy says, ``epsilon`` making it the
+    certified test "minimum < epsilon"; raises NonConvergenceError after
+    _MAX_ITER iterations.  Two single points return at iteration 0 with gap 0.
     """
     if va.shape[1] != vb.shape[1]:
         raise ValueError("the two point sets have different dimensions")
@@ -139,6 +205,9 @@ def _min_kl(va, vb, tol, epsilon=None):
         if gap <= tol or (epsilon is not None
                           and (val < epsilon or val - gap >= epsilon)):
             return val, gap, it
+        if (it + 1) % _NEWTON_EVERY == 0 and _newton_step(
+                va, vb, wa, wb, q, p, score_a, score_b, val):
+            continue
         s, a = _pairwise(wa, score_a)
         if s != a:
             t = _exact_step(q, p, va[s] - va[a], 0.0, wa[a])
@@ -170,14 +239,16 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6):
 
     Pairwise links below epsilon seed the components; components then merge
     whenever one hull's eps-KL neighbourhood reaches the other hull (in
-    either direction), until the partition stabilizes.  The resulting
-    cluster count lower-bounds the number of groups any homophily run on
-    these points can stabilize to.
+    either direction), until the partition stabilizes.  With the concept
+    structure frozen, the cluster count lower-bounds the number of groups
+    a homophily run on these points stabilizes to; with concepts updating
+    it need not (module docstring).
 
     ``internal_condition_holds`` additionally reports whether every point
     sits within epsilon of the hull of its cluster's other members, which
-    the constructive partition does not enforce.  ``iterations`` and
-    ``max_gap`` report the Frank-Wolfe work behind all these decisions.
+    the constructive partition does not enforce.  ``screened`` counts the
+    merge pairs the range screen decided; ``iterations`` and ``max_gap``
+    report the Frank-Wolfe work behind the solves that ran.
     """
     if not epsilon > 0:           # also rejects NaN
         raise ValueError("epsilon must be positive")
@@ -185,7 +256,7 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6):
         raise ValueError("tol must be positive")
     points = _points(points)
     pts = _floored(points)
-    iterations, max_gap = 0, 0.0
+    iterations, max_gap, screened = 0, 0.0, 0
 
     def below(va, vb):
         nonlocal iterations, max_gap
@@ -200,14 +271,18 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6):
     changed = [len(c) > 1 for c in components]
 
     while True:
+        hulls = [pts[list(c)] for c in components]
+        lo = np.array([h.min(axis=0) for h in hulls])
+        hi = np.array([h.max(axis=0) for h in hulls])
         merges = []
         for ci in range(len(components)):
+            far = _apart(lo, hi, ci, epsilon)
             for cj in range(ci + 1, len(components)):
                 if not (changed[ci] or changed[cj]):
                     continue    # both unchanged: decided "not below" last round
-                va = pts[list(components[ci])]
-                vb = pts[list(components[cj])]
-                if below(va, vb) or below(vb, va):
+                if far[cj - ci - 1]:
+                    screened += 1
+                elif below(hulls[ci], hulls[cj]) or below(hulls[cj], hulls[ci]):
                     merges.append((ci, cj))
         if not merges:
             break
@@ -219,4 +294,4 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6):
 
     internal = all(below(pts[[j for j in comp if j != i]], pts[[i]])
                    for comp in components if len(comp) > 1 for i in comp)
-    return ClusterPartition(components, internal, iterations, max_gap)
+    return ClusterPartition(components, internal, iterations, max_gap, screened)

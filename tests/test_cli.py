@@ -85,6 +85,7 @@ def test_clusters_subcommand(tmp_path, capsys):
     solver = capsys.readouterr().out.splitlines()[-1]
     assert solver.startswith("frank_wolfe_iterations=")
     assert "max_duality_gap=" in solver
+    assert solver.split()[-1].startswith("screened=")
 
 
 # manifest output hashes of `fixtures/five_person/clusters.cfg`, recorded

@@ -2,13 +2,13 @@ from math import log
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beliefdyn import datasets
-from beliefdyn.clusters import (_min_kl, epsilon_kl_clusters, min_kl_hull_to_hull,
-                                min_kl_hull_to_point)
+from beliefdyn.clusters import (NonConvergenceError, _apart, _min_kl, epsilon_kl_clusters,
+                                min_kl_hull_to_hull, min_kl_hull_to_point)
 from beliefdyn.homophily import HomophilyConfig, _floored, run_homophily
-from util import (alternating_min_kl_hull_to_hull, grid_min_kl_hull_to_hull,
+from util import (alternating_min_kl_hull_to_hull, fw_min_kl, grid_min_kl_hull_to_hull,
                   grid_min_kl_to_point, loop_epsilon_kl_clusters)
 
 TOL = 1e-6
@@ -77,12 +77,24 @@ class TestHullToHull:
     @given(d=st.integers(3, 5), ka=st.integers(1, 5), kb=st.integers(1, 5),
            seed=st.integers(0, 2 ** 32 - 1),
            offset=st.sampled_from([-0.1, -1e-3, -1e-5, 1e-5, 1e-3, 0.1]))
+    # pairwise steps alone stall on these: gap above tol after 10,000 iterations
+    @example(d=5, ka=4, kb=5, seed=184354, offset=1e-5)
+    @example(d=5, ka=2, kb=5, seed=1389783565, offset=-1e-3)
+    @example(d=5, ka=4, kb=5, seed=2006296601, offset=0.1)
     def test_joint_solve_matches_oracles_and_certifies(self, d, ka, kb, seed,
                                                        offset):
         rng = np.random.default_rng(seed)
         a = rng.dirichlet(np.ones(d), size=ka)
         b = rng.dirichlet(np.ones(d), size=kb)
         val = min_kl_hull_to_hull(a, b, TOL)
+        # both values lie within their gap, at most tol, above the minimum
+        raw, _, _ = _min_kl(_floored(a), _floored(b), TOL)
+        try:
+            fw, _, _ = fw_min_kl(_floored(a), _floored(b), TOL, max_iter=1000)
+        except NonConvergenceError:
+            pass
+        else:
+            assert abs(raw - fw) <= TOL
         # the heuristic's value is feasible, so it bounds the minimum above
         alternating = alternating_min_kl_hull_to_hull(a, b, TOL, max_iter=1000)
         assert val <= alternating + TOL
@@ -93,6 +105,17 @@ class TestHullToHull:
         decided, _, _ = _min_kl(_floored(a), _floored(b), TOL, epsilon=eps)
         if abs(val - eps) > TOL:
             assert (decided < eps) == (val < eps)
+
+    def test_seeded_sweep_certifies_every_solve(self):
+        # 3,000 draws from the property test's distribution; pairwise steps
+        # alone raise NonConvergenceError on 2 of them
+        rng = np.random.default_rng(1)
+        for _ in range(3000):
+            d, ka, kb = rng.integers(3, 6), rng.integers(1, 6), rng.integers(1, 6)
+            r = np.random.default_rng(int(rng.integers(0, 2 ** 32)))
+            a, b = r.dirichlet(np.ones(d), size=ka), r.dirichlet(np.ones(d), size=kb)
+            _, gap, _ = _min_kl(_floored(a), _floored(b), TOL)
+            assert gap <= TOL
 
     @pytest.mark.parametrize("seed", [65922, 10129])
     def test_pairs_that_stalled_the_pair_stack_solver(self, seed):
@@ -114,6 +137,31 @@ class TestHullToHull:
         ab = min_kl_hull_to_hull(a, b, TOL)
         ba = min_kl_hull_to_hull(b, a, TOL)
         assert ab != pytest.approx(ba, abs=1e-3)
+
+
+class TestRangeScreen:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(3, 8), ka=st.integers(1, 6), kb=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1), lean=st.sampled_from([2.0, 8.0, 30.0]),
+           near=st.sampled_from(["sep", "min"]),
+           scale=st.sampled_from([0.1, 0.999, 1 - 1e-9, 1.0, 1 + 1e-9, 1.001, 10.0]))
+    def test_apart_only_when_both_directions_reach_eps(self, d, ka, kb, seed, lean,
+                                                       near, scale):
+        # hulls leaning toward two different corners, so their ranges can part
+        rng = np.random.default_rng(seed)
+        a = _floored(rng.dirichlet(np.ones(d) + lean * np.eye(d)[0], size=ka))
+        b = _floored(rng.dirichlet(np.ones(d) + lean * np.eye(d)[1], size=kb))
+        lo = np.array([a.min(axis=0), b.min(axis=0)])
+        hi = np.array([a.max(axis=0), b.max(axis=0)])
+        sep = np.maximum(np.maximum(lo[0] - hi[1], lo[1] - hi[0]), 0.0).sum()
+        both = min(min_kl_hull_to_hull(a, b, TOL), min_kl_hull_to_hull(b, a, TOL))
+        # eps near the screen's own threshold, or near the true minimum
+        eps = scale * (sep ** 2 / 2 if near == "sep" else both) or 0.05
+        apart = bool(_apart(lo, hi, 0, eps)[0])
+        if near == "sep" and sep > 0 and scale <= 0.999:
+            assert apart
+        if apart:
+            assert both >= eps - TOL
 
 
 class TestEpsilonKlClusters:
@@ -190,14 +238,37 @@ class TestEpsilonKlClusters:
             trace = run_homophily(m, cfg)
             assert len(part) <= len(trace.final_groups)
 
-    @pytest.mark.parametrize("n, seed", [(24, 9), (20, 11), (24, 28)])
-    def test_partition_matches_merge_loop_oracle(self, n, seed):
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 8), d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           eps=st.sampled_from([0.1, 0.3, 0.5]))
+    def test_cluster_count_bounds_groups_with_concepts_frozen(self, n, d, seed, eps):
+        m = np.random.default_rng(seed).dirichlet(np.ones(d), size=n)
+        cfg = HomophilyConfig(eps_p=eps, eps_h=0.1, freeze_concepts=True, max_steps=300)
+        trace = run_homophily(m, cfg)
+        assert len(epsilon_kl_clusters(m, eps)) <= len(trace.final_groups)
+
+    def test_bound_can_fail_with_concepts_updating(self):
+        # H_t blurs every row toward 1/3, so all three people end in one group
+        m = np.random.default_rng(39).dirichlet(np.ones(3), size=3)
+        assert epsilon_kl_clusters(m, 0.1).clusters == ((0,), (1, 2))
+        updating = run_homophily(m, HomophilyConfig(eps_p=0.1, eps_h=0.1))
+        assert updating.final_groups == ((0, 1, 2),)
+        frozen = run_homophily(m, HomophilyConfig(eps_p=0.1, eps_h=0.1,
+                                                  freeze_concepts=True))
+        assert frozen.final_groups == ((0,), (1, 2))
+
+    @pytest.mark.parametrize("d, n, seed, eps", [
+        (3, 24, 9, 0.1), (3, 20, 11, 0.1), (3, 24, 28, 0.1),
+        (4, 24, 0, 0.05), (4, 20, 1, 0.05), (5, 24, 2, 0.05)],
+        ids=["24-9", "20-11", "24-28", "4d-24-0", "4d-20-1", "5d-24-2"])
+    def test_partition_matches_merge_loop_oracle(self, d, n, seed, eps):
         # several merge rounds: later rounds decide only pairs with a
-        # component that changed, yet must end at the loop's partition
-        m = np.random.default_rng(seed).dirichlet(np.ones(3), size=n)
-        part = epsilon_kl_clusters(m, 0.1)
+        # component that changed, and the range screen decides some pairs
+        # with no solve, yet must end at the loop's partition
+        m = np.random.default_rng(seed).dirichlet(np.ones(d), size=n)
+        part = epsilon_kl_clusters(m, eps)
         assert len(part) > 1
-        assert part.clusters == loop_epsilon_kl_clusters(m, 0.1)
+        assert part.clusters == loop_epsilon_kl_clusters(m, eps)
 
     @pytest.mark.parametrize("seed", [4, 10])
     def test_sixty_points_finish_within_homophily_bound(self, seed):
@@ -209,3 +280,4 @@ class TestEpsilonKlClusters:
                               max_steps=200)
         assert len(part) <= len(run_homophily(m, cfg).final_groups)
         assert part.iterations > 0 and 0.0 <= part.max_gap < np.inf
+        assert part.screened > 0

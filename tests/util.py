@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from beliefdyn.chains import analyze_pattern
-from beliefdyn.clusters import _safe_log
+from beliefdyn.clusters import NonConvergenceError, _exact_step, _pairwise, _safe_log
 from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
                                _pattern_scrambling, nu_star)
 from beliefdyn.homophily import (FLOOR, StepLimitReached, _floored, belief_groups,
@@ -610,6 +610,42 @@ def alternating_min_kl_hull_to_hull(a, b, tol=1e-6, max_iter=10_000, rounds=60):
             prev = val
         best = min(best, val)
     return max(best, 0.0)
+
+
+def fw_min_kl(va, vb, tol, epsilon=None, max_iter=10_000):
+    """``clusters._min_kl`` without its Newton step: (value, gap, iterations).
+
+    Pairwise Frank-Wolfe steps alone, one per hull per iteration, from the
+    best vertex pair, with the same stopping rules.  On some inputs its gap
+    closes too slowly and it raises NonConvergenceError at ``max_iter``.
+    """
+    log_a, log_b = _safe_log(va), _safe_log(vb)
+    pair_kl = np.sum(va[:, None] * (log_a[:, None] - log_b[None]), axis=-1)
+    i, j = np.unravel_index(int(np.argmin(pair_kl)), pair_kl.shape)
+    wa, wb = np.eye(va.shape[0])[i], np.eye(vb.shape[0])[j]
+    gap = np.inf
+    for it in range(max_iter):
+        q, p = wa @ va, wb @ vb
+        log_ratio = _safe_log(q) - _safe_log(p)
+        val = float(q @ log_ratio)
+        p_safe = np.maximum(p, 1e-300)
+        score_a, score_b = va @ (log_ratio + 1.0), vb @ (-q / p_safe)
+        gap = float(wa @ score_a - score_a.min() + wb @ score_b - score_b.min())
+        if gap <= tol or (epsilon is not None
+                          and (val < epsilon or val - gap >= epsilon)):
+            return val, gap, it
+        s, a = _pairwise(wa, score_a)
+        if s != a:
+            t = _exact_step(q, p, va[s] - va[a], 0.0, wa[a])
+            wa[s] += t
+            wa[a] -= t
+            q = wa @ va
+        s, a = _pairwise(wb, vb @ (-q / p_safe))
+        if s != a:
+            t = _exact_step(q, p, 0.0, vb[s] - vb[a], wb[a])
+            wb[s] += t
+            wb[a] -= t
+    raise NonConvergenceError(max_iter, gap)
 
 
 def pair_stack_min_kl(a, b, tol=1e-6, max_iter=10_000):
