@@ -7,7 +7,8 @@ H_1 ... H_n.  The package covers static structures (closed-form limits and
 rate certificates), randomly sampled structures (almost-sure consensus
 criteria, seeded simulation, expectation dynamics), and homophily-driven
 structures that rebuild themselves from the current beliefs, together with
-the KL-cluster lower bound on how many belief groups can survive.
+the KL-cluster lower bound on how many belief groups can survive when the
+concept structure is frozen.
 """
 
 __version__ = "0.1.0"

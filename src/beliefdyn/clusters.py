@@ -17,14 +17,14 @@ Hull distances are one convex program.  KL(q, p) is jointly convex in
 (q, p), so min KL(q, p) over q in Conv(A), p in Conv(B) is convex in the
 vertex weights of the two hulls, which range over the product of the two
 weight simplices (|A| + |B| weights); hull-to-point is the case with one
-vertex in B.  Frank-Wolfe solves it one hull at a time: each iteration
-moves weight in A from its worst active vertex to its best, then does the
-same in B, each at the exact step size (pairwise steps, Lacoste-Julien &
-Jaggi, NeurIPS 2015); every 20th iteration is one Newton step on the face
-of the current supports instead (projected Newton, Bertsekas, SIAM J.
-Control Optim. 1982).  Every iterate is feasible and, by convexity, its
-duality gap, the sum of the two hulls' gaps, bounds the minimum from
-below: it lies in [value - gap, value].
+vertex in B.  Each iteration moves both hulls' weights along one
+direction by one exact line search, stopped where a weight reaches 0: the
+Newton direction on the face of the current supports plus each hull's
+Frank-Wolfe vertex (projected Newton, Bertsekas, SIAM J. Control Optim.
+1982), or the Frank-Wolfe direction toward those two vertices where Newton
+makes no progress.  Every iterate is feasible and, by convexity, its
+duality gap, the sum of the two hulls' Frank-Wolfe gaps, bounds the
+minimum from below: it lies in [value - gap, value].
 
 Tie policy: a pair of single points is decided by ``_pairwise_kl < eps``
 alone, as in :mod:`beliefdyn.homophily`.  A pair of hulls is "not below"
@@ -35,7 +35,7 @@ otherwise by the certified test "min KL < eps": "below" as soon as value
 runs until gap <= tol and decides by value < eps, so a minimum within tol
 of eps may resolve either way.  Tests check the solver against a
 brute-force barycentric grid, an alternating-minimization heuristic and
-the Frank-Wolfe loop without the Newton step.
+a pairwise Frank-Wolfe loop.
 """
 
 import numpy as np
@@ -43,13 +43,12 @@ import numpy as np
 from .homophily import _floored, _pairwise_kl, network_groups
 from .homophily import kl_divergence  # noqa: F401 (bench/test_bench.py rebinds it here)
 
-_MAX_ITER = 10_000           # Frank-Wolfe iterations per solve
-_NEWTON_EVERY = 20           # every such iteration takes a Newton step instead
+_MAX_ITER = 10_000           # iterations per solve
 _SCREEN_MARGIN = 1e-9        # relative margin of the Pinsker range screen
 
 
 class NonConvergenceError(RuntimeError):
-    """Frank-Wolfe did not reach the duality-gap target within its cap."""
+    """A hull solve did not reach its duality-gap target within _MAX_ITER iterations."""
 
     def __init__(self, iterations, gap):
         self.iterations = iterations
@@ -62,7 +61,7 @@ class ClusterPartition:
                  screened=0):
         self.clusters = clusters        # tuple of sorted index tuples
         self.internal_condition_holds = internal_condition_holds
-        self.iterations = iterations    # Frank-Wolfe iterations over all solves that ran
+        self.iterations = iterations    # hull-solver iterations over all solves that ran
         self.max_gap = max_gap          # largest final duality gap among them
         self.screened = screened        # merge pairs the range screen decided, unsolved
 
@@ -97,7 +96,7 @@ def _exact_step(q, p, dq, dp, t_max):
                 float(((dq - qt * r) ** 2 / qt).sum()))
 
     if slope(t_max)[0] <= 0:
-        return t_max                 # drop step: the away vertex leaves
+        return t_max                 # drop step: the capping vertex leaves
     lo, hi, t = 0.0, t_max, 0.0
     for _ in range(60):
         d, h = slope(t)
@@ -117,12 +116,6 @@ def _exact_step(q, p, dq, dp, t_max):
     return t
 
 
-def _pairwise(w, scores):
-    """The best vertex and the worst active one, by their gradient scores."""
-    active = np.flatnonzero(w > 0)
-    return int(np.argmin(scores)), int(active[np.argmax(scores[active])])
-
-
 def _apart(lo, hi, i, epsilon):
     """Whether the range screen decides hull i "not below" each later hull.
 
@@ -134,104 +127,104 @@ def _apart(lo, hi, i, epsilon):
     return sep ** 2 / 2 >= epsilon * (1.0 + _SCREEN_MARGIN)
 
 
-def _newton_step(va, vb, wa, wb, q, p, score_a, score_b, val):
-    """One Newton step on the face of the supports of ``wa`` and ``wb``, in place.
+def _newton(va, vb, w, face, q, p, scores):
+    """The Newton direction on the weights of ``face``, or None if it does not descend.
 
-    The weights' Hessian has blocks ``A diag(1/q) A^T``, ``-A diag(1/p) B^T``
-    and ``B diag(q/p^2) B^T``, singular when a hull has more vertices than
-    dimensions, so the KKT system with the two sum constraints is solved by
-    least squares.  Backtracks from the full step, capped where a weight
-    reaches 0 (that vertex leaves); False, weights unchanged, if no descent.
+    The weights' Hessian is ``G G^T``, G's rows being the face's vertices
+    scaled by ``1/sqrt(q)`` in A and by ``-sqrt(q)/p`` in B; its diagonal
+    times ``1 + 1e-12`` makes the KKT system with the two sum constraints
+    regular.  A weight-0 vertex the direction would push below 0 leaves the
+    face, and the system is solved again.
     """
-    sa, sb = np.flatnonzero(wa > 0), np.flatnonzero(wb > 0)
-    a, b = va[sa], vb[sb]
-    na, n = len(sa), len(sa) + len(sb)
-    kkt = np.zeros((n + 2, n + 2))
-    kkt[:na, :na] = (a / q) @ a.T
-    kkt[:na, na:n] = -(a / p) @ b.T
-    kkt[na:n, :na] = kkt[:na, na:n].T
-    kkt[na:n, na:n] = (b * (q / p ** 2)) @ b.T
-    kkt[n, :na] = kkt[:na, n] = 1.0
-    kkt[n + 1, na:n] = kkt[na:n, n + 1] = 1.0
-    grad = np.concatenate([score_a[sa], score_b[sb]])
-    x = np.linalg.lstsq(kkt, np.concatenate([-grad, [0.0, 0.0]]), rcond=None)[0][:n]
-    x[:na] -= x[:na].mean()      # an inconsistent system leaves some residual
-    x[na:] -= x[na:].mean()
-    slope = float(grad @ x)
-    if not slope < 0:
-        return False
-    w = np.concatenate([wa[sa], wb[sb]])
-    caps = np.full(n, np.inf)
-    caps[x < 0] = -w[x < 0] / x[x < 0]
-    leaves = int(np.argmin(caps))
-    t = min(1.0, caps[leaves])
-    for _ in range(30):
-        wt = np.maximum(w + t * x, 0.0)
-        if t == caps[leaves]:
-            wt[leaves] = 0.0
-        qt, pt = wt[:na] @ a, wt[na:] @ b
-        if float(qt @ (_safe_log(qt) - _safe_log(pt))) <= val + 1e-4 * t * slope:
-            wa[sa] = wt[:na] / wt[:na].sum()
-            wb[sb] = wt[na:] / wt[na:].sum()
-            return True
-        t *= 0.5
-    return False
+    na, sqrt_q = len(va), np.sqrt(q)
+    while True:
+        n, k = len(face), int(np.searchsorted(face, na))    # face[:k] lie in A
+        g = np.concatenate([va[face[:k]] / sqrt_q, vb[face[k:] - na] * (-sqrt_q / p)])
+        kkt = np.zeros((n + 2, n + 2))
+        kkt[:n, :n] = g @ g.T
+        kkt.reshape(-1)[:n * (n + 3):n + 3] *= 1.0 + 1e-12
+        kkt[:k, n] = kkt[n, :k] = kkt[k:n, n + 1] = kkt[n + 1, k:n] = 1.0
+        rhs = np.concatenate([-scores[face], [0.0, 0.0]])
+        x = np.linalg.solve(kkt, rhs)[:n]
+        x[:k] -= x[:k].sum() / k     # near the faces, residual sums would mask descent
+        x[k:] -= x[k:].sum() / (n - k)
+        leaves = (w[face] == 0) & (x < 0)
+        if not leaves.any():
+            break
+        face = face[~leaves]
+    d = np.zeros(len(w))
+    d[face] = x
+    return d if rhs[:n] @ x > 0 and x.min() < 0 else None
 
 
 def _min_kl(va, vb, tol, epsilon=None):
     """min KL(q, p) over q in Conv(va), p in Conv(vb) as (value, gap, iterations).
 
-    Frank-Wolfe over the two hulls' weights (module docstring), started at
-    the best vertex pair; B's step uses the gradient after A's step, and
-    on every _NEWTON_EVERY-th iteration a Newton step that descends
-    replaces both.  Stops as the tie policy says, ``epsilon`` making it the
-    certified test "minimum < epsilon"; raises NonConvergenceError after
-    _MAX_ITER iterations.  Two single points return at iteration 0 with gap 0.
+    One weight vector over both hulls' vertices, from the best vertex pair,
+    steps as the module docstring says: along ``_newton``'s direction, or
+    the Frank-Wolfe one where that does not descend or its exact step is 0.
+    Stops as the tie policy says, ``epsilon`` making it the certified test
+    "minimum < epsilon"; raises NonConvergenceError after _MAX_ITER
+    iterations.  Two single points return at iteration 0 with gap 0.
     """
     if va.shape[1] != vb.shape[1]:
         raise ValueError("the two point sets have different dimensions")
+    na = va.shape[0]
     log_a, log_b = _safe_log(va), _safe_log(vb)
     pair_kl = np.sum(va[:, None] * (log_a[:, None] - log_b[None]), axis=-1)
     i, j = np.unravel_index(int(np.argmin(pair_kl)), pair_kl.shape)
-    wa, wb = np.eye(va.shape[0])[i], np.eye(vb.shape[0])[j]
+    w = np.zeros(na + len(vb))
+    w[i] = w[na + j] = 1.0
     gap = np.inf
     for it in range(_MAX_ITER):
-        q, p = wa @ va, wb @ vb
+        q, p = w[:na] @ va, w[na:] @ vb
         log_ratio = _safe_log(q) - _safe_log(p)
         val = float(q @ log_ratio)
         p_safe = np.maximum(p, 1e-300)
-        score_a, score_b = va @ (log_ratio + 1.0), vb @ (-q / p_safe)
-        gap = float(wa @ score_a - score_a.min() + wb @ score_b - score_b.min())
+        scores = np.concatenate([va @ (log_ratio + 1.0), vb @ (-q / p_safe)])
+        sa, sb = int(np.argmin(scores[:na])), na + int(np.argmin(scores[na:]))
+        gap = float(w @ scores - scores[sa] - scores[sb])
         if gap <= tol or (epsilon is not None
                           and (val < epsilon or val - gap >= epsilon)):
             return val, gap, it
-        if (it + 1) % _NEWTON_EVERY == 0 and _newton_step(
-                va, vb, wa, wb, q, p, score_a, score_b, val):
-            continue
-        s, a = _pairwise(wa, score_a)
-        if s != a:
-            t = _exact_step(q, p, va[s] - va[a], 0.0, wa[a])
-            wa[s] += t
-            wa[a] -= t
-            q = wa @ va
-        s, a = _pairwise(wb, vb @ (-q / p_safe))
-        if s != a:
-            t = _exact_step(q, p, 0.0, vb[s] - vb[a], wb[a])
-            wb[s] += t
-            wb[a] -= t
+        on_face = w > 0
+        on_face[sa] = on_face[sb] = True
+        fw = -w
+        fw[[sa, sb]] += 1.0
+        for d in (_newton(va, vb, w, np.flatnonzero(on_face), q, p_safe, scores), fw):
+            if d is None:
+                continue
+            neg = np.flatnonzero(d < 0)
+            caps = -w[neg] / d[neg]
+            k = int(np.argmin(caps))
+            t = _exact_step(q, p, d[:na] @ va, d[na:] @ vb, caps[k])
+            if t > 0:
+                break
+        w = np.maximum(w + t * d, 0.0)
+        if t == caps[k]:
+            w[neg[k]] = 0.0
     raise NonConvergenceError(_MAX_ITER, gap)
+
+
+def _hull_min_kl(a, b, tol):
+    """The floored min KL of two validated hulls, clipped at 0."""
+    if not tol > 0:               # also rejects NaN
+        raise ValueError("tol must be positive")
+    va, vb = _points(a), _points(b)
+    if not (len(va) and len(vb)):
+        raise ValueError("a hull has no points")
+    val, _, _ = _min_kl(_floored(va), _floored(vb), tol)
+    return max(val, 0.0)
 
 
 def min_kl_hull_to_point(hull, target, tol=1e-6):
     """min over q in Conv(hull) of KL(q, target), to additive accuracy tol."""
-    val, _, _ = _min_kl(_floored(_points(hull)), _floored(_points([target])), tol)
-    return max(val, 0.0)
+    return _hull_min_kl(hull, [target], tol)
 
 
 def min_kl_hull_to_hull(a, b, tol=1e-6):
     """min over q in Conv(a), p in Conv(b) of KL(q, p), to additive accuracy tol."""
-    val, _, _ = _min_kl(_floored(_points(a)), _floored(_points(b)), tol)
-    return max(val, 0.0)
+    return _hull_min_kl(a, b, tol)
 
 
 def epsilon_kl_clusters(points, epsilon, tol=1e-6):
@@ -248,7 +241,7 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6):
     sits within epsilon of the hull of its cluster's other members, which
     the constructive partition does not enforce.  ``screened`` counts the
     merge pairs the range screen decided; ``iterations`` and ``max_gap``
-    report the Frank-Wolfe work behind the solves that ran.
+    report the hull-solver work behind the solves that ran.
     """
     if not epsilon > 0:           # also rejects NaN
         raise ValueError("epsilon must be positive")

@@ -117,6 +117,39 @@ class TestHullToHull:
             _, gap, _ = _min_kl(_floored(a), _floored(b), TOL)
             assert gap <= TOL
 
+    def test_mixed_sweep_near_the_faces_certifies_every_solve(self):
+        # 3,000 draws down to Dirichlet(0.05), so many coordinates sit near
+        # the floor; one draw in ten shares a vertex, half decide an eps.
+        # The pairwise loop with a Newton step every 20th iteration raised
+        # NonConvergenceError on 4 of them
+        rng = np.random.default_rng(2027)
+        for _ in range(3000):
+            alpha = rng.choice([0.05, 0.2, 1.0])
+            d, ka, kb = rng.integers(2, 9), rng.integers(1, 9), rng.integers(1, 9)
+            a = _floored(rng.dirichlet(np.full(d, alpha), size=ka))
+            b = _floored(rng.dirichlet(np.full(d, alpha), size=kb))
+            if rng.random() < 0.1:
+                b[0] = a[-1]
+            eps = 10 ** rng.uniform(-3, 0) if rng.random() < 0.5 else None
+            val, gap, _ = _min_kl(a, b, TOL, epsilon=eps)
+            assert gap <= TOL or val < eps or val - gap >= eps
+
+    def test_frank_wolfe_steps_alone_certify(self, monkeypatch):
+        # an iterate whose Newton direction does not descend takes the
+        # Frank-Wolfe step (seen once in 6,000 sweep draws); with Newton off
+        # every step is one, and these solves must still certify and agree
+        pairs = [([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]], [[0.3, 0.4, 0.3]]),
+                 ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]], [[0.45, 0.45, 0.1], [0.1, 0.45, 0.45]]),
+                 ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+                  [[0.2, 0.2, 0.6], [0.4, 0.5, 0.1]]),
+                 ([[0.9, 0.05, 0.05], [0.6, 0.3, 0.1]], [[0.1, 0.3, 0.6], [0.2, 0.7, 0.1]])]
+        pairs = [(_floored(np.array(a)), _floored(np.array(b))) for a, b in pairs]
+        full = [_min_kl(a, b, TOL)[0] for a, b in pairs]
+        monkeypatch.setattr("beliefdyn.clusters._newton", lambda *args: None)
+        for (a, b), val in zip(pairs, full):
+            fw, gap, _ = _min_kl(a, b, TOL)
+            assert gap <= TOL and abs(fw - val) <= TOL
+
     @pytest.mark.parametrize("seed", [65922, 10129])
     def test_pairs_that_stalled_the_pair_stack_solver(self, seed):
         # away-step Frank-Wolfe over the |A|*|B| stacked vertex pairs raised
@@ -130,6 +163,22 @@ class TestHullToHull:
         val = min_kl_hull_to_hull(a, b, TOL)
         alternating = alternating_min_kl_hull_to_hull(a, b, TOL, max_iter=1000, rounds=10)
         assert val <= alternating + TOL
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_tol_must_be_positive(self, tol):
+        a = np.array([[0.8, 0.2], [0.3, 0.7]])
+        with pytest.raises(ValueError, match="tol"):
+            min_kl_hull_to_hull(a, a[:1], tol)
+        with pytest.raises(ValueError, match="tol"):
+            min_kl_hull_to_point(a, a[0], tol)
+
+    def test_empty_hull_rejected(self):
+        a, empty = np.array([[0.8, 0.2], [0.3, 0.7]]), np.empty((0, 2))
+        for args in ((empty, a), (a, empty)):
+            with pytest.raises(ValueError, match="no points"):
+                min_kl_hull_to_hull(*args)
+        with pytest.raises(ValueError, match="no points"):
+            min_kl_hull_to_point(empty, a[0])
 
     def test_asymmetry_directions_differ(self):
         a = np.array([[0.9, 0.05, 0.05]])
@@ -269,6 +318,14 @@ class TestEpsilonKlClusters:
         part = epsilon_kl_clusters(m, eps)
         assert len(part) > 1
         assert part.clusters == loop_epsilon_kl_clusters(m, eps)
+
+    def test_bound_holds_at_three_hundred_people(self):
+        # the homophily-scale input (8 concepts, eps_p 0.05, eps_h 0.02):
+        # 31 clusters against 178 final groups with concepts frozen
+        m = np.random.default_rng(0).dirichlet(np.full(8, 2.0), size=300)
+        part = epsilon_kl_clusters(m, 0.05)
+        cfg = HomophilyConfig(eps_p=0.05, eps_h=0.02, freeze_concepts=True)
+        assert len(part) <= len(run_homophily(m, cfg).final_groups)
 
     @pytest.mark.parametrize("seed", [4, 10])
     def test_sixty_points_finish_within_homophily_bound(self, seed):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from beliefdyn.chains import analyze_pattern
-from beliefdyn.clusters import NonConvergenceError, _exact_step, _pairwise, _safe_log
+from beliefdyn.clusters import NonConvergenceError, _exact_step, _safe_log
 from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
                                _pattern_scrambling, nu_star)
 from beliefdyn.homophily import (FLOOR, StepLimitReached, _floored, belief_groups,
@@ -612,12 +612,20 @@ def alternating_min_kl_hull_to_hull(a, b, tol=1e-6, max_iter=10_000, rounds=60):
     return max(best, 0.0)
 
 
-def fw_min_kl(va, vb, tol, epsilon=None, max_iter=10_000):
-    """``clusters._min_kl`` without its Newton step: (value, gap, iterations).
+def _pairwise(w, scores):
+    """The best vertex and the worst active one, by their gradient scores."""
+    active = np.flatnonzero(w > 0)
+    return int(np.argmin(scores)), int(active[np.argmax(scores[active])])
 
-    Pairwise Frank-Wolfe steps alone, one per hull per iteration, from the
-    best vertex pair, with the same stopping rules.  On some inputs its gap
-    closes too slowly and it raises NonConvergenceError at ``max_iter``.
+
+def fw_min_kl(va, vb, tol, epsilon=None, max_iter=10_000):
+    """``clusters._min_kl`` by pairwise Frank-Wolfe: (value, gap, iterations).
+
+    One pairwise step per hull per iteration (Lacoste-Julien & Jaggi,
+    NeurIPS 2015), each at the exact step size, from the best vertex pair,
+    with the same duality gap and stopping rules as ``_min_kl``.  On some
+    inputs its gap closes too slowly and it raises NonConvergenceError at
+    ``max_iter``.
     """
     log_a, log_b = _safe_log(va), _safe_log(vb)
     pair_kl = np.sum(va[:, None] * (log_a[:, None] - log_b[None]), axis=-1)
