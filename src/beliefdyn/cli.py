@@ -40,8 +40,8 @@ from .homophily import HomophilyConfig, StepLimitReached, run_homophily
 from .matrixio import (format_value, load_family, read_matrix, write_matrix,
                        ParseError)
 from .sampling import diagnose_convergence, expectation_matrix, sample_trajectories
-from .stochastic import (DimensionMismatchError, NotSquareError, col_normalize,
-                         delta_coefficient, ingest_rounded)
+from .stochastic import (DimensionMismatchError, NotSquareError, ZeroColumnError,
+                         col_normalize, delta_coefficient, ingest_rounded)
 from .ternary import render_ternary
 
 
@@ -215,6 +215,8 @@ def _mode_sample(v, write, say):
 
 def _mode_homophily(v, write, say):
     m = v["m"]
+    if v["plot"] and m.shape[1] != 3:
+        raise ValueError(f"plot draws m over 3 concepts, got {m.shape[1]}")
     cfg = HomophilyConfig(v["eps_p"], v["eps_h"], beta=v["beta"], tol=v["tol"],
                           max_steps=v["max_steps"], freeze_network=v["freeze_network"],
                           freeze_concepts=v["freeze_concepts"])
@@ -230,7 +232,7 @@ def _mode_homophily(v, write, say):
             write(f"{trace_dir}/p_{t:03d}.csv", matrix=trace.networks[t - 1])
             write(f"{trace_dir}/h_{t:03d}.csv", matrix=trace.concepts[t - 1])
             write(f"{trace_dir}/q_{t:03d}.csv", matrix=trace.beliefs[t])
-    if v["plot"] and m.shape[1] == 3:
+    if v["plot"]:
         for t in range(1, len(trace.beliefs)):
             linked = trace.networks[t - 1] > 0
             np.fill_diagonal(linked, False)
@@ -410,8 +412,8 @@ def run(config):
 
     Fails fast: the parameters are read and all referenced input files are
     parsed before any output is produced, and the mode runs on those
-    parsed inputs.  A shape the inputs do not fit together raises a
-    ValueError that names the input keys the run read.
+    parsed inputs.  A shape the inputs do not fit together, or an all-zero
+    column to normalize, raises a ValueError naming the input keys read.
     """
     values = _values(config)
     out = config.out if config.out is not None else Path.cwd() / "beliefdyn-out"
@@ -424,7 +426,7 @@ def run(config):
     runner, _, params = _MODES[config.mode]
     try:
         stabilized_at = runner(values, write, say)
-    except (DimensionMismatchError, NotSquareError) as exc:
+    except (DimensionMismatchError, NotSquareError, ZeroColumnError) as exc:
         inputs = [key for key, typ, _ in params if typ in _READERS and values[key] is not None]
         raise ValueError(f"{', '.join(inputs)}: {exc}") from None
 

@@ -40,10 +40,6 @@ from .stochastic import (_as_family, delta_coefficient, matrix_power,
                          require_square, validate_stochastic)
 
 
-class TooSmallError(ValueError):
-    """The operation needs at least two rows."""
-
-
 class NotSIAError(ValueError):
     """The matrix is not stochastic-indecomposable-aperiodic."""
 
@@ -59,23 +55,21 @@ class NotConvergentFamilyError(ValueError):
 # cap on the elements of one block temporary in ergodic_coefficient and
 # _merge_pointers
 _BLOCK_ELEMENTS = 1 << 15
-_MAX_PATTERNS = 100_000     # distinct patterns one length of the nu search may hold
-_MAX_WORDS = 200_000        # words whose products a certificate may form
+# words a certificate multiplies out, and patterns one length of the nu search keeps
+_MAX_WORDS = 200_000
 
 
 def ergodic_coefficient(p):
     """Minimum row-pair overlap: gamma = min over pairs of sum_j min(p1j, p2j).
 
     1 - gamma is the contraction coefficient; the matrix is scrambling
-    exactly when gamma > 0.
+    exactly when gamma > 0.  A 1x1 matrix has no pair of rows: gamma is 1.
     """
     # C order, so each overlap is summed pairwise along one contiguous row
     a = np.ascontiguousarray(require_square(p))
     n = a.shape[0]
-    if n < 2:
-        raise TooSmallError("ergodic coefficient needs at least a 2x2 matrix")
     half = n // 2
-    step = min(half, max(1, _BLOCK_ELEMENTS // (n * n)))    # offsets per block
+    step = max(1, min(half, _BLOCK_ELEMENTS // (n * n)))    # offsets per block
     # one buffer serves every block; a fresh block per offset would be a
     # new large allocation each time
     later = np.empty((step, n, n), dtype=a.dtype)
@@ -300,21 +294,20 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
 
 
 def _scrambling_block(gens, limit):
-    """Smallest length up to ``limit`` at which every word over the patterns
-    ``gens`` scrambles, or None when there is none.
+    """Smallest length at which every word over the patterns ``gens``
+    scrambles (1 for one state), or None when a length-``limit`` word does not.
 
     Each length keeps only its distinct non-scrambling patterns (module
-    docstring).  The walk gives up at ``limit``, or as soon as a
-    non-scrambling word is longer than the number of distinct
+    docstring), at most ``_MAX_WORDS``.  The walk gives up at ``limit``, or
+    as soon as a non-scrambling word is longer than the number of distinct
     non-scrambling patterns met so far: two of its prefixes then share a
     pattern, so the part between them can be repeated into non-scrambling
     words of every length.
     """
     level = {g.tobytes(): g for g in gens if not _pattern_scrambling(g)}
     seen = set(level)
-    for length in range(1, limit + 1):
-        if not level:
-            return length
+    length = 1
+    while level:
         if length == limit or length > len(seen):
             return None
         nxt = {}
@@ -323,12 +316,13 @@ def _scrambling_block(gens, limit):
                 new = _pattern_product(pat, g)
                 if not _pattern_scrambling(new):
                     nxt[new.tobytes()] = new
-                    if len(nxt) > _MAX_PATTERNS:
+                    if len(nxt) > _MAX_WORDS:
                         raise BudgetExceededError(
                             f"pattern semigroup exceeded cap ({len(nxt)} patterns)")
         level = nxt
         seen.update(level)
-    return None
+        length += 1
+    return length
 
 
 def inhomogeneous_rate_certificate(family, nu=None):
@@ -336,10 +330,10 @@ def inhomogeneous_rate_certificate(family, nu=None):
 
     nu (when not given) is the smallest block length at which every word of
     that length over the family has a scrambling pattern; it never needs to
-    exceed nu_star(N) = (3^N - 2^(N+1) + 1)/2.  gamma is then minimized
-    over the real-valued products of all words of length nu.  A given nu
-    below 1 raises ValueError; a given nu is checked on patterns first, so
-    a length-nu word that does not scramble is refused before any real
+    exceed nu_star(N) = (3^N - 2^(N+1) + 1)/2 (0 for one state, whose block
+    is 1).  gamma is then minimized over the real-valued products of all
+    words of length nu, at most ``_MAX_WORDS``.  A given nu below 1 raises
+    ValueError; a given nu is decided on patterns alone, before any real
     product is formed.
     """
     family = _as_family(family).require_square()
@@ -362,11 +356,9 @@ def inhomogeneous_rate_certificate(family, nu=None):
         count = words if words < 2 ** 64 else f"{len(family)}^{nu}"
         raise BudgetExceededError(f"{count} words of length {nu} exceed "
                                   f"the cap of {_MAX_WORDS} words")
-    try:        # past the pattern cap, the real products below decide
-        if given and _scrambling_block(gens, nu) is None:
-            raise failure
-    except BudgetExceededError:
-        pass
+    # no length holds more patterns than words, so this walk stays in budget
+    if given and _scrambling_block(gens, nu) is None:
+        raise failure
     gamma = 1.0
     witness = None
     for word in iter_product(range(len(family)), repeat=nu):
@@ -377,8 +369,6 @@ def inhomogeneous_rate_certificate(family, nu=None):
         if g < gamma:
             gamma = g
             witness = word
-    if gamma <= 0.0:
-        raise failure
     return RateCertificate(
         kind="inhomogeneous",
         base=1.0 - gamma,

@@ -68,13 +68,16 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
     steps : int
         Horizon; every run executes the full horizon.
     tol : float
-        Stabilization marker threshold on successive max-norm differences.
+        Stabilization marker threshold on successive max-norm differences;
+        0 marks nothing, and a negative or NaN tol raises ValueError.
 
     Yields one :class:`SampledRun` per seed, in order.  Each run is bit for
     bit the one a single-seed run produces: the generator lanes draw each
     seed's own words, and every lane's step is ``(P_t @ Q) @ H_t`` as a 2-D
     product.
     """
+    if not tol >= 0:              # also rejects NaN
+        raise ValueError("tol must be nonnegative")
     sp = _as_family(sp).require_square()
     sh = _as_family(sh).require_square()
     m = validate_stochastic(m, tol=1e-7)

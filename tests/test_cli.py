@@ -157,6 +157,23 @@ def test_certify_inhomogeneous_outputs_pinned(tmp_path, capsys):
     assert not list(Path(out).glob("*"))
 
 
+@pytest.mark.parametrize("nu", ["auto", "2"])
+def test_certify_one_state_family(tmp_path, nu):
+    # one state is consensus already: block 1 (or the given nu) at base 0,
+    # though nu_star(1) is 0, and no word separates anything
+    family = tmp_path / "one_state"
+    family.mkdir()
+    write_matrix(family / "member0.csv", np.ones((1, 1)))
+    out = tmp_path / "out"
+    assert main(["certify", "--kind", "inhomogeneous", "--family-dir", str(family),
+                 "--nu", nu, "--out", str(out), "--quiet"]) == 0
+    fields = dict(line.split("=", 1)
+                  for line in (out / "certificate.txt").read_text().splitlines())
+    assert float(fields["base"]) == 0.0
+    assert fields["block"] == ("1" if nu == "auto" else nu)
+    assert (fields["witness_word"], fields["nu_star"]) == ("", "0")
+
+
 def test_homophily_plot_frames(tmp_path):
     out = run_dir(tmp_path, "triangle")
     assert main(["run", str(FIXTURES / "triangle" / "homophily.cfg"),
@@ -164,6 +181,33 @@ def test_homophily_plot_frames(tmp_path):
     frames = sorted((Path(out) / "frames").glob("*.svg"))
     assert frames
     assert frames[0].read_text().startswith("<svg")
+
+
+def test_homophily_plot_needs_three_concepts(tmp_path, capsys):
+    # the five-person beliefs are over 4 concepts, which no ternary frame draws
+    out = tmp_path / "out"
+    assert main(["homophily", "--m", str(FIXTURES / "five_person" / "m.csv"),
+                 "--eps-p", "0.3", "--eps-h", "0.25", "--plot",
+                 "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: plot draws m over 3 concepts, got 4\n")
+    assert not out.exists()
+
+
+def test_homophily_step_limit_writes_the_last_step(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["homophily", "--m", str(FIXTURES / "five_person" / "m.csv"),
+                 "--eps-p", "0.3", "--eps-h", "0.25", "--max-steps", "1",
+                 "--trace-out", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "warning: step limit reached before stabilization"
+    assert (out / "groups.txt").read_text() == "3 groups: {1,5},{2,4},{3}\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stabilized_at"] is None
+    assert sorted(manifest["outputs"]) == [
+        "groups.txt", "q_final.csv",
+        "trace/h_001.csv", "trace/p_001.csv", "trace/q_001.csv"]
+    assert all((out / name).is_file() for name in manifest["outputs"])
 
 
 # manifest output hashes of the homophily fixtures: faster structure
@@ -806,6 +850,7 @@ BOUNDARY_CSVS = {
     "negative": "2,-1\n0,1\n",
     "row_sum": "0.5,0.7\n0.2,0.2\n",
     "mis_shaped": "".join("0.1,0.2,0.3,0.4\n" for _ in range(5)),
+    "zero_column": "1,0\n1,0\n",
 }
 BOUNDARY_GOOD = {
     "p": TWO_CAMP / "p.csv", "h": TWO_CAMP / "h.csv",
@@ -921,6 +966,9 @@ BOUNDARY_CAP_S = 10
 @example(config=("analyze", {"p": "mis_shaped"}))
 @example(config=("evolve", {"p": "good", "m": "mis_shaped", "h": "good"}))
 @example(config=("sample", {"sp_dir": "good", "sh_dir": "good", "m": "mis_shaped"}))
+# beliefs with an all-zero column cannot have their concepts normalized
+@example(config=("homophily", {"m": "zero_column", "eps_p": "0.3", "eps_h": "0.25"}))
+@example(config=("clusters", {"m": "zero_column", "epsilon": "0.3", "axis": "cols"}))
 def test_cli_boundary_runs_or_fails_with_one_line(boundary_inputs, config):
     mode, texts = config
     with tempfile.TemporaryDirectory() as tmp:

@@ -66,10 +66,9 @@ class TestErgodicCoefficient:
                 p = random_stochastic(rng, n, zeros=zeros)
                 assert _pattern_scrambling(p > 0) == (pair_loop_ergodic_coefficient(p) > 0)
 
-    def test_too_small(self):
-        from beliefdyn.ergodic import TooSmallError
-        with pytest.raises(TooSmallError):
-            ergodic_coefficient(np.array([[1.0]]))
+    def test_one_state_has_no_pair_to_separate(self):
+        assert ergodic_coefficient(np.array([[1.0]])) == 1.0
+        assert pair_loop_ergodic_coefficient(np.array([[1.0]])) == 1.0
 
 
 class TestSia:
@@ -405,21 +404,34 @@ class TestInhomogeneousCertificate:
             inhomogeneous_rate_certificate(fam, nu=17)
         assert str(raised.value) == "a length-nu word is not scrambling"
 
-    def test_given_nu_past_the_pattern_cap_is_decided_by_products(self, monkeypatch):
-        # a heap family of depth 3: its length-3 words all scramble, its
-        # shorter ones do not, so the pattern walk has levels to build
+    def test_one_budget_for_words_and_patterns(self, monkeypatch):
+        # a 15-state heap of depth 3: each member links a person to itself
+        # and to a parent one level up, the two members to different
+        # parents, so the length-3 words all scramble and shorter ones do not
+        heap = [(i - 1) // 2 if i else 0 for i in range(15)]
+        other = [0, 0, 0, 2, 2, 1, 1, 4, 4, 3, 3, 6, 6, 5, 5]
         members = []
-        for parent in ([0, 0, 0, 1, 1, 2, 2], [0, 0, 0, 1, 2, 1, 2]):
-            a = 0.5 * np.eye(7)
-            a[np.arange(7), parent] += 0.5
+        for parent in (heap, other):
+            a = 0.5 * np.eye(15)
+            a[np.arange(15), parent] += 0.5
             members.append(a)
         fam = MatrixFamily(members)
-        expected = inhomogeneous_rate_certificate(fam, nu=3)
-        monkeypatch.setattr(ergodic, "_MAX_PATTERNS", 0)
-        cert = inhomogeneous_rate_certificate(fam, nu=3)
-        assert expected.block == 3
-        assert (cert.block, cert.base, cert.witness) == (
-            expected.block, expected.base, expected.witness)
+        assert inhomogeneous_rate_certificate(fam).block == 3
+        monkeypatch.setattr(ergodic, "_MAX_WORDS", 0)
+        # the automatic search holds patterns against the word budget; a
+        # given nu is held to it by its word count, before any pattern
+        with pytest.raises(BudgetExceededError, match="pattern semigroup"):
+            inhomogeneous_rate_certificate(fam)
+        with pytest.raises(BudgetExceededError, match="8 words of length 3"):
+            inhomogeneous_rate_certificate(fam, nu=3)
+
+    @pytest.mark.parametrize("nu", [None, 2])
+    def test_one_state_family_certifies_base_zero(self, nu):
+        # nu_star(1) is 0, but one state is consensus already: block 1 when
+        # the block is not given, and no word separates anything
+        cert = inhomogeneous_rate_certificate(MatrixFamily([np.array([[1.0]])]), nu=nu)
+        assert (cert.base, cert.block, cert.nu_star, cert.witness) == (
+            0.0, 1 if nu is None else nu, 0, None)
 
     @pytest.mark.parametrize("nu", [0, -1])
     def test_block_length_below_one_rejected(self, concept_structures, nu):

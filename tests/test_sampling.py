@@ -214,6 +214,21 @@ class TestSampleTrajectories:
         assert np.array_equal(run.final_q, m)
         self.assert_matches_loop(sp, sh, m, [2 ** 64 + 5, 5, -1, 5], 30)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tol_rejected_before_any_draw(self, monkeypatch, tol):
+        # evolve refuses the same values; tol = 0 stays "no marking"
+        def no_generator(*args):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(sampling, "Xoshiro256StarStar", no_generator)
+        sp = datasets.single_leaf_family()
+        sh = MatrixFamily([np.eye(2)])
+        m = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            next(sample_trajectories(sp, sh, m, [4], 10, tol=tol))
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            evolve(sp.members[0], m, sh.members[0], 10, tol=tol)
+
     def test_unmoving_first_entry_leaves_the_full_test_to_decide(self):
         # person 0 is absorbing and the concept family is the identity, so
         # entry (0, 0) never moves and passes the one-entry gate on every
