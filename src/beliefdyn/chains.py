@@ -14,7 +14,11 @@ from math import inf
 
 import numpy as np
 
-from .stochastic import NotSquareError, require_square
+from .stochastic import DimensionMismatchError, require_square
+
+
+class NotSIAError(ValueError):
+    """The matrix is not stochastic-indecomposable-aperiodic."""
 
 
 class ChainAnalysis:
@@ -169,7 +173,7 @@ def analyze_pattern(adj):
     """Analyze a boolean adjacency pattern directly (no matrix values)."""
     adj = np.asarray(adj, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise NotSquareError(f"expected a square pattern, got {adj.shape}")
+        raise DimensionMismatchError(f"expected a square pattern, got {adj.shape}")
     comps = tuple(_strongly_connected_components(adj))
     leaves, class_of = _condense(adj, comps)
     recurrent = tuple(np.isin(class_of, leaves).tolist())

@@ -31,17 +31,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chains import analyze, graph_of
+from .chains import NotSIAError, analyze, graph_of
 from .clusters import epsilon_kl_clusters
-from .ergodic import (homogeneous_rate_certificate,
+from .ergodic import (BudgetExceededError, NotConvergentFamilyError,
+                      homogeneous_rate_certificate,
                       inhomogeneous_rate_certificate)
 from .homogeneous import evolve, limit_q
 from .homophily import HomophilyConfig, StepLimitReached, run_homophily
 from .matrixio import (format_value, load_family, read_matrix, write_matrix,
                        ParseError)
 from .sampling import diagnose_convergence, expectation_matrix, sample_trajectories
-from .stochastic import (DimensionMismatchError, NotSquareError, ZeroColumnError,
-                         col_normalize, delta_coefficient, ingest_rounded)
+from .stochastic import (DimensionMismatchError, ZeroSumError, col_normalize,
+                         delta_coefficient, ingest_rounded)
 from .ternary import render_ternary
 
 
@@ -254,7 +255,7 @@ def _mode_clusters(v, write, say):
     write("clusters.txt", text=report + "\n")
     say(report)
     say(f"internal_condition_holds={partition.internal_condition_holds}")
-    say(f"frank_wolfe_iterations={partition.iterations} "
+    say(f"hull_iterations={partition.iterations} "
         f"max_duality_gap={partition.max_gap:.3e} screened={partition.screened}")
 
 
@@ -412,8 +413,8 @@ def run(config):
 
     Fails fast: the parameters are read and all referenced input files are
     parsed before any output is produced, and the mode runs on those
-    parsed inputs.  A shape the inputs do not fit together, or an all-zero
-    column to normalize, raises a ValueError naming the input keys read.
+    parsed inputs.  A refusal of those inputs (shapes, a zero sum, no
+    certificate) raises a ValueError naming the input keys read.
     """
     values = _values(config)
     out = config.out if config.out is not None else Path.cwd() / "beliefdyn-out"
@@ -426,7 +427,8 @@ def run(config):
     runner, _, params = _MODES[config.mode]
     try:
         stabilized_at = runner(values, write, say)
-    except (DimensionMismatchError, NotSquareError, ZeroColumnError) as exc:
+    except (DimensionMismatchError, ZeroSumError, NotSIAError,
+            NotConvergentFamilyError, BudgetExceededError) as exc:
         inputs = [key for key, typ, _ in params if typ in _READERS and values[key] is not None]
         raise ValueError(f"{', '.join(inputs)}: {exc}") from None
 

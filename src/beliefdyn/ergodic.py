@@ -35,13 +35,10 @@ from itertools import product as iter_product
 import numpy as np
 
 from . import chains
+from .chains import NotSIAError
 from .homogeneous import _limit, evolve
 from .stochastic import (_as_family, delta_coefficient, matrix_power,
                          require_square, validate_stochastic)
-
-
-class NotSIAError(ValueError):
-    """The matrix is not stochastic-indecomposable-aperiodic."""
 
 
 class BudgetExceededError(RuntimeError):

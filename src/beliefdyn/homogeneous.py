@@ -21,14 +21,6 @@ from .stochastic import (DimensionMismatchError, as_matrix, delta_coefficient,
                          max_abs_diff, require_square, validate_stochastic)
 
 
-class NotIndecomposableError(ValueError):
-    """A unique stationary distribution requires at most one closed class."""
-
-
-class NotAperiodicError(ValueError):
-    """A periodic recurrent class prevents plain convergence."""
-
-
 class SingularSystemError(ValueError):
     """A linear solve met a (numerically) singular system."""
 
@@ -105,7 +97,7 @@ def evolve(p, m, h, steps, tol=1e-9):
 
 
 def stationary_distribution(p):
-    """Unique row vector pi with pi P = pi, for an indecomposable chain.
+    """Unique row vector pi with pi P = pi, for an SIA chain.
 
     Solved directly from (P^T - I) with one equation replaced by the
     normalization sum(pi) = 1; the residual is checked against 1e-10.
@@ -113,9 +105,9 @@ def stationary_distribution(p):
     a = require_square(p)
     analysis = chains.analyze(a)
     if not analysis.is_indecomposable:
-        raise NotIndecomposableError("stationary distribution is not unique")
+        raise chains.NotSIAError("stationary distribution is not unique")
     if not analysis.recurrent_aperiodic:
-        raise NotAperiodicError("recurrent class is periodic")
+        raise chains.NotSIAError("recurrent class is periodic")
     return _stationary(a, 1e-10)
 
 

@@ -24,13 +24,9 @@ import numpy as np
 
 from .chains import _levels
 from .homogeneous import _run
-from .stochastic import col_normalize, validate_stochastic
+from .stochastic import DimensionMismatchError, col_normalize, validate_stochastic
 
 FLOOR = 1e-12               # smallest probability a divergence reads
-
-
-class LengthMismatchError(ValueError):
-    """The two distributions have different lengths."""
 
 
 class InfiniteDivergenceError(ValueError):
@@ -100,7 +96,7 @@ def kl_divergence(p, q, floor=0.0):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
-        raise LengthMismatchError(f"shapes {p.shape} and {q.shape}")
+        raise DimensionMismatchError(f"shapes {p.shape} and {q.shape}")
     if floor > 0:
         p, q = _floored(p, floor), _floored(q, floor)
     mask = p > 0

@@ -5,6 +5,11 @@ package is any 2-D array that has passed :func:`validate_stochastic`:
 nonnegative entries, every row summing to 1 within tolerance.  All
 operations are pure functions; nothing here mutates its inputs.
 
+Input errors beyond the entry checks have three classes: a shape that does
+not fit (:class:`DimensionMismatchError`), a row or column to normalize that
+sums to zero (:class:`ZeroSumError`), and a structure that is not SIA
+(``chains.NotSIAError``).  Messages count rows and columns from 1.
+
 Everything is stored dense.  The benchmark workloads run at 32 to 400
 states; the largest matrix, of the 400-person static study, takes 1.3 MB.
 A homophily run at 1000 to 2000 people is a planned scale, where one
@@ -21,7 +26,7 @@ class NegativeEntryError(ValueError):
 
     def __init__(self, row, col, value):
         self.row, self.col, self.value = row, col, value
-        super().__init__(f"negative entry {value!r} at ({row}, {col})")
+        super().__init__(f"negative entry {value!r} at ({row + 1}, {col + 1})")
 
 
 class RowSumError(ValueError):
@@ -29,35 +34,19 @@ class RowSumError(ValueError):
 
     def __init__(self, row, total, tol):
         self.row, self.total, self.tol = row, total, tol
-        super().__init__(f"row {row} sums to {total!r} (tolerance {tol!r})")
+        super().__init__(f"row {row + 1} sums to {total!r} (tolerance {tol!r})")
 
 
 class DimensionMismatchError(ValueError):
-    """Operand shapes are incompatible."""
+    """A shape does not fit: not 2-D, not square, or not matching another."""
 
 
-class ShapeMismatchError(ValueError):
-    """Members of a matrix family do not share one shape."""
+class ZeroSumError(ValueError):
+    """Normalization along ``axis`` (0 rows, 1 columns) hit an all-zero line."""
 
-
-class NotSquareError(ValueError):
-    """A square matrix was required."""
-
-
-class ZeroRowError(ValueError):
-    """Row normalization hit an all-zero row."""
-
-    def __init__(self, row):
-        self.row = row
-        super().__init__(f"row {row} is identically zero")
-
-
-class ZeroColumnError(ValueError):
-    """Column normalization hit an all-zero column."""
-
-    def __init__(self, col):
-        self.col = col
-        super().__init__(f"column {col} is identically zero")
+    def __init__(self, axis, index):
+        self.axis, self.index = axis, index
+        super().__init__(f"{('row', 'column')[axis]} {index + 1} is identically zero")
 
 
 def as_matrix(m):
@@ -73,7 +62,7 @@ def as_matrix(m):
 def require_square(m):
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -126,26 +115,24 @@ def _reject_negative(a):
         raise NegativeEntryError(i, j, float(a[i, j]))
 
 
-def row_normalize(m):
-    """Scale each row to sum to 1.  Zero entries stay zero."""
+def _normalize(m, axis):
+    """Scale each row (``axis`` 0) or column (1) to sum to 1; zeros stay zero."""
     a = as_matrix(m)
     _reject_negative(a)
-    sums = a.sum(axis=1)
-    zero = np.argwhere(sums == 0)
-    if len(zero):
-        raise ZeroRowError(int(zero[0][0]))
-    return a / sums[:, None]
+    sums = a.sum(axis=1 - axis, keepdims=True)
+    if not sums.all():
+        raise ZeroSumError(axis, int(np.flatnonzero(sums == 0)[0]))
+    return a / sums
+
+
+def row_normalize(m):
+    """Scale each row to sum to 1.  Zero entries stay zero."""
+    return _normalize(m, 0)
 
 
 def col_normalize(m):
     """Scale each column to sum to 1.  Zero entries stay zero."""
-    a = as_matrix(m)
-    _reject_negative(a)
-    sums = a.sum(axis=0)
-    zero = np.argwhere(sums == 0)
-    if len(zero):
-        raise ZeroColumnError(int(zero[0][0]))
-    return a / sums[None, :]
+    return _normalize(m, 1)
 
 
 def multiply(a, b, tol=DEFAULT_TOL):
@@ -200,17 +187,17 @@ class MatrixFamily:
     def __init__(self, members, weights=None):
         members = tuple(validate_stochastic(m, tol=1e-7) for m in members)
         if not members:
-            raise ShapeMismatchError("a family needs at least one member")
+            raise DimensionMismatchError("a family needs at least one member")
         shape = members[0].shape
         for m in members[1:]:
             if m.shape != shape:
-                raise ShapeMismatchError(f"member shapes differ: {shape} vs {m.shape}")
+                raise DimensionMismatchError(f"member shapes differ: {shape} vs {m.shape}")
         if weights is None:
             w = np.full(len(members), 1.0 / len(members))
         else:
             w = np.asarray(weights, dtype=float)
             if w.shape != (len(members),):
-                raise ShapeMismatchError("need one weight per member")
+                raise DimensionMismatchError("need one weight per member")
             if not np.all((w > 0) & (w < np.inf)):     # NaN fails both
                 raise ValueError("sampling weights must be finite and strictly positive")
             w = w / w.sum()
@@ -226,7 +213,7 @@ class MatrixFamily:
 
     def require_square(self):
         if self.shape[0] != self.shape[1]:
-            raise NotSquareError(f"family members must be square, got {self.shape}")
+            raise DimensionMismatchError(f"family members must be square, got {self.shape}")
         return self
 
 

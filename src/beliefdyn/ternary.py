@@ -13,6 +13,7 @@ input always renders to the same bytes.
 import numpy as np
 
 from .homophily import _floored
+from .stochastic import DimensionMismatchError
 
 SQRT3_2 = float(np.sqrt(3.0) / 2.0)
 
@@ -26,10 +27,6 @@ _SIZE = 640                 # SVG width in pixels
 
 _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#bcbd22"]
-
-
-class WrongDimensionError(ValueError):
-    """Ternary rendering needs exactly three concepts."""
 
 
 def bary_to_xy(p):
@@ -99,7 +96,7 @@ def render_ternary(q, links=(), region_eps=None):
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[1] != 3:
-        raise WrongDimensionError(f"expected (r, 3) beliefs, got {q.shape}")
+        raise DimensionMismatchError(f"expected (r, 3) beliefs, got {q.shape}")
     r = q.shape[0]
     margin = 0.08 * _SIZE
     scale = _SIZE - 2 * margin

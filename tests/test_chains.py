@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets
 from beliefdyn.chains import analyze, analyze_pattern, graph_of
-from beliefdyn.stochastic import MatrixFamily, NotSquareError
+from beliefdyn.stochastic import DimensionMismatchError, MatrixFamily
 from util import (bfs_one_leaf_connected, brute_force_indecomposable,
                   brute_force_period, class_edges, loop_strongly_connected_components,
                   minimal_closed_subsets, random_stochastic)
@@ -24,7 +24,7 @@ def test_graph_of_drain_matrix():
 
 
 def test_graph_requires_square():
-    with pytest.raises(NotSquareError):
+    with pytest.raises(DimensionMismatchError, match="expected a square matrix"):
         graph_of(np.ones((2, 3)) / 3)
 
 

@@ -83,7 +83,7 @@ def test_clusters_subcommand(tmp_path, capsys):
     text = (Path(out) / "clusters.txt").read_text()
     assert text.split(" ")[0].isdigit()
     solver = capsys.readouterr().out.splitlines()[-1]
-    assert solver.startswith("frank_wolfe_iterations=")
+    assert solver.startswith("hull_iterations=")
     assert "max_duality_gap=" in solver
     assert solver.split()[-1].startswith("screened=")
 
@@ -153,8 +153,35 @@ def test_certify_inhomogeneous_outputs_pinned(tmp_path, capsys):
                  "--family-dir", str(FIXTURES / "single_leaf"),
                  "--out", out, "--quiet"]) == 2
     assert capsys.readouterr().err == (
-        "error: no block length up to nu* = 6 makes every word scrambling\n")
+        "error: family_dir: no block length up to nu* = 6 makes every word scrambling\n")
     assert not list(Path(out).glob("*"))
+
+
+REFUSAL_CSVS = {"swap": "0,1\n1,0\n", "half": "0.5,0.5\n0.5,0.5\n",
+                "zero_column": "1,0,0\n0.5,0,0.5\n", "row_sum": "0.5,0.6\n0.5,0.5\n"}
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["certify", "--kind", "homogeneous", "--p", "swap", "--h", "half"],
+     "error: p, h: a periodic closed class has no geometric rate"),
+    (["certify", "--kind", "inhomogeneous", "--family-dir",
+      str(FIXTURES / "scrambling_pair"), "--nu", "18"],
+     "error: family_dir: 262144 words of length 18 exceed the cap of 200000 words"),
+    (["homophily", "--m", "zero_column", "--eps-p", "0.1", "--eps-h", "0.1"],
+     "error: m: column 2 is identically zero"),
+    (["analyze", "--p", "row_sum"], "error: p 'row_sum.csv': row 1 sums to 1.1 "
+     "(tolerance 0.001000000001)"),
+])
+def test_mode_refusal_names_its_input(tmp_path, monkeypatch, capsys, argv, line):
+    # every refusal names the keys it read and counts rows and columns from 1
+    monkeypatch.chdir(tmp_path)
+    for name, text in REFUSAL_CSVS.items():
+        Path(f"{name}.csv").write_text(text)
+    argv = [f"{arg}.csv" if arg in REFUSAL_CSVS else arg for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("nu", ["auto", "2"])
@@ -851,6 +878,7 @@ BOUNDARY_CSVS = {
     "row_sum": "0.5,0.7\n0.2,0.2\n",
     "mis_shaped": "".join("0.1,0.2,0.3,0.4\n" for _ in range(5)),
     "zero_column": "1,0\n1,0\n",
+    "periodic": "0,1\n1,0\n",
 }
 BOUNDARY_GOOD = {
     "p": TWO_CAMP / "p.csv", "h": TWO_CAMP / "h.csv",
@@ -969,6 +997,10 @@ BOUNDARY_CAP_S = 10
 # beliefs with an all-zero column cannot have their concepts normalized
 @example(config=("homophily", {"m": "zero_column", "eps_p": "0.3", "eps_h": "0.25"}))
 @example(config=("clusters", {"m": "zero_column", "epsilon": "0.3", "axis": "cols"}))
+# certificate refusals name the keys read as well
+@example(config=("certify", {"kind": "inhomogeneous", "family_dir": "good", "nu": "100000"}))
+@example(config=("certify", {"kind": "inhomogeneous", "family_dir": "periodic"}))
+@example(config=("certify", {"kind": "homogeneous", "p": "periodic", "h": "good"}))
 def test_cli_boundary_runs_or_fails_with_one_line(boundary_inputs, config):
     mode, texts = config
     with tempfile.TemporaryDirectory() as tmp:

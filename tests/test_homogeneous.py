@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets, homogeneous
-from beliefdyn.homogeneous import (NotAperiodicError, NotIndecomposableError,
-                                   absorption_probabilities, evolve, limit_q,
+from beliefdyn.chains import NotSIAError
+from beliefdyn.homogeneous import (absorption_probabilities, evolve, limit_q,
                                    limit_structure, stationary_distribution)
 from beliefdyn.stochastic import delta_coefficient, matrix_power, max_abs_diff
 from util import loop_evolve, random_stochastic
@@ -116,11 +116,11 @@ class TestStationaryDistribution:
         assert np.allclose(pi, [0.0, 1.0])
 
     def test_decomposable_rejected(self):
-        with pytest.raises(NotIndecomposableError):
+        with pytest.raises(NotSIAError, match="not unique"):
             stationary_distribution(np.eye(2))
 
     def test_periodic_rejected(self):
-        with pytest.raises(NotAperiodicError):
+        with pytest.raises(NotSIAError, match="periodic"):
             stationary_distribution(SWAP)
 
 

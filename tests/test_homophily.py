@@ -8,11 +8,11 @@ from hypothesis.extra import numpy as hnp
 from beliefdyn import datasets
 from beliefdyn.clusters import epsilon_kl_clusters
 from beliefdyn.homophily import (HomophilyConfig, InfiniteDivergenceError,
-                                 LengthMismatchError, StepLimitReached,
+                                 StepLimitReached,
                                  build_concepts, build_network, belief_groups,
                                  kl_divergence, network_groups, run_homophily,
                                  softmax_weights)
-from beliefdyn.stochastic import col_normalize
+from beliefdyn.stochastic import DimensionMismatchError, col_normalize
 from util import (bfs_network_groups, loop_belief_groups, loop_homophily,
                   loop_homophily_structure)
 
@@ -46,7 +46,7 @@ class TestKlDivergence:
         assert np.isfinite(val) and val > 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"shapes \(1,\) and \(2,\)"):
             kl_divergence([1.0], [0.5, 0.5])
 
     def test_nonnegative(self):

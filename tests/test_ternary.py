@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from beliefdyn.homophily import kl_divergence
-from beliefdyn.ternary import (WrongDimensionError, bary_to_xy,
-                               kl_region_polygon, render_ternary)
+from beliefdyn.stochastic import DimensionMismatchError
+from beliefdyn.ternary import bary_to_xy, kl_region_polygon, render_ternary
 
 
 def xy_to_bary(xy):
@@ -81,5 +81,5 @@ def test_duplicate_links_drawn_once():
 
 
 def test_wrong_dimension_rejected():
-    with pytest.raises(WrongDimensionError):
+    with pytest.raises(DimensionMismatchError, match=r"expected \(r, 3\) beliefs"):
         render_ternary(np.full((2, 4), 0.25))
