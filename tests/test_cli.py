@@ -352,9 +352,17 @@ TWO_CAMP_TRACE_DIGEST = "2a7d77ca22df2a9a136a20488617e7750a42bf63a0fba31be232608
 
 
 def test_two_camp_trace_outputs_pinned(tmp_path):
+    """201 snapshots of 5 people that reach one printed row by step 50, so
+    the digest, recorded before the writer formatted each distinct row
+    once, covers rows that reuse an earlier row's text."""
     outputs = _two_camp_outputs(tmp_path, TWO_CAMP_TRACE_FLAGS)
     assert len(outputs) == 203
     assert _outputs_digest(outputs) == TWO_CAMP_TRACE_DIGEST
+    rows = [Path(tmp_path, "two_camp", "trace", f"q_{k:04d}.csv").read_bytes().splitlines()[1:]
+            for k in range(201)]
+    assert sum(map(len, rows)) == 1005
+    assert sum(len(set(snapshot)) for snapshot in rows) == 255
+    assert len(set(rows[50])) == 1
 
 
 def test_trace_run_makes_each_directory_once(tmp_path, monkeypatch):

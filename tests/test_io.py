@@ -273,7 +273,68 @@ def test_digit_path_matches_element_oracle(m):
     _assert_writes_like_loop(m)
 
 
-def test_write_matches_element_oracle_on_evolve_snapshots():
+# a digit-path value as its 12 digits d and its k zeros after the point
+DIGIT_CELLS = st.tuples(st.integers(2 * 10 ** 11, 9 * 10 ** 11), st.integers(0, 3))
+PIECES = [0.0, -0.0, float("nan"), float("inf"), 1.0, 1e-5]
+
+
+def _cell_value(d, k):
+    return d / 10 ** (12 + k)
+
+
+@st.composite
+def repeated_row_matrices(draw):
+    """Up to 24 rows, each one of a few variants of 1-3 base rows.
+
+    Each base row of 2-8 digit-path values comes with one changed copy: a
+    one-ulp neighbour (the same digits from other bits), the same digits
+    after another number of zeros, ``0.0`` against ``-0.0`` (equal floats,
+    different text), a ``nan``, ``inf``, ``1.0`` or ``1e-5`` piece, 12
+    digits ending in zeros, or two digit changes that keep the writer's
+    ordering sum (keys weighted 1, 2, ... by column), so that only the
+    whole keys tell the two rows apart.
+    """
+    cols = draw(st.integers(2, 8))
+    variants = []
+    for _ in range(draw(st.integers(1, 3))):
+        cells = draw(st.lists(DIGIT_CELLS, min_size=cols, max_size=cols))
+        row = [_cell_value(d, k) for d, k in cells]
+        i, j = sorted(draw(st.lists(st.integers(0, cols - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        changed = list(row)
+        change = draw(st.sampled_from(["ulp", "decade", "zero", "piece", "short", "same sum"]))
+        if change == "ulp":
+            changed[i] = np.nextafter(row[i], draw(st.sampled_from([0.0, 1.0])))
+        elif change == "decade":
+            changed[i] = _cell_value(cells[i][0], (cells[i][1] + 1) % 4)
+        elif change == "zero":
+            row[i], changed[i] = 0.0, -0.0
+        elif change == "piece":
+            changed[i] = draw(st.sampled_from(PIECES))
+        elif change == "short":
+            changed[i] = float("%.*g" % (draw(st.integers(1, 11)), row[i]))
+        else:
+            t = draw(st.integers(1, 3))
+            (di, ki), (dj, kj) = cells[i], cells[j]
+            changed[i] = _cell_value(di + (j + 1) * t, ki)
+            changed[j] = _cell_value(dj - (i + 1) * t, kj)
+        variants += [row, changed]
+    picks = draw(st.lists(st.integers(0, len(variants) - 1), min_size=1, max_size=24))
+    return np.array([variants[p] for p in picks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=repeated_row_matrices())
+@example(m=np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5]]))
+@example(m=np.array([[0.3, 0.3], [0.300000000002, 0.299999999999], [0.3, 0.3]]))
+def test_repeated_rows_match_element_oracle(m):
+    _assert_writes_like_loop(m)
+
+
+def test_write_matches_element_oracle_on_evolve_snapshots(tmp_path):
+    """A 400x12 run, then 3 closed classes of 40 people and 40 transient
+    people under fixed concepts: by step 120 each class prints one row, so
+    most rows reuse an earlier row's text."""
     rng = np.random.default_rng(23)
     p = random_stochastic(rng, 400, zeros=0.95)
     m = random_stochastic(rng, 400, 12)
@@ -282,6 +343,18 @@ def test_write_matches_element_oracle_on_evolve_snapshots():
     snapshots = trace.beliefs + [limit_q(p, m, h).limit]
     for q in snapshots + [random_stochastic(rng, 400), snapshots[0].T]:
         _assert_writes_like_loop(q)
+
+    rng = np.random.default_rng(25)
+    p = np.zeros((160, 160))
+    for c in range(3):
+        p[40 * c:40 * c + 40, 40 * c:40 * c + 40] = random_stochastic(rng, 40, zeros=0.8)
+    p[120:] = random_stochastic(rng, 40, 160, zeros=0.8)
+    m, h = random_stochastic(rng, 160, 12), np.eye(12)
+    trace = evolve(p, m, h, 120)
+    for q in trace.beliefs + [limit_q(p, m, h).limit]:
+        _assert_writes_like_loop(q)
+    lines = write_matrix(tmp_path / "q.csv", trace.final).splitlines()[1:]
+    assert [len(set(lines[40 * c:40 * c + 40])) for c in range(3)] == [1, 1, 1]
 
 
 def test_write_matches_element_oracle_on_sample_shapes():
