@@ -13,6 +13,8 @@ concept structure is frozen.
 
 __version__ = "0.1.0"
 
+import types
+
 from .chains import ChainAnalysis, analyze, graph_of
 from .clusters import (ClusterPartition, epsilon_kl_clusters,
                        min_kl_hull_to_hull, min_kl_hull_to_point)
@@ -23,9 +25,8 @@ from .ergodic import (RateCertificate, contraction_coefficient,
                       nu_star, subdominant_modulus)
 from .homogeneous import (EvolutionTrace, LimitReport, absorption_probabilities,
                           evolve, limit_q, stationary_distribution)
-from .homophily import (HomophilyConfig, StepLimitReached, build_concepts,
-                        build_network, kl_divergence, run_homophily,
-                        softmax_weights)
+from .homophily import (HomophilyConfig, build_concepts, build_network,
+                        kl_divergence, run_homophily, softmax_weights)
 from .sampling import (ConvergenceDiagnosis, SampledRun, diagnose_convergence,
                        expectation_matrix, expected_limit, sample_trajectories,
                        sample_trajectory)
@@ -34,24 +35,7 @@ from .stochastic import (MatrixFamily, col_normalize, delta_coefficient,
                          row_normalize, validate_stochastic)
 from .ternary import render_ternary
 
-__all__ = [
-    "__version__",
-    "ChainAnalysis", "analyze", "graph_of",
-    "ClusterPartition", "epsilon_kl_clusters", "min_kl_hull_to_hull",
-    "min_kl_hull_to_point",
-    "RateCertificate", "ergodic_coefficient",
-    "contraction_coefficient", "exists_scrambling_product",
-    "homogeneous_rate_certificate", "inhomogeneous_rate_certificate",
-    "is_scrambling", "is_sia", "nu_star", "subdominant_modulus",
-    "EvolutionTrace", "LimitReport", "absorption_probabilities", "evolve",
-    "limit_q", "stationary_distribution",
-    "HomophilyConfig", "StepLimitReached", "build_concepts", "build_network",
-    "kl_divergence", "run_homophily", "softmax_weights",
-    "ConvergenceDiagnosis", "SampledRun", "diagnose_convergence",
-    "expectation_matrix", "expected_limit", "sample_trajectories",
-    "sample_trajectory",
-    "MatrixFamily", "col_normalize", "delta_coefficient", "ingest_rounded",
-    "matrix_power", "max_abs_diff", "multiply", "row_normalize",
-    "validate_stochastic",
-    "render_ternary",
-]
+# every public name imported above; submodules are not exported
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -37,7 +37,7 @@ from .ergodic import (BudgetExceededError, NotConvergentFamilyError,
                       homogeneous_rate_certificate,
                       inhomogeneous_rate_certificate)
 from .homogeneous import evolve, limit_q
-from .homophily import HomophilyConfig, StepLimitReached, run_homophily
+from .homophily import HomophilyConfig, run_homophily
 from .matrixio import (format_value, load_family, read_matrix, write_matrix,
                        ParseError)
 from .sampling import diagnose_convergence, expectation_matrix, sample_trajectories
@@ -192,12 +192,11 @@ def _mode_evolve(v, write, say):
 
 def _mode_sample(v, write, say):
     sp, sh, m = v["sp_dir"], v["sh_dir"], v["m"]
-    deltas = []
-    stabilized = None
+    deltas, steps = [], []
     for run in sample_trajectories(sp, sh, m, v["seeds"], v["horizon"]):
         write(f"q_seed{run.seed}.csv", matrix=run.final_q)
         deltas.append(delta_coefficient(run.final_q))
-        stabilized = run.stabilized_at
+        steps.append(run.stabilized_at)
     write("expectation_p.csv", matrix=expectation_matrix(sp))
     write("expectation_h.csv", matrix=expectation_matrix(sh))
     diag_p = diagnose_convergence(sp)
@@ -211,7 +210,8 @@ def _mode_sample(v, write, say):
     }
     write("summary.json", text=json.dumps(summary, sort_keys=True, indent=2) + "\n")
     say(json.dumps(summary, sort_keys=True))
-    return stabilized
+    # the step by which every seed had stabilized
+    return None if None in steps else max(steps)
 
 
 def _mode_homophily(v, write, say):
@@ -221,10 +221,8 @@ def _mode_homophily(v, write, say):
     cfg = HomophilyConfig(v["eps_p"], v["eps_h"], beta=v["beta"], tol=v["tol"],
                           max_steps=v["max_steps"], freeze_network=v["freeze_network"],
                           freeze_concepts=v["freeze_concepts"])
-    try:
-        trace = run_homophily(m, cfg)
-    except StepLimitReached as exc:
-        trace = exc.trace
+    trace = run_homophily(m, cfg)
+    if trace.stabilized_at is None:
         say("warning: step limit reached before stabilization")
     write("q_final.csv", matrix=trace.beliefs[-1])
     trace_dir = v["trace_out"]
@@ -306,8 +304,10 @@ _REQUIRED = object()    # no default: the flag must be given
 _SEED = object()        # defaults to the run's seed
 _READERS = (_load, load_family)     # types that read a file at their path
 
-# the inputs each certify kind needs; the certify table leaves them optional
-_CERTIFY_INPUTS = {"homogeneous": ("p", "h"), "inhomogeneous": ("family_dir",)}
+# the inputs each certify kind needs, and the keys it reads besides them;
+# the certify table leaves them all optional
+_CERTIFY_INPUTS = {"homogeneous": (("p", "h"), ("m",)),
+                   "inhomogeneous": (("family_dir",), ("nu",))}
 
 # Each mode's runner, subcommand help and parameters.  A runner returns the
 # run's stabilization step, or None where nothing stabilizes.  A parameter is
@@ -371,7 +371,9 @@ def _values(config):
 
     A key the mode does not read, a value outside its choices or rejected by
     its type (the error names the key), bool text other than true/false in
-    any case, or a certify run without its kind's inputs raises ValueError.
+    any case, or a certify run without its kind's inputs or with a key
+    only the other kind reads (a ``nu`` of ``auto`` reads as unset) raises
+    ValueError.
     Files are read last, so any of these is reported before a bad file.
     """
     params = _MODES[config.mode][2]
@@ -399,9 +401,15 @@ def _values(config):
             values[key] = text == "true" if typ is bool else text
         else:
             values[key] = text if typ in _READERS else _read(key, typ, text)
-    for key in _CERTIFY_INPUTS.get(values.get("kind"), ()):
-        if values[key] is None:
-            raise ValueError(f"certify kind {values['kind']} needs {key}")
+    kind = values.get("kind")
+    if kind is not None:
+        needs, reads = _CERTIFY_INPUTS[kind]
+        for key in needs:
+            if values[key] is None:
+                raise ValueError(f"certify kind {kind} needs {key}")
+        for key, _, _ in params:
+            if key not in ("kind", *needs, *reads) and values[key] is not None:
+                raise ValueError(f"certify kind {kind} does not read {key}")
     for key, typ, _ in params:
         if typ in _READERS and values[key] is not None:
             values[key] = _read(key, typ, values[key])
@@ -428,7 +436,7 @@ def run(config):
     try:
         stabilized_at = runner(values, write, say)
     except (DimensionMismatchError, ZeroSumError, NotSIAError,
-            NotConvergentFamilyError, BudgetExceededError) as exc:
+            NotConvergentFamilyError, BudgetExceededError, MemoryError) as exc:
         inputs = [key for key, typ, _ in params if typ in _READERS and values[key] is not None]
         raise ValueError(f"{', '.join(inputs)}: {exc}") from None
 

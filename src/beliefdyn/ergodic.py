@@ -259,9 +259,12 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
     lambda values are subdominant moduli, taken per closed class (slowest
     wins) when a structure is decomposable.  ``constant_hint`` is fitted as
     the max of error/base^n over a probe evolution against the closed-form
-    limit.  The certificate also records both per-structure rates, since
-    the combined product base and the slower single-structure rate are two
-    different readings of "the model's rate".
+    limit.  Only the probe steps whose ``base ** n`` is a normal positive
+    float count: a base near zero underflows its later powers to 0, and an
+    error over a subnormal power can overflow to inf.  At base 0 the fit is
+    the largest error.  The certificate also records both per-structure
+    rates, since the combined product base and the slower single-structure
+    rate are two different readings of "the model's rate".
     """
     p = require_square(p)
     h = require_square(h)
@@ -277,10 +280,10 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
     constant = 0.0
     for n in range(1, probe_horizon + 1):
         err = float(np.abs(trace.beliefs[n] - limit).max())
-        if base > 0:
-            constant = max(constant, err / base ** n)
-        elif err > 0:
+        if base == 0:
             constant = max(constant, err)
+        elif base ** n >= np.finfo(float).tiny:
+            constant = max(constant, err / base ** n)
     return RateCertificate(
         kind="homogeneous",
         base=base,

@@ -11,7 +11,8 @@ Each step rebuilds both structures from the current beliefs M:
 
 then beliefs update as Q_t = P_t Q_{t-1} H_t and become the M of the next
 step.  The loop stops when successive beliefs differ by less than ``tol``
-in max-norm, and reports the final network components as groups.
+in max-norm or after ``max_steps`` steps, and reports the final network
+components as groups.
 
 Tie policy: a pair of points is decided by ``_pairwise_kl < eps`` alone.
 That array formula rounds differently from a per-pair
@@ -37,14 +38,6 @@ class EmptySubsetError(ValueError):
     """Softmax weighting needs a nonempty linked subset."""
 
 
-class StepLimitReached(RuntimeError):
-    """No stabilization within max_steps; carries the partial trace."""
-
-    def __init__(self, trace):
-        self.trace = trace
-        super().__init__(f"no stabilization within {len(trace.beliefs) - 1} steps")
-
-
 class HomophilyConfig:
     """Thresholds and knobs of the homophily iteration, validated and immutable.
 
@@ -61,8 +54,8 @@ class HomophilyConfig:
             raise ValueError("similarity thresholds eps_p and eps_h must be positive")
         if not 0 <= beta < np.inf:
             raise ValueError("beta must be nonnegative and finite")
-        if not tol > 0:
-            raise ValueError("tol must be positive")
+        if not tol >= 0:
+            raise ValueError("tol must be nonnegative")
         if max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         vars(self).update(eps_p=eps_p, eps_h=eps_h, beta=beta, tol=tol, max_steps=max_steps,
@@ -204,9 +197,10 @@ def belief_groups(m):
 def run_homophily(m0, cfg):
     """Iterate the homophily model until beliefs stabilize; the trace has groups.
 
-    Raises :class:`StepLimitReached` (carrying the partial trace) when the
-    max-norm step difference never falls below ``cfg.tol`` within
-    ``cfg.max_steps`` steps.
+    The run ends at the first step whose max-norm difference is below
+    ``cfg.tol``, which sets ``stabilized_at``, or after ``cfg.max_steps``
+    steps with ``stabilized_at`` None, as in :func:`evolve`; tol = 0 marks
+    no step.
     """
     m0 = validate_stochastic(m0, tol=1e-7)
     r, s = m0.shape
@@ -218,6 +212,4 @@ def run_homophily(m0, cfg):
     trace = _run(m0, structures, cfg.max_steps, cfg.tol, stop=True)
     trace.final_groups = network_groups(trace.networks[-1])
     trace.belief_groups = belief_groups(trace.beliefs[-1])
-    if trace.stabilized_at is None:
-        raise StepLimitReached(trace)
     return trace

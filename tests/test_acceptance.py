@@ -21,8 +21,8 @@ from beliefdyn.ergodic import (contraction_coefficient,
                                inhomogeneous_rate_certificate, is_scrambling,
                                is_sia)
 from beliefdyn.homogeneous import evolve, limit_q
-from beliefdyn.homophily import (HomophilyConfig, StepLimitReached,
-                                 build_network, network_groups, run_homophily)
+from beliefdyn.homophily import (HomophilyConfig, build_network, network_groups,
+                                 run_homophily)
 from beliefdyn.sampling import (diagnose_convergence, expected_limit,
                                 sample_trajectories, sample_trajectory)
 from beliefdyn.stochastic import MatrixFamily, delta_coefficient, multiply
@@ -277,12 +277,11 @@ def test_c11_cluster_lower_bound_randomized():
             clusters = len(epsilon_kl_clusters(m, eps))
             cfg = HomophilyConfig(eps_p=eps, eps_h=0.1, freeze_concepts=True,
                                   max_steps=300)
-            try:
-                groups = len(run_homophily(m, cfg).final_groups)
-            except StepLimitReached as exc:
-                groups = len(exc.trace.final_groups)
+            trace = run_homophily(m, cfg)
+            if trace.stabilized_at is None:
                 violations.append((k, eps, "no stabilization"))
                 continue
+            groups = len(trace.final_groups)
             if clusters > groups:
                 violations.append((k, eps, clusters, groups))
     ok = not violations

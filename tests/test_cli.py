@@ -300,7 +300,9 @@ def test_sample_fixture_outputs_pinned(tmp_path):
                  "--out", out, "--quiet"]) == 0
     manifest = json.loads((Path(out) / "manifest.json").read_text())
     assert manifest["outputs"] == SAMPLE_FIXTURE_OUTPUTS
-    assert manifest["stabilized_at"] == 6
+    # seeds 0, 1 and 2 stabilize at steps 23, 2 and 6: the manifest records
+    # the step by which every seed had
+    assert manifest["stabilized_at"] == 23
 
 
 # manifest output hashes of the `two_camp` runs, recorded before matrices
@@ -612,6 +614,37 @@ def test_certify_without_kind_inputs_fails_before_outputs(tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--kind", "homogeneous", *_two_camp_flags("p", "h"), "--nu", "5"], "nu"),
+    (["--kind", "homogeneous", *_two_camp_flags("p", "h"), "--family-dir", "missing"],
+     "family_dir"),
+    (["--kind", "inhomogeneous", "--family-dir", str(FIXTURES / "scrambling_pair"),
+      "--p", str(FIXTURES / "two_camp" / "p.csv")], "p"),
+    (["--kind", "inhomogeneous", "--family-dir", str(FIXTURES / "scrambling_pair"),
+      "--m", "missing.csv"], "m"),
+])
+def test_certify_key_of_the_other_kind_fails_before_outputs(tmp_path, capsys, flags, key):
+    # refused before any file is read, so a missing path is not reported
+    out = tmp_path / "out"
+    assert main(["certify", *flags, "--out", str(out)]) == 2
+    kind = flags[1]
+    assert capsys.readouterr().err == f"error: certify kind {kind} does not read {key}\n"
+    assert not out.exists()
+
+
+def test_certify_near_rank_one_society(tmp_path):
+    # base is about 1e-14, so its powers underflow to 0 within the probe
+    (tmp_path / "p.csv").write_text("0.5000001,0.4999999\n0.5,0.5\n")
+    (tmp_path / "h.csv").write_text("0.3000001,0.6999999\n0.3,0.7\n")
+    out = tmp_path / "out"
+    assert main(["certify", "--p", str(tmp_path / "p.csv"), "--h", str(tmp_path / "h.csv"),
+                 "--out", str(out), "--quiet"]) == 0
+    fields = dict(line.split("=", 1)
+                  for line in (out / "certificate.txt").read_text().splitlines())
+    assert float(fields["base"]) == pytest.approx(1e-14)
+    assert np.isfinite(float(fields["constant_hint"]))
+
+
 def test_seed_out_and_config_only_keys_are_read(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"mode=homophily\nm={FIXTURES / 'five_person' / 'm.csv'}\n"
@@ -680,6 +713,35 @@ def test_flag_run_config_pinned(tmp_path, monkeypatch, mode):
 SAMPLE_FLAGS = ["sample", "--sp-dir", str(FIXTURES / "single_leaf"),
                 "--sh-dir", str(FIXTURES / "identity3"),
                 "--m", str(FIXTURES / "identity3" / "member0.csv"), "--horizon", "50"]
+
+
+@pytest.mark.parametrize("horizon, step", [("50", 23), ("10", None)])
+def test_sample_stabilized_at_ignores_seed_order(tmp_path, horizon, step):
+    # seed 0 stabilizes at step 23, after the 10-step horizon
+    manifests = []
+    for seeds in ("0,1,2", "2,1,0"):
+        out = tmp_path / seeds
+        assert main([*SAMPLE_FLAGS[:-1], horizon, "--seeds", seeds,
+                     "--out", str(out), "--quiet"]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert [mf["stabilized_at"] for mf in manifests] == [step, step]
+    # only summary.json, which lists the seeds in their order, differs
+    del manifests[0]["outputs"]["summary.json"], manifests[1]["outputs"]["summary.json"]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+
+
+def test_allocation_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a real horizon of 1e13 asks for about 9 TiB, which an overcommitting
+    # host may grant before the loop stalls
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 9.09 TiB for an array")
+
+    monkeypatch.setattr(cli, "sample_trajectories", no_memory)
+    out = tmp_path / "out"
+    assert main(SAMPLE_FLAGS + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sp_dir, sh_dir, m: Unable to allocate 9.09 TiB for an array\n")
+    assert not out.exists()
 
 
 def test_sample_seed_flag_without_seeds_runs_that_seed(tmp_path):
@@ -960,7 +1022,9 @@ def boundary_configs(draw):
                 strategy = BOUNDARY_TEXTS[typ]
             text = draw(st.none() | strategy)
         elif typ in (cli._load, cli.load_family):
-            text = "good"
+            # a certify run gets good files for its kind's keys alone
+            reads = sum(cli._CERTIFY_INPUTS.get(texts.get("kind", "homogeneous"), ()), ())
+            text = "good" if mode != "certify" or key in reads else None
         else:
             text = BOUNDARY_VALUES.get(key)
         if text is not None:
@@ -1009,6 +1073,7 @@ BOUNDARY_CAP_S = 10
 @example(config=("certify", {"kind": "inhomogeneous", "family_dir": "good", "nu": "100000"}))
 @example(config=("certify", {"kind": "inhomogeneous", "family_dir": "periodic"}))
 @example(config=("certify", {"kind": "homogeneous", "p": "periodic", "h": "good"}))
+@example(config=("certify", {"kind": "homogeneous", "p": "good", "h": "good", "nu": "5"}))
 def test_cli_boundary_runs_or_fails_with_one_line(boundary_inputs, config):
     mode, texts = config
     with tempfile.TemporaryDirectory() as tmp:

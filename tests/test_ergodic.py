@@ -274,6 +274,20 @@ class TestHomogeneousCertificate:
         cert = homogeneous_rate_certificate(r1, r1)
         assert cert.base == pytest.approx(0.0, abs=1e-12)
 
+    def test_near_rank_one_pair_skips_underflowed_powers(self):
+        # base is about 1e-14: base ** n is subnormal from step 22, 0 from step 24
+        p = np.array([[0.5000001, 0.4999999], [0.5, 0.5]])
+        h = np.array([[0.3000001, 0.6999999], [0.3, 0.7]])
+        m = np.array([[0.2, 0.8], [0.6, 0.4]])
+        cert = homogeneous_rate_certificate(p, h, m=m)
+        assert cert.base == pytest.approx(1e-14)
+        assert np.isfinite(cert.constant_hint)
+        limit = limit_q(p, m, h).limit
+        trace = evolve(p, m, h, 50, tol=0.0)
+        for n in range(1, 22):
+            err = float(np.abs(trace.beliefs[n] - limit).max())
+            assert err <= cert.predicted_bound(n) * (1 + 1e-6)
+
     def test_product_of_moduli(self):
         p = np.array([[0.9, 0.1], [0.2, 0.8]])     # modulus 0.7
         h = np.array([[0.75, 0.25], [0.25, 0.75]])  # modulus 0.5

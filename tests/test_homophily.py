@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 from beliefdyn import datasets
 from beliefdyn.clusters import epsilon_kl_clusters
 from beliefdyn.homophily import (HomophilyConfig, InfiniteDivergenceError,
-                                 StepLimitReached,
                                  build_concepts, build_network, belief_groups,
                                  kl_divergence, network_groups, run_homophily,
                                  softmax_weights)
@@ -207,11 +206,18 @@ class TestRunHomophily:
 
     def test_step_limit_carries_partial_trace(self):
         cfg = HomophilyConfig(eps_p=0.3, eps_h=0.25, max_steps=2, tol=1e-15)
-        with pytest.raises(StepLimitReached) as err:
-            run_homophily(datasets.five_person_beliefs(), cfg)
-        trace = err.value.trace
+        trace = run_homophily(datasets.five_person_beliefs(), cfg)
         assert len(trace.beliefs) == 3  # initial + 2 steps
+        assert trace.stabilized_at is None
         assert trace.final_groups       # groups still reported
+        assert trace.belief_groups
+
+    def test_zero_tol_runs_every_step(self):
+        # these thresholds stabilize at step 7 under the default tol
+        cfg = HomophilyConfig(eps_p=0.3, eps_h=0.4, max_steps=40, tol=0)
+        trace = run_homophily(datasets.five_person_beliefs(), cfg)
+        assert len(trace.beliefs) == 41
+        assert trace.stabilized_at is None
 
     def test_beliefs_remain_stochastic(self):
         trace = run_homophily(datasets.five_person_beliefs(), SIM_CFG)
@@ -256,6 +262,11 @@ class TestConfigValidation:
     def test_thresholds_positive(self):
         with pytest.raises(ValueError):
             HomophilyConfig(eps_p=0.0, eps_h=0.1)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_tol_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            HomophilyConfig(eps_p=0.1, eps_h=0.1, tol=tol)
 
     def test_max_steps_at_least_one(self):
         with pytest.raises(ValueError):
@@ -309,26 +320,17 @@ def test_belief_groups_match_loop_oracle(r, base, offset, seed):
     assert belief_groups(m) == loop_belief_groups(m)
 
 
-def _run_or_partial(run, m, cfg):
-    """``run``'s trace and the StepLimitReached message, or None."""
-    try:
-        return run(m, cfg), None
-    except StepLimitReached as exc:
-        return exc.trace, str(exc)
-
-
 @settings(max_examples=100, deadline=None)
 @given(m=belief_matrices(), eps_p=st.sampled_from([0.05, 0.3, 3.0]),
        eps_h=st.sampled_from([0.05, 0.25, 3.0]), beta=st.sampled_from([0.0, 1.0, 8.0]),
-       tol=st.sampled_from([1e-9, 1e-3, 0.1]), max_steps=st.integers(1, 15),
+       tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.1]), max_steps=st.integers(1, 15),
        freeze_network=st.booleans(), freeze_concepts=st.booleans())
 def test_run_homophily_matches_its_own_loop(m, eps_p, eps_h, beta, tol, max_steps,
                                             freeze_network, freeze_concepts):
     cfg = HomophilyConfig(eps_p, eps_h, beta=beta, tol=tol, max_steps=max_steps,
                           freeze_network=freeze_network, freeze_concepts=freeze_concepts)
-    got, got_limit = _run_or_partial(run_homophily, m, cfg)
-    expected, expected_limit = _run_or_partial(loop_homophily, m, cfg)
-    assert got_limit == expected_limit
+    got = run_homophily(m, cfg)
+    expected = loop_homophily(m, cfg)
     for name in ("beliefs", "networks", "concepts"):
         a, b = getattr(got, name), getattr(expected, name)
         assert len(a) == len(b)

@@ -14,9 +14,9 @@ from beliefdyn.chains import analyze_pattern
 from beliefdyn.clusters import NonConvergenceError, _exact_step, _safe_log
 from beliefdyn.ergodic import (BudgetExceededError, NotConvergentFamilyError,
                                _pattern_scrambling, nu_star)
-from beliefdyn.homophily import (FLOOR, StepLimitReached, _floored, belief_groups,
-                                 build_concepts, build_network, kl_divergence,
-                                 network_groups, softmax_weights)
+from beliefdyn.homophily import (FLOOR, _floored, belief_groups, build_concepts,
+                                 build_network, kl_divergence, network_groups,
+                                 softmax_weights)
 from beliefdyn.matrixio import _HEADER, ParseError
 from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
 from beliefdyn.sampling import SampledRun
@@ -132,8 +132,6 @@ def loop_homophily(m0, cfg):
         q = nxt
     trace.final_groups = network_groups(trace.networks[-1])
     trace.belief_groups = belief_groups(trace.beliefs[-1])
-    if trace.stabilized_at is None:
-        raise StepLimitReached(trace)
     return trace
 
 
