@@ -1,4 +1,4 @@
-"""Graph-theoretic anatomy of a chain: communicating classes, condensation,
+"""Graph-theoretic anatomy of a chain: communicating classes, leaf classes,
 recurrent/transient states, and periods.
 
 A transition matrix induces a directed graph with an edge (i, j) whenever
@@ -8,6 +8,15 @@ whose leaf classes (no outgoing edges) are exactly the closed sets.  States
 in leaf classes are recurrent, all others transient.  One
 :class:`ChainAnalysis` record holds the classes, the leaf classes and each
 state's label and period; the condensation's edges are not kept.
+
+One depth-first search, Tarjan's, answers all of it.  It finds the classes
+and each state's depth in its search tree, in which every class is a
+subtree hanging from its first state r.  A class's period g is the gcd G of
+depth(u) + 1 - depth(v) over its internal edges (u, v), and inf when it has
+none.  Around a cycle these terms telescope to its length, so G divides g.
+The closed walks r -> u -> v -> r and r -> v -> r, down the tree and back
+along one path v -> r, differ in length by depth(u) + 1 - depth(v), so g
+divides G.
 """
 
 from math import inf
@@ -67,95 +76,55 @@ def graph_of(p, zero_threshold=0.0):
     return list(map(tuple, np.argwhere(_pattern(p, zero_threshold)).tolist()))
 
 
-def _strongly_connected_components(adj):
-    """Tarjan's algorithm, iterative.  Returns components as sorted tuples."""
-    n = adj.shape[0]
-    succ = [np.flatnonzero(adj[i]).tolist() for i in range(n)]
+def _search(rows, cols, n):
+    """Tarjan's depth-first search over the edges ``(rows[k], cols[k])``,
+    sorted by row, iterative.  Returns the classes as sorted tuples in the
+    order they complete, each state's class index and its search depth.
+    A numbered state is on Tarjan's stack until it gets its class index."""
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    heads = cols.tolist()
     index = [None] * n
     low = [0] * n
-    on_stack = [False] * n
+    depth = [0] * n
+    class_of = [-1] * n
     stack = []
     comps = []
     counter = 0
 
-    def enter(v):
-        """Number ``v``, push it, and pair it with its unvisited successors."""
+    def enter(v, d):
+        """Number ``v`` at depth ``d``, push it, and pair it with its successors."""
         nonlocal counter
         index[v] = low[v] = counter
+        depth[v] = d
         counter += 1
         stack.append(v)
-        on_stack[v] = True
-        return v, iter(succ[v])
+        return v, iter(heads[starts[v]:starts[v + 1]])
 
     for root in range(n):
         if index[root] is not None:
             continue
-        work = [enter(root)]
+        work = [enter(root, 0)]
         while work:
             v, successors = work[-1]
             for w in successors:
                 if index[w] is None:
-                    work.append(enter(w))
+                    work.append(enter(w, len(work)))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if class_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
                 if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        class_of[w] = len(comps)
                     comps.append(tuple(sorted(comp)))
                 if work:
                     u = work[-1][0]
                     low[u] = min(low[u], low[v])
-    return comps
-
-
-def _condense(adj, comps):
-    """Indices of the leaf classes (no edge leaves them), and each state's
-    class index."""
-    class_of = np.empty(adj.shape[0], dtype=int)
-    for ci, comp in enumerate(comps):
-        class_of[list(comp)] = ci
-    rows, cols = np.nonzero(adj)
-    ci, cj = class_of[rows], class_of[cols]
-    closed = np.ones(len(comps), dtype=bool)
-    closed[ci[ci != cj]] = False
-    return tuple(np.flatnonzero(closed).tolist()), class_of
-
-
-def _levels(adj, root):
-    """Breadth-first depth of every state from ``root``; -1 where unreached."""
-    level = np.full(adj.shape[0], -1)
-    level[root] = 0
-    frontier = [root]
-    depth = 0
-    while len(frontier):
-        depth += 1
-        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
-        level[frontier] = depth
-    return level
-
-
-def _class_periods(adj, comp):
-    """Common period of a strongly connected class via BFS level sets.
-
-    The gcd of (level(u) + 1 - level(v)) over intra-class edges (u, v)
-    equals the gcd of all cycle lengths through the class.  A class with no
-    internal edge (an isolated transient state without a self-loop) has no
-    return path at all.
-    """
-    sub = adj[np.ix_(comp, comp)]
-    u, v = np.nonzero(sub)
-    if not u.size:
-        return inf
-    level = _levels(sub, 0)
-    return int(np.gcd.reduce(level[u] + 1 - level[v]))
+    return comps, np.array(class_of, dtype=int), np.array(depth, dtype=int)
 
 
 def analyze(p, zero_threshold=0.0):
@@ -174,10 +143,15 @@ def analyze_pattern(adj):
     adj = np.asarray(adj, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise DimensionMismatchError(f"expected a square pattern, got {adj.shape}")
-    comps = tuple(_strongly_connected_components(adj))
-    leaves, class_of = _condense(adj, comps)
-    recurrent = tuple(np.isin(class_of, leaves).tolist())
-    class_period = [_class_periods(adj, comp) for comp in comps]
-    periods = tuple(class_period[c] for c in class_of.tolist())
-    return ChainAnalysis(comps, leaves, recurrent, periods)
-
+    rows, cols = np.nonzero(adj)
+    comps, class_of, depth = _search(rows, cols, adj.shape[0])
+    ci, cj = class_of[rows], class_of[cols]
+    inner = ci == cj
+    closed = np.ones(len(comps), dtype=bool)        # no edge leaves the class
+    closed[ci[~inner]] = False
+    gcd = np.zeros(len(comps), dtype=int)           # gcd(0, x) = |x|
+    np.gcd.at(gcd, ci[inner], (depth[rows] + 1 - depth[cols])[inner])
+    class_period = [g or inf for g in gcd.tolist()]  # 0: no internal edge
+    return ChainAnalysis(tuple(comps), tuple(np.flatnonzero(closed).tolist()),
+                         tuple(closed[class_of].tolist()),
+                         tuple(class_period[c] for c in class_of.tolist()))

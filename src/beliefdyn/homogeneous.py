@@ -14,10 +14,12 @@ absorption probabilities.  Periodic recurrent classes get the time-average
 (Cesaro) limit, reported as case ``periodic_cesaro``.
 """
 
+import operator
+
 import numpy as np
 
 from . import chains
-from .stochastic import (DimensionMismatchError, as_matrix, delta_coefficient,
+from .stochastic import (INPUT_TOL, DimensionMismatchError, as_matrix, delta_coefficient,
                          max_abs_diff, require_square, validate_stochastic)
 
 
@@ -56,6 +58,21 @@ class LimitReport:
         self.homogeneous = homogeneous  # all rows equal within 1e-9
 
 
+def _stopping_rule(steps, tol, name="steps", least=0):
+    """The step count of a step loop, checked with its tolerance: ``tol``
+    must be nonnegative and ``steps`` an integer (``operator.index``, so
+    2.5 and NaN fail) of at least ``least``, else ValueError."""
+    if not tol >= 0:              # also rejects NaN
+        raise ValueError("tol must be nonnegative")
+    try:
+        count = operator.index(steps)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {steps!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return count
+
+
 def _run(m, structures, steps, tol, stop):
     """Q_t = P_t Q_{t-1} H_t for t = 1..steps, (P_t, H_t) = structures(Q_{t-1}).
 
@@ -82,11 +99,10 @@ def evolve(p, m, h, steps, tol=1e-9):
     """Iterate Q_{k+1} = P Q_k H for ``steps`` steps, recording every Q_k.
 
     ``stabilized_at`` is the first k whose max-norm step difference falls
-    below ``tol`` (pass tol=0 to disable stabilization marking); a negative
-    or NaN ``tol`` raises ValueError.
+    below ``tol`` (pass tol=0 to disable stabilization marking).  A negative
+    or NaN ``tol``, or ``steps`` not an integer of at least 0, raises ValueError.
     """
-    if not tol >= 0:              # also rejects NaN
-        raise ValueError("tol must be nonnegative")
+    steps = _stopping_rule(steps, tol)
     p = require_square(p)
     h = require_square(h)
     m = as_matrix(m)
@@ -187,7 +203,7 @@ def limit_q(p, m, h):
     """Closed-form limit of P^n M H^n with its structural case label."""
     p = require_square(p)
     h = require_square(h)
-    m = validate_stochastic(m, tol=1e-7)
+    m = validate_stochastic(m, tol=INPUT_TOL)
     if m.shape != (p.shape[0], h.shape[0]):
         raise DimensionMismatchError(
             f"beliefs {m.shape} incompatible with network {p.shape} / concepts {h.shape}")

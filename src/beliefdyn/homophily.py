@@ -23,9 +23,8 @@ so self links always hold.
 
 import numpy as np
 
-from .chains import _levels
-from .homogeneous import _run
-from .stochastic import DimensionMismatchError, col_normalize, validate_stochastic
+from .homogeneous import _run, _stopping_rule
+from .stochastic import INPUT_TOL, DimensionMismatchError, col_normalize, validate_stochastic
 
 FLOOR = 1e-12               # smallest probability a divergence reads
 
@@ -54,10 +53,7 @@ class HomophilyConfig:
             raise ValueError("similarity thresholds eps_p and eps_h must be positive")
         if not 0 <= beta < np.inf:
             raise ValueError("beta must be nonnegative and finite")
-        if not tol >= 0:
-            raise ValueError("tol must be nonnegative")
-        if max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        max_steps = _stopping_rule(max_steps, tol, "max_steps", least=1)
         vars(self).update(eps_p=eps_p, eps_h=eps_h, beta=beta, tol=tol, max_steps=max_steps,
                           freeze_network=freeze_network, freeze_concepts=freeze_concepts)
 
@@ -139,7 +135,7 @@ def _homophily_structure(points, eps, cfg):
 
 def build_network(m, cfg):
     """Network structure over people from the rows of the beliefs."""
-    m = validate_stochastic(m, tol=1e-7)
+    m = validate_stochastic(m, tol=INPUT_TOL)
     return _homophily_structure(m, cfg.eps_p, cfg)
 
 
@@ -149,9 +145,22 @@ def build_concepts(m, cfg):
     Each column, rescaled to sum to 1, is read as a distribution over
     people; concepts whose columns diverge by less than eps_h get linked.
     """
-    m = validate_stochastic(m, tol=1e-7)
+    m = validate_stochastic(m, tol=INPUT_TOL)
     mhat = col_normalize(m)
     return _homophily_structure(mhat.T, cfg.eps_h, cfg)
+
+
+def _levels(adj, root):
+    """Breadth-first depth of every state from ``root``; -1 where unreached."""
+    level = np.full(adj.shape[0], -1)
+    level[root] = 0
+    frontier = [root]
+    depth = 0
+    while len(frontier):
+        depth += 1
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
+        level[frontier] = depth
+    return level
 
 
 def network_groups(p):
@@ -202,7 +211,7 @@ def run_homophily(m0, cfg):
     steps with ``stabilized_at`` None, as in :func:`evolve`; tol = 0 marks
     no step.
     """
-    m0 = validate_stochastic(m0, tol=1e-7)
+    m0 = validate_stochastic(m0, tol=INPUT_TOL)
     r, s = m0.shape
 
     def structures(q):

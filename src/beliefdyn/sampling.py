@@ -27,9 +27,9 @@ passes that one-entry gate.
 import numpy as np
 
 from .ergodic import exists_scrambling_product
-from .homogeneous import limit_q
+from .homogeneous import _stopping_rule, limit_q
 from .rng import CONCEPT_STREAM, NETWORK_STREAM, Xoshiro256StarStar, weighted_index
-from .stochastic import (DimensionMismatchError, _as_family, as_matrix,
+from .stochastic import (INPUT_TOL, DimensionMismatchError, _as_family, as_matrix,
                          validate_stochastic)
 
 
@@ -66,7 +66,7 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
     seeds : sequence of int
         64-bit reproducibility seeds, one lane each.
     steps : int
-        Horizon; every run executes the full horizon.
+        Horizon, an integer of at least 0; every run executes all of it.
     tol : float
         Stabilization marker threshold on successive max-norm differences;
         0 marks nothing, and a negative or NaN tol raises ValueError.
@@ -76,11 +76,10 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
     seed's own words, and every lane's step is ``(P_t @ Q) @ H_t`` as a 2-D
     product.
     """
-    if not tol >= 0:              # also rejects NaN
-        raise ValueError("tol must be nonnegative")
+    horizon = _stopping_rule(steps, tol)
     sp = _as_family(sp).require_square()
     sh = _as_family(sh).require_square()
-    m = validate_stochastic(m, tol=1e-7)
+    m = validate_stochastic(m, tol=INPUT_TOL)
     if m.shape != (sp.shape[0], sh.shape[0]):
         raise DimensionMismatchError(
             f"beliefs {m.shape} incompatible with families {sp.shape} / {sh.shape}")
@@ -89,7 +88,6 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
         return
     lanes = len(seeds)
     rng = Xoshiro256StarStar(seeds * 2, [NETWORK_STREAM] * lanes + [CONCEPT_STREAM] * lanes)
-    horizon = max(steps, 0)
     words_p = np.empty((horizon, lanes), np.min_scalar_type(len(sp) - 1))
     words_h = np.empty((horizon, lanes), np.min_scalar_type(len(sh) - 1))
     plans = []     # per family: (member stack, lane slice, gather buffer) per chunk

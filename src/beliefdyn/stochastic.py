@@ -19,6 +19,7 @@ matrix takes 8 to 32 MB.
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+INPUT_TOL = 1e-7     # row-sum tolerance on beliefs and family members a run is given
 
 
 class NegativeEntryError(ValueError):
@@ -185,7 +186,7 @@ class MatrixFamily:
     """
 
     def __init__(self, members, weights=None):
-        members = tuple(validate_stochastic(m, tol=1e-7) for m in members)
+        members = tuple(validate_stochastic(m, tol=INPUT_TOL) for m in members)
         if not members:
             raise DimensionMismatchError("a family needs at least one member")
         shape = members[0].shape

@@ -150,10 +150,10 @@ def test_self_loop_means_period_one():
         assert result.periods == (1,) * 5
 
 
-def _block_cyclic(rng, period):
+def _block_cyclic(rng, period, most=3):
     """Random chain whose links only go from block k to block k + 1 (mod
-    period), with its states shuffled."""
-    block = np.repeat(np.arange(period), rng.integers(1, 4, size=period))
+    period), blocks of 1 to ``most`` states, with its states shuffled."""
+    block = np.repeat(np.arange(period), rng.integers(1, most + 1, size=period))
     n = block.size
     nxt = block[None, :] == (block[:, None] + 1) % period
     pattern = nxt & (rng.random((n, n)) < 0.6)
@@ -176,6 +176,45 @@ def test_periods_match_bruteforce():
         for state in range(p.shape[0]):
             assert result.periods[state] == brute_force_period(p, state)
     assert {2, 3, 4} <= seen
+
+
+def _composite(rng, periods):
+    """Block-cyclic chains of the given periods side by side, fed by one or
+    two transient states that link anywhere and into at least one of them,
+    with all states shuffled, so search depths are not breadth-first levels."""
+    parts = [_block_cyclic(rng, d, most=2) for d in periods]
+    k = sum(len(q) for q in parts)
+    t = int(rng.integers(1, 3))
+    w = np.zeros((k + t, k + t))
+    at = 0
+    for q in parts:
+        w[at:at + len(q), at:at + len(q)] = q
+        at += len(q)
+    w[k:] = rng.random((t, k + t)) * (rng.random((t, k + t)) < 0.4)
+    w[np.arange(k, k + t), rng.integers(0, k, size=t)] += 1.0
+    perm = rng.permutation(k + t)
+    w = w[np.ix_(perm, perm)]
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def test_periods_and_leaves_match_bruteforce_on_several_classes():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for periods in [(2, 3), (2, 4), (1, 3)] * 4:
+        p = _composite(rng, periods)
+        result = analyze(p)
+        seen.update(result.periods)
+        for state in range(p.shape[0]):
+            assert result.periods[state] == brute_force_period(p, state)
+        leaves = {frozenset(result.classes[c]) for c in result.leaf_classes}
+        assert leaves == set(minimal_closed_subsets(p))
+    assert {1, 2, 3, 4, inf} <= seen
+
+
+def test_empty_pattern_has_empty_anatomy():
+    result = analyze_pattern(np.zeros((0, 0), dtype=bool))
+    assert (result.classes, result.leaf_classes, result.recurrent, result.periods) == (
+        (), (), (), ())
 
 
 def test_irreducible_implies_indecomposable():

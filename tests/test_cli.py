@@ -60,6 +60,30 @@ def test_analyze_jsonl_output(tmp_path):
     assert records["states"]["periods"] == [1, 1, 1, 1, 1]
 
 
+# Successors of each state of a 12-state chain, each link equally weighted:
+# closed classes {1,5,6,9} of period 2, {2,3,7,10} of period 3 and the
+# self loop {4}; a transient cycle {8,11} that leaks into two of them; and
+# a transient state 0 with no return.  The analysis.jsonl hash was recorded
+# while each class's period still came from a breadth-first search of its own.
+ANATOMY_LINKS = [[2, 8], [6, 9], [7], [2], [4], [6, 9],
+                 [1, 5], [3, 10], [1, 11], [5], [2], [4, 8]]
+
+
+def test_analyze_jsonl_pinned_on_periods_and_transients(tmp_path):
+    p = np.zeros((12, 12))
+    for i, links in enumerate(ANATOMY_LINKS):
+        p[i, links] = 1.0 / len(links)
+    write_matrix(tmp_path / "p.csv", p)
+    out = tmp_path / "analyze"
+    assert main(["analyze", "--p", str(tmp_path / "p.csv"),
+                 "--out", str(out), "--quiet"]) == 0
+    text = (out / "analysis.jsonl").read_bytes()
+    states = json.loads(text.splitlines()[2])
+    assert states["periods"] == [None, 2, 3, 3, 1, 2, 2, 3, 2, 2, 3, 2]
+    assert hashlib.sha256(text).hexdigest() == (
+        "c7f30d4689b29282427227a6c1796858a57579d7b3349602871bdde49302a3f6")
+
+
 def test_sample_subcommand(tmp_path):
     out = run_dir(tmp_path, "sample")
     assert main(["sample",

@@ -1,6 +1,7 @@
 """The package exports what it names, keeps only public names that
-something uses, and imports only its declared dependency, numpy, with no
-process pools and no dataclasses."""
+something uses and only private names that its own code uses, and imports
+only its declared dependency, numpy, with no process pools and no
+dataclasses."""
 
 import ast
 import importlib
@@ -145,21 +146,30 @@ def _words(node, docstrings):
     return []
 
 
-def _users():
-    """Each identifier used in src/, demos/ or bench/ -> the (file, top-level
-    name) it is used in; imports and ``__all__`` are not uses."""
+def _bound(stmt):
+    """Names a top-level statement binds: a function's or class's name, or
+    an assignment's plain targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _users(dirs=("src", "demos", "bench")):
+    """Each identifier used in the files under ``dirs`` -> the (file,
+    top-level name) it is used in; imports and ``__all__`` are not uses."""
     users = defaultdict(set)
-    paths = sorted(p for d in ("src", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
+    paths = sorted(p for d in dirs for p in (ROOT / d).rglob("*.py"))
     for path in paths:
         tree = ast.parse(path.read_text())
         docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                       if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
                       and node.body and isinstance(node.body[0], ast.Expr)}
         for stmt in tree.body:
-            targets = getattr(stmt, "targets", [])
-            if any(getattr(t, "id", None) == "__all__" for t in targets):
+            bound = _bound(stmt)
+            if "__all__" in bound:
                 continue
-            owner = getattr(stmt, "name", None)
+            owner = bound[0] if bound else None
             for node in ast.walk(stmt):
                 for word in _words(node, docstrings):
                     users[word].add((path.resolve(), owner))
@@ -174,6 +184,26 @@ def test_every_public_name_has_a_use_or_a_reason():
     unused = [key for key, (path, word) in _public_names().items()
               if key not in KEPT_WITHOUT_CALLER
               and not users[word] - {(path, key.split(".")[1])}]
+    assert unused == []
+
+
+def _private_names():
+    """(file, name) of every private name a module of the package binds at
+    its top level: a function, a class or an assignment target."""
+    names = []
+    for path in sorted((ROOT / "src" / "beliefdyn").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names += [(path.resolve(), name) for name in _bound(stmt)
+                      if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def test_every_private_name_has_a_use_in_src():
+    # a private helper that only its own definition, or only a test, still
+    # names is left over from a refactor
+    users = _users(("src",))
+    unused = [f"{path.stem}.{name}" for path, name in _private_names()
+              if not users[name] - {(path, name)}]
     assert unused == []
 
 

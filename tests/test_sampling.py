@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets, sampling
 from beliefdyn.homogeneous import evolve, limit_q
+from beliefdyn.homophily import HomophilyConfig
 from beliefdyn.rng import (CONCEPT_STREAM, MASK64, NETWORK_STREAM, Xoshiro256StarStar,
                            _nonzero_state, _splitmix64, weighted_index)
 from beliefdyn.sampling import (diagnose_convergence, expectation_matrix,
@@ -228,6 +229,27 @@ class TestSampleTrajectories:
             next(sample_trajectories(sp, sh, m, [4], 10, tol=tol))
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             evolve(sp.members[0], m, sh.members[0], 10, tol=tol)
+
+    @pytest.mark.parametrize("steps", [-1, 2.5, float("nan")])
+    @pytest.mark.parametrize("loop", ["evolve", "sample_trajectories", "homophily"])
+    def test_bad_step_count_rejected_before_any_step(self, monkeypatch, loop, steps):
+        # the three step loops take the CLI's rule: an integer, at least 0
+        # (at least 1 for max_steps), else a ValueError naming the parameter
+        def no_generator(*args):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(sampling, "Xoshiro256StarStar", no_generator)
+        sp = datasets.single_leaf_family()
+        sh = MatrixFamily([np.eye(2)])
+        m = np.full((3, 2), 0.5)
+        calls = {
+            "evolve": lambda: evolve(sp.members[0], m, sh.members[0], steps),
+            "sample_trajectories": lambda: next(sample_trajectories(sp, sh, m, [0], steps)),
+            "homophily": lambda: HomophilyConfig(0.1, 0.1, max_steps=steps),
+        }
+        name = "max_steps" if loop == "homophily" else "steps"
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            calls[loop]()
 
     def test_unmoving_first_entry_leaves_the_full_test_to_decide(self):
         # person 0 is absorbing and the concept family is the identity, so
