@@ -456,7 +456,7 @@ def run(config):
 
 def _add_common(sub):
     sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed")
     sub.add_argument("--quiet", action="store_true")
 
 
@@ -494,9 +494,8 @@ def build_parser(command):
             else:
                 s.add_argument(
                     flag, required=default is _REQUIRED,
-                    default=None if default in (_REQUIRED, _SEED) else default,
-                    type={int: int, float: float, _count: int}.get(typ),
-                    choices=typ if isinstance(typ, tuple) else None)
+                    default=None if default in (None, _REQUIRED, _SEED) else _text(default),
+                    metavar="{" + ",".join(typ) + "}" if isinstance(typ, tuple) else None)
         _add_common(s)
     return parser
 
@@ -505,23 +504,23 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        seed = None if args.seed is None else _read("seed", int, args.seed)
         if args.command == "run":
             config = parse_config(args.config)
-            if args.out is not None:
-                config.out = Path(args.out)
-            config.quiet = args.quiet
+            if seed is not None:
+                config.seed = seed
         else:
             params = {}
             for key, _, default in _MODES[args.command][2]:
                 value = getattr(args, key, None)
                 if value is None and default is _SEED:
-                    value = args.seed
+                    value = seed or 0
                 if value is not None:
                     params[key] = _text(value)
-            config = RunConfig(
-                mode=args.command, params=params,
-                out=Path(args.out) if args.out else None,
-                seed=args.seed, quiet=args.quiet)
+            config = RunConfig(mode=args.command, params=params, seed=seed or 0)
+        if args.out:
+            config.out = Path(args.out)
+        config.quiet = args.quiet
         run(config)
         return 0
     except (ParseError, ValueError, OSError, RuntimeError) as exc:

@@ -37,8 +37,7 @@ import numpy as np
 from . import chains
 from .chains import NotSIAError
 from .homogeneous import _limit, evolve
-from .stochastic import (INPUT_TOL, _as_family, delta_coefficient, matrix_power,
-                         require_square, validate_stochastic)
+from .stochastic import _as_family, delta_coefficient, matrix_power, require_square
 
 
 class BudgetExceededError(RuntimeError):
@@ -274,9 +273,8 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
     base = lam_p * lam_h
     if m is None:
         m = _probe_matrix(p.shape[0], h.shape[0])
-    m = validate_stochastic(m, tol=INPUT_TOL)
-    trace = evolve(p, m, h, probe_horizon, tol=0.0)  # checks m's shape
-    limit = _limit(p, p_analysis)[0] @ m @ _limit(h, h_analysis)[0]
+    trace = evolve(p, m, h, probe_horizon, tol=0.0)  # checks m
+    limit = _limit(p, p_analysis)[0] @ trace.beliefs[0] @ _limit(h, h_analysis)[0]
     constant = 0.0
     for n in range(1, probe_horizon + 1):
         err = float(np.abs(trace.beliefs[n] - limit).max())

@@ -19,7 +19,7 @@ import operator
 import numpy as np
 
 from . import chains
-from .stochastic import (INPUT_TOL, DimensionMismatchError, as_matrix, delta_coefficient,
+from .stochastic import (INPUT_TOL, DimensionMismatchError, delta_coefficient,
                          max_abs_diff, require_square, validate_stochastic)
 
 
@@ -95,20 +95,28 @@ def _run(m, structures, steps, tol, stop):
     return trace
 
 
+def _beliefs(m, network, concepts):
+    """``m`` checked as beliefs on ``network`` and ``concepts`` (matrices or
+    families): row-stochastic at ``INPUT_TOL``, a row per person, a column per concept."""
+    m = validate_stochastic(m, tol=INPUT_TOL)
+    if m.shape != (network.shape[0], concepts.shape[0]):
+        raise DimensionMismatchError(f"beliefs {m.shape} incompatible with network "
+                                     f"{network.shape} / concepts {concepts.shape}")
+    return m
+
+
 def evolve(p, m, h, steps, tol=1e-9):
     """Iterate Q_{k+1} = P Q_k H for ``steps`` steps, recording every Q_k.
 
     ``stabilized_at`` is the first k whose max-norm step difference falls
     below ``tol`` (pass tol=0 to disable stabilization marking).  A negative
-    or NaN ``tol``, or ``steps`` not an integer of at least 0, raises ValueError.
+    or NaN ``tol``, ``steps`` not an integer of at least 0, or an ``m`` that
+    is not row-stochastic or does not fit P and H raises ValueError.
     """
     steps = _stopping_rule(steps, tol)
     p = require_square(p)
     h = require_square(h)
-    m = as_matrix(m)
-    if m.shape != (p.shape[0], h.shape[0]):
-        raise DimensionMismatchError(
-            f"beliefs {m.shape} incompatible with network {p.shape} / concepts {h.shape}")
+    m = _beliefs(m, p, h)
     return _run(m, lambda q: (p, h), steps, tol, stop=False)
 
 
@@ -203,10 +211,7 @@ def limit_q(p, m, h):
     """Closed-form limit of P^n M H^n with its structural case label."""
     p = require_square(p)
     h = require_square(h)
-    m = validate_stochastic(m, tol=INPUT_TOL)
-    if m.shape != (p.shape[0], h.shape[0]):
-        raise DimensionMismatchError(
-            f"beliefs {m.shape} incompatible with network {p.shape} / concepts {h.shape}")
+    m = _beliefs(m, p, h)
     p_analysis = chains.analyze(p)
     h_analysis = chains.analyze(h)
     p_inf, p_periodic = _limit(p, p_analysis)

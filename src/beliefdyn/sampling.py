@@ -27,10 +27,9 @@ passes that one-entry gate.
 import numpy as np
 
 from .ergodic import exists_scrambling_product
-from .homogeneous import _stopping_rule, limit_q
+from .homogeneous import _beliefs, _stopping_rule, limit_q
 from .rng import CONCEPT_STREAM, NETWORK_STREAM, Xoshiro256StarStar, weighted_index
-from .stochastic import (INPUT_TOL, DimensionMismatchError, _as_family, as_matrix,
-                         validate_stochastic)
+from .stochastic import _as_family
 
 
 _BLOCK = 32                 # steps of words drawn per generator call
@@ -71,19 +70,21 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
         Stabilization marker threshold on successive max-norm differences;
         0 marks nothing, and a negative or NaN tol raises ValueError.
 
-    Yields one :class:`SampledRun` per seed, in order.  Each run is bit for
-    bit the one a single-seed run produces: the generator lanes draw each
-    seed's own words, and every lane's step is ``(P_t @ Q) @ H_t`` as a 2-D
-    product.
+    Returns an iterator of one :class:`SampledRun` per seed, in order, after
+    checking every input at the call; a run's words become tuples only as it
+    is taken.  Each run is bit for bit the one a single-seed run produces:
+    the generator lanes draw each seed's own words, and every lane's step is
+    ``(P_t @ Q) @ H_t`` as a 2-D product.
     """
     horizon = _stopping_rule(steps, tol)
     sp = _as_family(sp).require_square()
     sh = _as_family(sh).require_square()
-    m = validate_stochastic(m, tol=INPUT_TOL)
-    if m.shape != (sp.shape[0], sh.shape[0]):
-        raise DimensionMismatchError(
-            f"beliefs {m.shape} incompatible with families {sp.shape} / {sh.shape}")
-    seeds = [int(s) for s in seeds]
+    m = _beliefs(m, sp, sh)
+    return _lanes(sp, sh, m, [int(s) for s in seeds], horizon, tol)
+
+
+def _lanes(sp, sh, m, seeds, horizon, tol):
+    """:func:`sample_trajectories` on checked inputs, as a generator."""
     if not seeds:
         return
     lanes = len(seeds)
@@ -157,9 +158,6 @@ def expected_limit(sp, sh, m):
     Because the draws are independent across time, the expectation of the
     sampled product equals the product of expectations, so this is also the
     expectation of the (random) limiting beliefs whenever those limits
-    exist per-run.
+    exist per-run.  ``m`` is checked as :func:`~beliefdyn.homogeneous.limit_q` checks it.
     """
-    sp = _as_family(sp)
-    sh = _as_family(sh)
-    m = as_matrix(m)
     return limit_q(expectation_matrix(sp), m, expectation_matrix(sh)).limit

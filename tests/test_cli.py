@@ -536,6 +536,62 @@ def test_bad_flag_value_is_one_error_line(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+# one bad value per case, with the other keys its mode needs; no file is
+# read, since every value is read before any input file
+BAD_VALUES = [
+    ("evolve", {"p": "p.csv", "m": "m.csv", "h": "h.csv"}, "steps", "abc"),
+    ("clusters", {"m": "m.csv", "epsilon": "0.3"}, "axis", "diag"),
+    ("analyze", {"p": "p.csv"}, "seed", "x"),
+    ("homophily", {"m": "m.csv", "eps_h": "0.25"}, "eps_p", "abc"),
+    ("certify", {"p": "p.csv", "h": "h.csv"}, "kind", "other"),
+    ("certify", {"kind": "inhomogeneous", "family_dir": "family"}, "nu", "0"),
+]
+
+
+@pytest.mark.parametrize("mode, given, key, text", BAD_VALUES,
+                         ids=[f"{key}={text}" for _, _, key, text in BAD_VALUES])
+def test_bad_value_is_the_same_line_as_flag_and_config_key(
+        tmp_path, monkeypatch, capsys, mode, given, key, text):
+    monkeypatch.chdir(tmp_path)
+    given = {**given, key: text}
+    flags = [arg for k, v in given.items() for arg in ("--" + k.replace("_", "-"), v)]
+    (tmp_path / "run.cfg").write_text(
+        f"mode={mode}\n" + "".join(f"{k}={v}\n" for k, v in given.items()))
+    lines = []
+    for argv in ([mode, *flags], ["run", "run.cfg"]):
+        assert main(argv + ["--out", "out"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        lines.append(printed.err.splitlines())
+        assert len(lines[-1]) == 1 and lines[-1][0].startswith("error: ")
+        assert lines[-1][0].split()[1] == key
+    assert lines[0] == lines[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_run_seed_flag_overrides_the_config_seed(tmp_path):
+    # the config sets no seeds, so the run's seed picks the one lane
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SINGLE_LEAF_SAMPLE + "horizon=50\nseed=4\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--seed", "7", "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 7 and manifest["config"]["seed"] == "7"
+    assert "q_seed7.csv" in manifest["outputs"]
+    assert "q_seed4.csv" not in manifest["outputs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--p", str(TWO_CAMP / "p.csv")],
+    ["run", str(FIXTURES / "two_camp" / "analyze.cfg")],
+], ids=["flags", "run"])
+def test_empty_out_flag_means_not_given(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "", "--quiet"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["beliefdyn-out"]
+    assert (tmp_path / "beliefdyn-out" / "manifest.json").is_file()
+
+
 def test_zero_step_counts_run(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TWO_CAMP_EVOLVE + "steps=0\n")

@@ -6,7 +6,9 @@ from beliefdyn import datasets, homogeneous
 from beliefdyn.chains import NotSIAError
 from beliefdyn.homogeneous import (absorption_probabilities, evolve, limit_q,
                                    limit_structure, stationary_distribution)
-from beliefdyn.stochastic import delta_coefficient, matrix_power, max_abs_diff
+from beliefdyn.sampling import sample_trajectories
+from beliefdyn.stochastic import (DimensionMismatchError, NegativeEntryError, RowSumError,
+                                  delta_coefficient, matrix_power, max_abs_diff)
 from util import loop_evolve, random_stochastic
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -41,6 +43,28 @@ class TestEvolve:
         from beliefdyn.stochastic import DimensionMismatchError
         with pytest.raises(DimensionMismatchError):
             evolve(np.eye(3), np.full((4, 2), 0.5), np.eye(2), 5)
+
+    @pytest.mark.parametrize("call", ["evolve", "limit_q", "sample_trajectories"])
+    @pytest.mark.parametrize("row, error, message", [
+        ([0.5, 0.6], RowSumError, r"row 2 sums to 1\.1"),
+        ([0.5, -0.5], NegativeEntryError, r"negative entry -0\.5 at \(2, 2\)"),
+        (None, DimensionMismatchError,
+         r"beliefs \(2, 2\) incompatible with network \(3, 3\) / concepts \(2, 2\)"),
+    ], ids=["row_sum", "negative", "shape"])
+    def test_beliefs_checked_alike_at_the_call(self, call, row, error, message):
+        # evolve, limit_q and sample_trajectories share one check of m:
+        # row-stochastic within INPUT_TOL and fitting P and H
+        p, h = np.eye(3), np.eye(2)
+        m = np.full((3, 2), 0.5)
+        if row is None:
+            m = m[:2]
+        else:
+            m[1] = row
+        calls = {"evolve": lambda: evolve(p, m, h, 5),
+                 "limit_q": lambda: limit_q(p, m, h),
+                 "sample_trajectories": lambda: sample_trajectories([p], [h], m, [0], 5)}
+        with pytest.raises(error, match=f"^{message}"):
+            calls[call]()
 
     def test_snapshots_match_powers(self):
         p, m, h = datasets.two_camp_society()

@@ -226,7 +226,7 @@ class TestSampleTrajectories:
         sh = MatrixFamily([np.eye(2)])
         m = np.full((3, 2), 0.5)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
-            next(sample_trajectories(sp, sh, m, [4], 10, tol=tol))
+            sample_trajectories(sp, sh, m, [4], 10, tol=tol)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             evolve(sp.members[0], m, sh.members[0], 10, tol=tol)
 
@@ -244,7 +244,7 @@ class TestSampleTrajectories:
         m = np.full((3, 2), 0.5)
         calls = {
             "evolve": lambda: evolve(sp.members[0], m, sh.members[0], steps),
-            "sample_trajectories": lambda: next(sample_trajectories(sp, sh, m, [0], steps)),
+            "sample_trajectories": lambda: sample_trajectories(sp, sh, m, [0], steps),
             "homophily": lambda: HomophilyConfig(0.1, 0.1, max_steps=steps),
         }
         name = "max_steps" if loop == "homophily" else "steps"
