@@ -32,7 +32,7 @@ from .sampling import (ConvergenceDiagnosis, SampledRun, diagnose_convergence,
                        sample_trajectory)
 from .stochastic import (MatrixFamily, col_normalize, delta_coefficient,
                          ingest_rounded, matrix_power, max_abs_diff, multiply,
-                         row_normalize, validate_stochastic)
+                         validate_stochastic)
 from .ternary import render_ternary
 
 # every public name imported above; submodules are not exported

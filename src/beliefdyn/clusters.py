@@ -42,6 +42,7 @@ import numpy as np
 
 from .homophily import _floored, _pairwise_kl, network_groups
 from .homophily import kl_divergence  # noqa: F401 (bench/test_bench.py rebinds it here)
+from .stochastic import INPUT_TOL, validate_stochastic
 
 _MAX_ITER = 10_000           # iterations per solve
 _SCREEN_MARGIN = 1e-9        # relative margin of the Pinsker range screen
@@ -67,13 +68,6 @@ class ClusterPartition:
 
     def __len__(self):
         return len(self.clusters)
-
-
-def _points(points):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or not np.isfinite(pts).all():
-        raise ValueError("expected a 2-D array of finite simplex points")
-    return pts
 
 
 def _safe_log(x):
@@ -207,12 +201,12 @@ def _min_kl(va, vb, tol, epsilon=None):
 
 
 def _hull_min_kl(a, b, tol):
-    """The floored min KL of two validated hulls, clipped at 0."""
+    """The floored min KL of two nonempty hulls, checked as beliefs are, clipped at 0."""
     if not tol > 0:               # also rejects NaN
         raise ValueError("tol must be positive")
-    va, vb = _points(a), _points(b)
-    if not (len(va) and len(vb)):
+    if not (np.size(a) and np.size(b)):
         raise ValueError("a hull has no points")
+    va, vb = (validate_stochastic(h, tol=INPUT_TOL) for h in (a, b))
     val, _, _ = _min_kl(_floored(va), _floored(vb), tol)
     return max(val, 0.0)
 
@@ -241,13 +235,14 @@ def epsilon_kl_clusters(points, epsilon, tol=1e-6):
     sits within epsilon of the hull of its cluster's other members, which
     the constructive partition does not enforce.  ``screened`` counts the
     merge pairs the range screen decided; ``iterations`` and ``max_gap``
-    report the hull-solver work behind the solves that ran.
+    report the hull-solver work behind the solves that ran.  ``points`` are
+    distribution rows, checked as beliefs are (row-stochastic at ``INPUT_TOL``).
     """
     if not epsilon > 0:           # also rejects NaN
         raise ValueError("epsilon must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    points = _points(points)
+    points = validate_stochastic(points, tol=INPUT_TOL)
     pts = _floored(points)
     iterations, max_gap, screened = 0, 0.0, 0
 

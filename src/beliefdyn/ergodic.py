@@ -36,8 +36,9 @@ import numpy as np
 
 from . import chains
 from .chains import NotSIAError
-from .homogeneous import _limit, evolve
-from .stochastic import _as_family, delta_coefficient, matrix_power, require_square
+from .homogeneous import _limit, _run, _society
+from .stochastic import (_as_family, _count, _structure, delta_coefficient, matrix_power,
+                         require_square)
 
 
 class BudgetExceededError(RuntimeError):
@@ -159,7 +160,7 @@ def exists_scrambling_product(family):
     union-graph condensation to have one leaf, but one leaf is not enough:
     the swap [[0, 1], [1, 0]] has one and only permutation products.
     """
-    family = _as_family(family).require_square()
+    family = _as_family(family)
     gens = [m > 0 for m in family.members]
     pointers = _merge_pointers(gens)
     if pointers is None:
@@ -183,9 +184,10 @@ def exists_scrambling_product(family):
 def subdominant_modulus(p):
     """Modulus of the second-largest eigenvalue of an SIA matrix: the paper's lambda.
 
-    Strictly below 1 for SIA inputs; 0 for a rank-one matrix; the bench traces it.
+    Strictly below 1 for SIA inputs; 0 for a rank-one matrix; the bench
+    traces it.  ``p`` is checked as a structure.
     """
-    a = require_square(p)
+    a = _structure(p)
     if not is_sia(a):
         raise NotSIAError("subdominant modulus is defined for SIA matrices")
     return _second_modulus(a)
@@ -264,16 +266,18 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
     the largest error.  The certificate also records both per-structure
     rates, since the combined product base and the slower single-structure
     rate are two different readings of "the model's rate".
+    ``probe_horizon`` (a count) and the society are checked as ``evolve``
+    checks them, before any analysis.
     """
-    p = require_square(p)
-    h = require_square(h)
+    probe_horizon = _count(probe_horizon, "probe_horizon")
+    p, m, h = _society(p, m, h)
+    if m is None:
+        m = _probe_matrix(p.shape[0], h.shape[0])
     p_analysis, h_analysis = chains.analyze(p), chains.analyze(h)
     lam_p = _slowest_class_modulus(p, p_analysis)
     lam_h = _slowest_class_modulus(h, h_analysis)
     base = lam_p * lam_h
-    if m is None:
-        m = _probe_matrix(p.shape[0], h.shape[0])
-    trace = evolve(p, m, h, probe_horizon, tol=0.0)  # checks m
+    trace = _run(m, lambda q: (p, h), probe_horizon, 0.0, stop=False)
     limit = _limit(p, p_analysis)[0] @ trace.beliefs[0] @ _limit(h, h_analysis)[0]
     constant = 0.0
     for n in range(1, probe_horizon + 1):
@@ -330,16 +334,15 @@ def inhomogeneous_rate_certificate(family, nu=None):
     that length over the family has a scrambling pattern; it never needs to
     exceed nu_star(N) = (3^N - 2^(N+1) + 1)/2 (0 for one state, whose block
     is 1).  gamma is then minimized over the real-valued products of all
-    words of length nu, at most ``_MAX_WORDS``.  A given nu below 1 raises
-    ValueError; a given nu is decided on patterns alone, before any real
-    product is formed.
+    words of length nu, at most ``_MAX_WORDS``.  A given nu that is not an
+    integer of at least 1 raises ValueError before any search; a given nu
+    is decided on patterns alone, before any real product is formed.
     """
-    family = _as_family(family).require_square()
+    given = nu is not None
+    nu = _count(nu, "nu", least=1) if given else None
+    family = _as_family(family)
     cap = nu_star(family.shape[0])
     gens = [m > 0 for m in family.members]
-    given = nu is not None
-    if given and nu < 1:
-        raise ValueError(f"nu must be at least 1, got {nu}")
     failure = NotConvergentFamilyError(
         "a length-nu word is not scrambling" if given else
         f"no block length up to nu* = {cap} makes every word scrambling")
@@ -370,7 +373,7 @@ def inhomogeneous_rate_certificate(family, nu=None):
     return RateCertificate(
         kind="inhomogeneous",
         base=1.0 - gamma,
-        block=int(nu),
+        block=nu,
         constant_hint=1.0,
         nu_star=cap,
         witness=witness,

@@ -14,13 +14,11 @@ absorption probabilities.  Periodic recurrent classes get the time-average
 (Cesaro) limit, reported as case ``periodic_cesaro``.
 """
 
-import operator
-
 import numpy as np
 
 from . import chains
-from .stochastic import (INPUT_TOL, DimensionMismatchError, delta_coefficient,
-                         max_abs_diff, require_square, validate_stochastic)
+from .stochastic import (INPUT_TOL, DimensionMismatchError, MatrixFamily, _count, _structure,
+                         delta_coefficient, max_abs_diff, validate_stochastic)
 
 
 class SingularSystemError(ValueError):
@@ -59,18 +57,11 @@ class LimitReport:
 
 
 def _stopping_rule(steps, tol, name="steps", least=0):
-    """The step count of a step loop, checked with its tolerance: ``tol``
-    must be nonnegative and ``steps`` an integer (``operator.index``, so
-    2.5 and NaN fail) of at least ``least``, else ValueError."""
+    """The count ``steps`` (:func:`~beliefdyn.stochastic._count`) of a step
+    loop, read once its ``tol`` is checked nonnegative, else ValueError."""
     if not tol >= 0:              # also rejects NaN
         raise ValueError("tol must be nonnegative")
-    try:
-        count = operator.index(steps)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {steps!r}") from None
-    if count < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return count
+    return _count(steps, name, least)
 
 
 def _run(m, structures, steps, tol, stop):
@@ -95,14 +86,18 @@ def _run(m, structures, steps, tol, stop):
     return trace
 
 
-def _beliefs(m, network, concepts):
-    """``m`` checked as beliefs on ``network`` and ``concepts`` (matrices or
-    families): row-stochastic at ``INPUT_TOL``, a row per person, a column per concept."""
-    m = validate_stochastic(m, tol=INPUT_TOL)
-    if m.shape != (network.shape[0], concepts.shape[0]):
-        raise DimensionMismatchError(f"beliefs {m.shape} incompatible with network "
-                                     f"{network.shape} / concepts {concepts.shape}")
-    return m
+def _society(network, m, concepts):
+    """``(network, m, concepts)`` checked once each: a structure is a checked
+    MatrixFamily or a matrix :func:`~beliefdyn.stochastic._structure` checks,
+    and ``m`` (None passes) is row-stochastic at ``INPUT_TOL`` and fits them."""
+    network, concepts = (s if isinstance(s, MatrixFamily) else _structure(s)
+                         for s in (network, concepts))
+    if m is not None:
+        m = validate_stochastic(m, tol=INPUT_TOL)
+        if m.shape != (network.shape[0], concepts.shape[0]):
+            raise DimensionMismatchError(f"beliefs {m.shape} incompatible with network "
+                                         f"{network.shape} / concepts {concepts.shape}")
+    return network, m, concepts
 
 
 def evolve(p, m, h, steps, tol=1e-9):
@@ -110,13 +105,11 @@ def evolve(p, m, h, steps, tol=1e-9):
 
     ``stabilized_at`` is the first k whose max-norm step difference falls
     below ``tol`` (pass tol=0 to disable stabilization marking).  A negative
-    or NaN ``tol``, ``steps`` not an integer of at least 0, or an ``m`` that
-    is not row-stochastic or does not fit P and H raises ValueError.
+    or NaN ``tol``, ``steps`` not an integer of at least 0, or a society
+    that :func:`_society` refuses raises ValueError.
     """
     steps = _stopping_rule(steps, tol)
-    p = require_square(p)
-    h = require_square(h)
-    m = _beliefs(m, p, h)
+    p, m, h = _society(p, m, h)
     return _run(m, lambda q: (p, h), steps, tol, stop=False)
 
 
@@ -124,9 +117,10 @@ def stationary_distribution(p):
     """Unique row vector pi with pi P = pi, for an SIA chain.
 
     Solved directly from (P^T - I) with one equation replaced by the
-    normalization sum(pi) = 1; the residual is checked against 1e-10.
+    normalization sum(pi) = 1; the residual is checked against 1e-10.  ``p``
+    is checked as a structure.
     """
-    a = require_square(p)
+    a = _structure(p)
     analysis = chains.analyze(a)
     if not analysis.is_indecomposable:
         raise chains.NotSIAError("stationary distribution is not unique")
@@ -158,16 +152,18 @@ def _stationary(a, tol=None):
     return pi / pi.sum()
 
 
-def absorption_probabilities(p, analysis=None):
+def absorption_probabilities(p):
     """Probability h[i, c] of ending in leaf class c when started at state i.
 
     Rows of the result sum to 1; a recurrent state loads all mass on its
     own class.  Transient rows solve (I - T) x = b with T the
-    transient-to-transient block.
+    transient-to-transient block.  ``p`` is checked as a structure.
     """
-    a = require_square(p)
-    if analysis is None:
-        analysis = chains.analyze(a)
+    a = _structure(p)
+    return _absorption(a, chains.analyze(a))
+
+
+def _absorption(a, analysis):
     classes, leaves = analysis.classes, analysis.leaf_classes
     n = a.shape[0]
     out = np.zeros((n, len(leaves)))
@@ -189,15 +185,15 @@ def limit_structure(p):
     """Closed-form limit of P^n (Cesaro limit when a class is periodic).
 
     Row i of the result is the absorption-weighted mixture of the closed
-    classes' stationary rows.  Returns (matrix, periodic_flag).
+    classes' stationary rows.  Returns (matrix, periodic_flag) of the structure ``p``.
     """
-    a = require_square(p)
+    a = _structure(p)
     return _limit(a, chains.analyze(a))
 
 
 def _limit(a, analysis):
-    """:func:`limit_structure` of ``a`` from its analysis."""
-    absorb = absorption_probabilities(a, analysis)
+    """:func:`limit_structure` of ``a``, already checked, from its analysis."""
+    absorb = _absorption(a, analysis)
     n = a.shape[0]
     out = np.zeros((n, n))
     for k, c in enumerate(analysis.leaf_classes):
@@ -208,10 +204,8 @@ def _limit(a, analysis):
 
 
 def limit_q(p, m, h):
-    """Closed-form limit of P^n M H^n with its structural case label."""
-    p = require_square(p)
-    h = require_square(h)
-    m = _beliefs(m, p, h)
+    """Closed-form limit of P^n M H^n and its case label; :func:`_society` checks the inputs."""
+    p, m, h = _society(p, m, h)
     p_analysis = chains.analyze(p)
     h_analysis = chains.analyze(h)
     p_inf, p_periodic = _limit(p, p_analysis)

@@ -27,7 +27,7 @@ passes that one-entry gate.
 import numpy as np
 
 from .ergodic import exists_scrambling_product
-from .homogeneous import _beliefs, _stopping_rule, limit_q
+from .homogeneous import _society, _stopping_rule, limit_q
 from .rng import CONCEPT_STREAM, NETWORK_STREAM, Xoshiro256StarStar, weighted_index
 from .stochastic import _as_family
 
@@ -58,8 +58,8 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
 
     Parameters
     ----------
-    sp, sh : MatrixFamily
-        Families for the network and concept structures (members square).
+    sp, sh : MatrixFamily or sequence of array_like
+        Families (or their members) for the network and concept structures.
     m : array_like
         Initial beliefs, rows = people, columns = concepts.
     seeds : sequence of int
@@ -77,9 +77,7 @@ def sample_trajectories(sp, sh, m, seeds, steps, tol=1e-9):
     ``(P_t @ Q) @ H_t`` as a 2-D product.
     """
     horizon = _stopping_rule(steps, tol)
-    sp = _as_family(sp).require_square()
-    sh = _as_family(sh).require_square()
-    m = _beliefs(m, sp, sh)
+    sp, m, sh = _society(_as_family(sp), m, _as_family(sh))
     return _lanes(sp, sh, m, [int(s) for s in seeds], horizon, tol)
 
 

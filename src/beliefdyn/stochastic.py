@@ -1,9 +1,12 @@
 """Dense row-stochastic matrix foundation.
 
 Matrices are plain float64 ``numpy`` arrays.  A "stochastic matrix" in this
-package is any 2-D array that has passed :func:`validate_stochastic`:
-nonnegative entries, every row summing to 1 within tolerance.  All
-operations are pure functions; nothing here mutates its inputs.
+package is any finite 2-D array that has passed :func:`validate_stochastic`:
+nonnegative entries, every row summing to 1 within tolerance.  Beliefs and
+cluster points are stochastic at ``INPUT_TOL``; a structure, and each
+member of a :class:`MatrixFamily`, is square as well (:func:`_structure`);
+a count is an integer read by :func:`_count`.  All operations are pure
+functions; nothing here mutates its inputs.
 
 Input errors beyond the entry checks have three classes: a shape that does
 not fit (:class:`DimensionMismatchError`), a row or column to normalize that
@@ -15,6 +18,8 @@ states; the largest matrix, of the 400-person static study, takes 1.3 MB.
 A homophily run at 1000 to 2000 people is a planned scale, where one
 matrix takes 8 to 32 MB.
 """
+
+import operator
 
 import numpy as np
 
@@ -61,10 +66,29 @@ def as_matrix(m):
 
 
 def require_square(m):
-    a = as_matrix(m)
+    return _square(as_matrix(m))
+
+
+def _structure(m):
+    """``m`` checked as a structure: one fresh copy, row-stochastic at ``INPUT_TOL``, square."""
+    return _square(validate_stochastic(m, tol=INPUT_TOL))
+
+
+def _square(a):
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _count(value, name, least=0):
+    """An integer (not 2.0 or NaN) of at least ``least``, else a ValueError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
+    return count
 
 
 def validate_stochastic(m, tol=DEFAULT_TOL):
@@ -87,13 +111,18 @@ def validate_stochastic(m, tol=DEFAULT_TOL):
     NegativeEntryError, RowSumError
     """
     a = as_matrix(m)
-    _reject_negative(a)
-    sums = a.sum(axis=1)
-    bad = np.argwhere(np.abs(sums - 1.0) > tol)
-    if len(bad):
-        i = int(bad[0][0])
-        raise RowSumError(i, float(sums[i]), tol)
+    _stochastic_sums(a, tol)
     return a
+
+
+def _stochastic_sums(a, tol):
+    """Row sums (a column) of ``a``, checked nonnegative and within ``tol`` of 1."""
+    _reject_negative(a)
+    sums = a.sum(axis=1, keepdims=True)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    if len(bad):
+        raise RowSumError(int(bad[0]), float(sums[bad[0], 0]), tol)
+    return sums
 
 
 def ingest_rounded(m):
@@ -101,12 +130,11 @@ def ingest_rounded(m):
 
     Published tables are typically rounded to 3 decimals, so each row sum
     can drift from 1 by up to half an ulp per entry.  The tolerance scales
-    accordingly (5e-4 per column, at least 1e-3); rows are then rescaled
-    so downstream invariants hold exactly.
+    accordingly (5e-4 per column, at least 1e-3); rows are then divided by
+    their sums, so downstream invariants hold exactly.
     """
     a = as_matrix(m)
-    tol = max(1e-3, 5e-4 * a.shape[1]) + 1e-12
-    return row_normalize(validate_stochastic(a, tol=tol))
+    return a / _stochastic_sums(a, max(1e-3, 5e-4 * a.shape[1]) + 1e-12)
 
 
 def _reject_negative(a):
@@ -116,24 +144,14 @@ def _reject_negative(a):
         raise NegativeEntryError(i, j, float(a[i, j]))
 
 
-def _normalize(m, axis):
-    """Scale each row (``axis`` 0) or column (1) to sum to 1; zeros stay zero."""
-    a = as_matrix(m)
-    _reject_negative(a)
-    sums = a.sum(axis=1 - axis, keepdims=True)
-    if not sums.all():
-        raise ZeroSumError(axis, int(np.flatnonzero(sums == 0)[0]))
-    return a / sums
-
-
-def row_normalize(m):
-    """Scale each row to sum to 1.  Zero entries stay zero."""
-    return _normalize(m, 0)
-
-
 def col_normalize(m):
     """Scale each column to sum to 1.  Zero entries stay zero."""
-    return _normalize(m, 1)
+    a = as_matrix(m)
+    _reject_negative(a)
+    sums = a.sum(axis=0, keepdims=True)
+    if not sums.all():
+        raise ZeroSumError(1, int(np.flatnonzero(sums == 0)[0]))
+    return a / sums
 
 
 def multiply(a, b, tol=DEFAULT_TOL):
@@ -146,13 +164,10 @@ def multiply(a, b, tol=DEFAULT_TOL):
 
 
 def matrix_power(p, n):
-    """p**n by repeated squaring; n = 0 gives the identity."""
-    p = require_square(p)
-    if n < 0:
-        raise ValueError("negative powers are not defined for stochastic matrices")
-    result = np.eye(p.shape[0])
-    base = p.copy()
-    k = int(n)
+    """p**n by repeated squaring for a count n (:func:`_count`); n = 0 gives the identity."""
+    k = _count(n, "n")
+    base = require_square(p)
+    result = np.eye(base.shape[0])
     while k:
         if k & 1:
             result = result @ base
@@ -178,7 +193,7 @@ def max_abs_diff(a, b):
 
 
 class MatrixFamily:
-    """A finite set of same-shape stochastic matrices with sampling weights.
+    """A finite set of same-shape structures (:func:`_structure`) with sampling weights.
 
     Weights must be finite and strictly positive; they are rescaled to sum
     to 1 at construction.  Two families are equal only when they are the
@@ -186,7 +201,7 @@ class MatrixFamily:
     """
 
     def __init__(self, members, weights=None):
-        members = tuple(validate_stochastic(m, tol=INPUT_TOL) for m in members)
+        members = tuple(_structure(m) for m in members)
         if not members:
             raise DimensionMismatchError("a family needs at least one member")
         shape = members[0].shape
@@ -211,11 +226,6 @@ class MatrixFamily:
     @property
     def shape(self):
         return self.members[0].shape
-
-    def require_square(self):
-        if self.shape[0] != self.shape[1]:
-            raise DimensionMismatchError(f"family members must be square, got {self.shape}")
-        return self
 
 
 def _as_family(family):

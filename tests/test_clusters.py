@@ -8,6 +8,7 @@ from beliefdyn import datasets
 from beliefdyn.clusters import (NonConvergenceError, _apart, _min_kl, epsilon_kl_clusters,
                                 min_kl_hull_to_hull, min_kl_hull_to_point)
 from beliefdyn.homophily import HomophilyConfig, _floored, run_homophily
+from beliefdyn.stochastic import NegativeEntryError, RowSumError
 from util import (alternating_min_kl_hull_to_hull, fw_min_kl, grid_min_kl_hull_to_hull,
                   grid_min_kl_to_point, loop_epsilon_kl_clusters)
 
@@ -179,6 +180,17 @@ class TestHullToHull:
                 min_kl_hull_to_hull(*args)
         with pytest.raises(ValueError, match="no points"):
             min_kl_hull_to_point(empty, a[0])
+
+    def test_points_checked_as_distribution_rows(self):
+        # a negative entry is refused, not floored away
+        with pytest.raises(NegativeEntryError, match=r"^negative entry -0\.5 at \(1, 2\)$"):
+            min_kl_hull_to_point([[1.5, -0.5]], [0.5, 0.5])
+        with pytest.raises(RowSumError, match=r"^row 1 sums to 1\.2 "):
+            min_kl_hull_to_hull([[0.5, 0.5]], [[0.6, 0.6]])
+        with pytest.raises(NegativeEntryError, match=r"at \(3, 1\)$"):
+            epsilon_kl_clusters([[3, 1], [0.75, 0.25], [-1, 2]], 0.05)
+        with pytest.raises(RowSumError, match=r"^row 1 sums to 4\.0 "):
+            epsilon_kl_clusters([[3, 1], [0.75, 0.25]], 0.05)
 
     def test_asymmetry_directions_differ(self):
         a = np.array([[0.9, 0.05, 0.05]])

@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from beliefdyn import datasets, homogeneous
 from beliefdyn.chains import NotSIAError
+from beliefdyn.ergodic import homogeneous_rate_certificate, subdominant_modulus
 from beliefdyn.homogeneous import (absorption_probabilities, evolve, limit_q,
                                    limit_structure, stationary_distribution)
 from beliefdyn.sampling import sample_trajectories
-from beliefdyn.stochastic import (DimensionMismatchError, NegativeEntryError, RowSumError,
-                                  delta_coefficient, matrix_power, max_abs_diff)
+from beliefdyn.stochastic import (DimensionMismatchError, MatrixFamily, NegativeEntryError,
+                                  RowSumError, matrix_power, max_abs_diff)
 from util import loop_evolve, random_stochastic
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -29,6 +30,46 @@ TWO_ANCHOR_LIMIT = np.array([
     [0.081, 0.094, 0.825],
     [0.027, 0.032, 0.941],
 ])
+
+
+# a defective structure and the error a family member with that defect raises
+DEFECTS = {
+    "negative": ([[1.5, -0.5], [0.5, 0.5]], NegativeEntryError),
+    "row_sum": ([[0.6, 0.6], [0.5, 0.5]], RowSumError),
+    "shape": ([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]], DimensionMismatchError),
+}
+
+# each entry point that reads a structure, called with the structure ``s``
+# as its network (_p) or its concept structure (_h)
+_I2, _M2 = np.eye(2), np.full((2, 2), 0.5)
+STRUCTURE_READERS = {
+    "evolve_p": lambda s: evolve(s, _M2, _I2, 3),
+    "evolve_h": lambda s: evolve(_I2, _M2, s, 3),
+    "limit_q_p": lambda s: limit_q(s, _M2, _I2),
+    "limit_q_h": lambda s: limit_q(_I2, _M2, s),
+    "homogeneous_rate_certificate_p": lambda s: homogeneous_rate_certificate(s, _I2),
+    "homogeneous_rate_certificate_h": lambda s: homogeneous_rate_certificate(_I2, s),
+    "stationary_distribution": stationary_distribution,
+    "absorption_probabilities": absorption_probabilities,
+    "limit_structure": limit_structure,
+    "subdominant_modulus": subdominant_modulus,
+    "sample_trajectories_p": lambda s: sample_trajectories([s], [_I2], _M2, [0], 3),
+    "sample_trajectories_h": lambda s: sample_trajectories([_I2], [s], _M2, [0], 3),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("reader", sorted(STRUCTURE_READERS))
+def test_structure_refused_as_a_family_member_is(reader, defect):
+    # one check per structure: a static entry point refuses what a sampled
+    # family refuses, with the same class and the same 1-based position
+    structure, error = DEFECTS[defect]
+    with pytest.raises(error) as member:
+        MatrixFamily([structure])
+    with pytest.raises(error) as raised:
+        STRUCTURE_READERS[reader](structure)
+    assert type(raised.value) is type(member.value) is error
+    assert str(raised.value) == str(member.value)
 
 
 class TestEvolve:

@@ -1,15 +1,23 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beliefdyn import datasets
+from beliefdyn import chains, datasets, ergodic, stochastic
+from beliefdyn.ergodic import homogeneous_rate_certificate, inhomogeneous_rate_certificate
+from beliefdyn.matrixio import read_matrix
 from beliefdyn.stochastic import (DimensionMismatchError, MatrixFamily,
                                   NegativeEntryError, RowSumError,
                                   ZeroSumError, col_normalize, delta_coefficient,
                                   ingest_rounded, matrix_power, multiply,
-                                  row_normalize, validate_stochastic)
-from util import random_stochastic
+                                  validate_stochastic)
+from util import loop_ingest_rounded, random_stochastic, row_normalize
+
+FIXTURE_CSVS = sorted((Path(__file__).resolve().parents[1] / "fixtures").rglob("*.csv"))
 
 
 class TestValidation:
@@ -59,6 +67,68 @@ class TestValidation:
     def test_ingest_requires_near_stochastic(self):
         with pytest.raises(RowSumError):
             ingest_rounded([[0.9, 0.2], [0.5, 0.5]])
+
+
+class TestIngestOracle:
+    """``ingest_rounded`` checks once and divides by the sums its check
+    returns; a check followed by ``row_normalize`` gives the same bits."""
+
+    @pytest.mark.parametrize("path", FIXTURE_CSVS, ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_fixture_csv(self, path):
+        raw = read_matrix(path)
+        assert ingest_rounded(raw).tobytes() == loop_ingest_rounded(raw).tobytes()
+
+    def test_every_dataset_table(self, monkeypatch):
+        tables = []
+
+        def recorded(m):
+            tables.append(m)
+            return ingest_rounded(m)
+
+        monkeypatch.setattr(datasets, "ingest_rounded", recorded)
+        for name, build in inspect.getmembers(datasets, inspect.isfunction):
+            if build.__module__ == datasets.__name__ and not name.startswith("_"):
+                build()
+        assert len(tables) == 17      # every ingest_rounded( in datasets.py
+        for table in tables:
+            assert ingest_rounded(table).tobytes() == loop_ingest_rounded(table).tobytes()
+
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           decimals=st.integers(1, 4), shift=st.sampled_from([0.0, -0.004, 0.004, -0.5]))
+    def test_rounded_tables_alike_and_refused_alike(self, rows, cols, seed, decimals, shift):
+        # rounded rows, some pushed off a unit sum or below zero: both paths
+        # return the same bits or raise the same error
+        rng = np.random.default_rng(seed)
+        table = np.round(random_stochastic(rng, rows, cols), decimals)
+        table[rng.integers(rows), rng.integers(cols)] += shift
+        try:
+            expected = loop_ingest_rounded(table)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                ingest_rounded(table)
+        else:
+            assert ingest_rounded(table).tobytes() == expected.tobytes()
+
+
+class TestCountReader:
+    @pytest.mark.parametrize("name, call", [
+        ("n", lambda: matrix_power(np.eye(2), 2.5)),
+        ("n", lambda: matrix_power(np.eye(2), -1)),
+        ("nu", lambda: inhomogeneous_rate_certificate([np.eye(2)], nu=2.0)),
+        ("nu", lambda: inhomogeneous_rate_certificate([np.eye(2)], nu=2.5)),
+        ("probe_horizon", lambda: homogeneous_rate_certificate(np.eye(2), np.eye(2),
+                                                               probe_horizon=2.5)),
+    ], ids=["matrix_power_2.5", "matrix_power_-1", "nu_2.0", "nu_2.5", "probe_horizon_2.5"])
+    def test_counts_refused_before_any_work(self, monkeypatch, name, call):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the count was read")
+
+        monkeypatch.setattr(stochastic, "require_square", no_work)
+        monkeypatch.setattr(chains, "analyze", no_work)
+        for search in ("_merge_pointers", "_scrambling_block"):
+            monkeypatch.setattr(ergodic, search, no_work)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call()
 
 
 class TestMultiply:
@@ -146,7 +216,7 @@ class TestNormalization:
     @given(x=hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 150)),
                         elements=st.floats(1e-300, 1e100)))
     def test_normalize_bits_match_the_explicit_division(self, x):
-        # one shared helper for both axes gives the bits of the per-axis formulas
+        # each normalizer gives the bits of its explicit division
         assert row_normalize(x).tobytes() == (x / x.sum(axis=1)[:, None]).tobytes()
         assert col_normalize(x).tobytes() == (x / x.sum(axis=0)[None, :]).tobytes()
 

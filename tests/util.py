@@ -20,8 +20,24 @@ from beliefdyn.homophily import (FLOOR, _floored, belief_groups, build_concepts,
 from beliefdyn.matrixio import _HEADER, ParseError
 from beliefdyn.rng import CONCEPT_STREAM, MASK64, NETWORK_STREAM
 from beliefdyn.sampling import SampledRun
-from beliefdyn.stochastic import (MatrixFamily, max_abs_diff, row_normalize,
-                                  validate_stochastic)
+from beliefdyn.stochastic import MatrixFamily, ZeroSumError, max_abs_diff, validate_stochastic
+
+
+def row_normalize(m):
+    """Scale each row to sum to 1, zeros staying zero; a negative entry or
+    an all-zero row raises as ``col_normalize`` does for columns."""
+    a = validate_stochastic(m, tol=np.inf)      # entries only: finite, nonnegative
+    sums = a.sum(axis=1, keepdims=True)
+    if not sums.all():
+        raise ZeroSumError(0, int(np.flatnonzero(sums == 0)[0]))
+    return a / sums
+
+
+def loop_ingest_rounded(m):
+    """``ingest_rounded`` as a check at the rounding tolerance followed by a
+    separate normalization, each with its own copy and scan."""
+    a = np.array(m, dtype=float)
+    return row_normalize(validate_stochastic(a, tol=max(1e-3, 5e-4 * a.shape[1]) + 1e-12))
 
 
 def random_stochastic(rng, rows, cols=None, zeros=0.0):
@@ -399,7 +415,6 @@ def _explore_patterns(family, max_patterns):
     Yields (word, pattern) in (length, lexicographic) order, each pattern
     once, so any witness extracted from the stream is canonical.
     """
-    family.require_square()
     gens = [m > 0 for m in family.members]
     seen = set()
     frontier = []
