@@ -41,7 +41,7 @@ from .homophily import HomophilyConfig, run_homophily
 from .matrixio import (format_value, load_family, read_matrix, write_matrix,
                        ParseError)
 from .sampling import diagnose_convergence, expectation_matrix, sample_trajectories
-from .stochastic import (DimensionMismatchError, ZeroSumError, col_normalize,
+from .stochastic import (DimensionMismatchError, ZeroSumError, _count, col_normalize,
                          delta_coefficient, ingest_rounded)
 from .ternary import render_ternary
 
@@ -267,13 +267,6 @@ def _mode_certify(v, write, say):
     say(text.rstrip("\n"))
 
 
-def _count(text):
-    count = int(text)
-    if count < 0:
-        raise ValueError("must be nonnegative")
-    return count
-
-
 def _seed_list(text):
     seeds = [int(s) for s in text.split(",")]
     if not all(0 <= s < 2 ** 64 for s in seeds):
@@ -292,12 +285,7 @@ def _trace_dir(text):
 
 
 def _nu(text):
-    if text == "auto":
-        return None
-    nu = int(text)
-    if nu < 1:
-        raise ValueError("must be auto or at least 1")
-    return nu
+    return None if text == "auto" else int(text)
 
 
 _REQUIRED = object()    # no default: the flag must be given
@@ -308,24 +296,26 @@ _READERS = (_load, load_family)     # types that read a file at their path
 # the certify table leaves them all optional
 _CERTIFY_INPUTS = {"homogeneous": (("p", "h"), ("m",)),
                    "inhomogeneous": (("family_dir",), ("nu",))}
+# the least value of each count key, bounded by stochastic._count
+_COUNTS = {"steps": 0, "horizon": 0, "max_steps": 1, "nu": 1}
 
 # Each mode's runner, subcommand help and parameters.  A runner returns the
 # run's stabilization step, or None where nothing stabilizes.  A parameter is
 # (key, type, default): its flag is --key with dashes for underscores, and
 # ``type`` reads its recorded text (a bool is a switch, a tuple lists the
 # choices, a reader loads the file at that path, resolved against a config
-# file's directory).  A flag run records every default; a None default
-# leaves the key unrecorded until it is given.
+# file's directory, and a key in ``_COUNTS`` is a count).  A flag run records
+# every default; a None default leaves the key unrecorded until it is given.
 _MODES = {
     "analyze": (_mode_analyze, "classes, leaves, periods, predicates", (
         ("p", _load, _REQUIRED), ("zero_threshold", float, 0.0))),
     "evolve": (_mode_evolve, "static-structure evolution", (
         ("p", _load, _REQUIRED), ("m", _load, _REQUIRED), ("h", _load, _REQUIRED),
-        ("steps", _count, 200), ("tol", float, 1e-9), ("trace", bool, False),
+        ("steps", int, 200), ("tol", float, 1e-9), ("trace", bool, False),
         ("limit", bool, False))),
     "sample": (_mode_sample, "i.i.d. sampled structures", (
         ("sp_dir", load_family, _REQUIRED), ("sh_dir", load_family, _REQUIRED),
-        ("m", _load, _REQUIRED), ("seeds", _seed_list, _SEED), ("horizon", _count, 300))),
+        ("m", _load, _REQUIRED), ("seeds", _seed_list, _SEED), ("horizon", int, 300))),
     "homophily": (_mode_homophily, "belief-driven dynamic structures", (
         ("m", _load, _REQUIRED), ("eps_p", float, _REQUIRED), ("eps_h", float, _REQUIRED),
         ("beta", float, 1.0), ("tol", float, 1e-9), ("max_steps", int, 100),
@@ -356,13 +346,11 @@ def _text(value):
 
 
 def _read(key, typ, text):
-    """``typ(text)``, re-raising a ValueError with the key and text named;
-    a ParseError names its file already."""
+    """``typ(text)``, re-raising a ValueError or OSError as a ValueError
+    that names the key and its text: a file key's text is its path."""
     try:
         return typ(text)
-    except ParseError:
-        raise
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"{key} {text!r}: {exc}") from None
 
 
@@ -370,11 +358,13 @@ def _values(config):
     """The run's parameters read by type, each absent one at its default.
 
     A key the mode does not read, a value outside its choices or rejected by
-    its type (the error names the key), bool text other than true/false in
-    any case, or a certify run without its kind's inputs or with a key
-    only the other kind reads (a ``nu`` of ``auto`` reads as unset) raises
-    ValueError.
-    Files are read last, so any of these is reported before a bad file.
+    its type (:func:`_read`), a count below its ``_COUNTS`` least
+    (``stochastic._count``), bool text other than true/false in any case, or
+    a certify run without its kind's inputs or with a key only the other
+    kind reads (a ``nu`` of ``auto`` reads as unset) raises ValueError
+    naming the key.  Files are read last, so any of these is reported
+    before a bad file, and a file that cannot be read is reported by
+    :func:`_read` with its key and path.
     """
     params = _MODES[config.mode][2]
     unknown = sorted(set(config.params) - {key for key, _, _ in params})
@@ -401,6 +391,8 @@ def _values(config):
             values[key] = text == "true" if typ is bool else text
         else:
             values[key] = text if typ in _READERS else _read(key, typ, text)
+            if key in _COUNTS and values[key] is not None:
+                values[key] = _count(values[key], key, _COUNTS[key])
     kind = values.get("kind")
     if kind is not None:
         needs, reads = _CERTIFY_INPUTS[kind]
@@ -523,7 +515,7 @@ def main(argv=None):
         config.quiet = args.quiet
         run(config)
         return 0
-    except (ParseError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -234,7 +234,7 @@ class RateCertificate:
 def _slowest_class_modulus(a, analysis):
     """Largest subdominant modulus over the closed classes of ``a``.
 
-    ``analysis`` is ``chains.analyze(a)``.  For an SIA matrix this is its
+    ``analysis`` is ``chains.analyze_pattern(a > 0)``.  For an SIA matrix this is its
     subdominant modulus; otherwise each closed class is treated as its own
     chain, the slowest (largest) class rate wins and transients are left out.
     """
@@ -273,7 +273,7 @@ def homogeneous_rate_certificate(p, h, m=None, probe_horizon=50):
     p, m, h = _society(p, m, h)
     if m is None:
         m = _probe_matrix(p.shape[0], h.shape[0])
-    p_analysis, h_analysis = chains.analyze(p), chains.analyze(h)
+    p_analysis, h_analysis = chains.analyze_pattern(p > 0), chains.analyze_pattern(h > 0)
     lam_p = _slowest_class_modulus(p, p_analysis)
     lam_h = _slowest_class_modulus(h, h_analysis)
     base = lam_p * lam_h

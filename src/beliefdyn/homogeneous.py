@@ -121,7 +121,7 @@ def stationary_distribution(p):
     is checked as a structure.
     """
     a = _structure(p)
-    analysis = chains.analyze(a)
+    analysis = chains.analyze_pattern(a > 0)
     if not analysis.is_indecomposable:
         raise chains.NotSIAError("stationary distribution is not unique")
     if not analysis.recurrent_aperiodic:
@@ -160,7 +160,7 @@ def absorption_probabilities(p):
     transient-to-transient block.  ``p`` is checked as a structure.
     """
     a = _structure(p)
-    return _absorption(a, chains.analyze(a))
+    return _absorption(a, chains.analyze_pattern(a > 0))
 
 
 def _absorption(a, analysis):
@@ -188,7 +188,7 @@ def limit_structure(p):
     classes' stationary rows.  Returns (matrix, periodic_flag) of the structure ``p``.
     """
     a = _structure(p)
-    return _limit(a, chains.analyze(a))
+    return _limit(a, chains.analyze_pattern(a > 0))
 
 
 def _limit(a, analysis):
@@ -206,8 +206,8 @@ def _limit(a, analysis):
 def limit_q(p, m, h):
     """Closed-form limit of P^n M H^n and its case label; :func:`_society` checks the inputs."""
     p, m, h = _society(p, m, h)
-    p_analysis = chains.analyze(p)
-    h_analysis = chains.analyze(h)
+    p_analysis = chains.analyze_pattern(p > 0)
+    h_analysis = chains.analyze_pattern(h > 0)
     p_inf, p_periodic = _limit(p, p_analysis)
     h_inf, h_periodic = _limit(h, h_analysis)
     limit = p_inf @ m @ h_inf

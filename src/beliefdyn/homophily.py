@@ -24,7 +24,7 @@ so self links always hold.
 import numpy as np
 
 from .homogeneous import _run, _stopping_rule
-from .stochastic import INPUT_TOL, DimensionMismatchError, col_normalize, validate_stochastic
+from .stochastic import INPUT_TOL, DimensionMismatchError, _col_divide, validate_stochastic
 
 FLOOR = 1e-12               # smallest probability a divergence reads
 
@@ -145,8 +145,7 @@ def build_concepts(m, cfg):
     Each column, rescaled to sum to 1, is read as a distribution over
     people; concepts whose columns diverge by less than eps_h get linked.
     """
-    m = validate_stochastic(m, tol=INPUT_TOL)
-    mhat = col_normalize(m)
+    mhat = _col_divide(validate_stochastic(m, tol=INPUT_TOL))
     return _homophily_structure(mhat.T, cfg.eps_h, cfg)
 
 

@@ -5,8 +5,9 @@ package is any finite 2-D array that has passed :func:`validate_stochastic`:
 nonnegative entries, every row summing to 1 within tolerance.  Beliefs and
 cluster points are stochastic at ``INPUT_TOL``; a structure, and each
 member of a :class:`MatrixFamily`, is square as well (:func:`_structure`);
-a count is an integer read by :func:`_count`.  All operations are pure
-functions; nothing here mutates its inputs.
+a count is an integer read by :func:`_count`, the one count reader (the CLI
+bounds its count keys with it too).  All operations are pure functions;
+nothing here mutates its inputs.
 
 Input errors beyond the entry checks have three classes: a shape that does
 not fit (:class:`DimensionMismatchError`), a row or column to normalize that
@@ -148,6 +149,11 @@ def col_normalize(m):
     """Scale each column to sum to 1.  Zero entries stay zero."""
     a = as_matrix(m)
     _reject_negative(a)
+    return _col_divide(a)
+
+
+def _col_divide(a):
+    """``a``, already checked nonnegative, with each column divided by its sum."""
     sums = a.sum(axis=0, keepdims=True)
     if not sums.all():
         raise ZeroSumError(1, int(np.flatnonzero(sums == 0)[0]))

@@ -524,6 +524,9 @@ def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
      "horizon"),
     (["sample", "--sp-dir", "a", "--sh-dir", "b", "--m", "m.csv", "--seeds=-3"], "seeds"),
     (["sample", "--sp-dir", "a", "--sh-dir", "b", "--m", "m.csv", "--seeds", ""], "seeds"),
+    (["homophily", "--m", "m.csv", "--eps-p", "0.3", "--eps-h", "0.25", "--max-steps", "0"],
+     "max_steps"),
+    (["certify", "--kind", "inhomogeneous", "--family-dir", "family", "--nu", "0"], "nu"),
 ])
 def test_bad_flag_value_is_one_error_line(tmp_path, capsys, argv, key):
     # the value is read before any input file, so the paths need not exist
@@ -1052,8 +1055,13 @@ def boundary_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("boundary")
     csvs = {"missing": root / "missing.csv", "directory": root}
     families = {"missing": root / "missing", "file": TWO_CAMP / "p.csv",
-                "empty": root / "empty"}
+                "empty": root / "empty", "weights": root / "weights"}
     families["empty"].mkdir()
+    # a good family with a bad weights.txt line
+    families["weights"].mkdir()
+    for member in BOUNDARY_GOOD["family_dir"].glob("*.csv"):
+        (families["weights"] / member.name).write_bytes(member.read_bytes())
+    (families["weights"] / "weights.txt").write_text("0 1\n1\n")
     for name, text in BOUNDARY_CSVS.items():
         csvs[name] = root / f"{name}.csv"
         csvs[name].write_text(text)
@@ -1073,7 +1081,6 @@ COUNT_TEXTS = st.one_of(st.integers(0, 1000).map(str),
 BOUNDARY_TEXTS = {
     float: NUMBER_TEXTS,
     int: COUNT_TEXTS,
-    cli._count: COUNT_TEXTS,
     cli._seed_list: st.one_of(COUNT_TEXTS, st.sampled_from(
         [str(2 ** 64), "0,1", "1,,2"])),
     bool: st.sampled_from(["true", "false", "TRUE", "False", "yes", "1", ""]),
@@ -1083,7 +1090,7 @@ BOUNDARY_TEXTS = {
                                      "../up", "/outside"]),
     cli._load: st.sampled_from(["good", *BOUNDARY_CSVS, "missing", "directory"]),
     cli.load_family: st.sampled_from(["good", *BOUNDARY_CSVS, "missing", "file",
-                                      "empty"]),
+                                      "empty", "weights"]),
 }
 
 
@@ -1175,10 +1182,30 @@ def test_cli_boundary_runs_or_fails_with_one_line(boundary_inputs, config):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not out.exists() and not (root / "outside").exists()
         # an error of the config, of an input file or of the mode on the
-        # parsed inputs names a key or file
+        # parsed inputs names a key
         message = lines[0][len("error: "):]
         keys = [key for key, _, _ in cli._MODES[mode][2]]
-        paths = [line.partition("=")[2] for line in cfg.read_text().splitlines()]
-        assert (any(key in message.replace(":", " ").replace(",", " ").split()
-                    for key in keys)
-                or any(path.startswith("/") and path in message for path in paths)), message
+        assert any(key in message.replace(":", " ").replace(",", " ").split()
+                   for key in keys), message
+
+
+FILE_FAILURES = [("p", case) for case in ("missing", "directory", "malformed", "ragged")] + [
+    ("family_dir", case) for case in ("missing", "empty", "file", "malformed", "weights")]
+
+
+@pytest.mark.parametrize("key, case", FILE_FAILURES,
+                         ids=[f"{key}-{case}" for key, case in FILE_FAILURES])
+def test_file_failure_names_its_key_and_path(boundary_inputs, tmp_path, capsys, key, case):
+    # a file that cannot be read or parsed, or a family directory that is
+    # missing, empty, a file, or holds a bad member or weights.txt line
+    path = boundary_inputs[cli._load if key == "p" else cli.load_family][case]
+    argv = (["analyze", "--p"] if key == "p"
+            else ["certify", "--kind", "inhomogeneous", "--family-dir"])
+    out = tmp_path / "out"
+    assert main(argv + [str(path), "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    lines = printed.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key} "), lines
+    assert str(path) in lines[0]
+    assert not out.exists()

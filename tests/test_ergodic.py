@@ -323,7 +323,7 @@ class TestHomogeneousCertificate:
         assert printed == DECOMPOSABLE_CERTIFICATES[name, with_m]
 
     def test_certificate_analyses_each_structure_once(self, monkeypatch):
-        calls = {"analyze": 0, "matrix_power": 0}
+        calls = {"analyze_pattern": 0, "matrix_power": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -331,13 +331,14 @@ class TestHomogeneousCertificate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(chains, "analyze", counted("analyze", chains.analyze))
+        monkeypatch.setattr(chains, "analyze_pattern",
+                            counted("analyze_pattern", chains.analyze_pattern))
         for module in (ergodic, stochastic):
             monkeypatch.setattr(module, "matrix_power",
                                 counted("matrix_power", stochastic.matrix_power))
         p, m, h = datasets.camps_and_loner()
         homogeneous_rate_certificate(p, h, m=m)
-        assert calls == {"analyze": 2, "matrix_power": 0}
+        assert calls == {"analyze_pattern": 2, "matrix_power": 0}
 
 
 class TestInhomogeneousCertificate:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beliefdyn import chains, datasets, ergodic, stochastic
+from beliefdyn import chains, datasets, ergodic, homogeneous, homophily, stochastic
 from beliefdyn.ergodic import homogeneous_rate_certificate, inhomogeneous_rate_certificate
 from beliefdyn.matrixio import read_matrix
 from beliefdyn.stochastic import (DimensionMismatchError, MatrixFamily,
@@ -124,11 +124,42 @@ class TestCountReader:
             raise AssertionError("work began before the count was read")
 
         monkeypatch.setattr(stochastic, "require_square", no_work)
-        monkeypatch.setattr(chains, "analyze", no_work)
+        monkeypatch.setattr(chains, "analyze_pattern", no_work)
         for search in ("_merge_pointers", "_scrambling_block"):
             monkeypatch.setattr(ergodic, search, no_work)
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call()
+
+
+# as_matrix calls of each call on two_camp_society: one copy per input
+# checked, plus those of its own results (stationary_distribution's residual
+# takes two, limit_q's rank-one test one); a structure once checked is
+# analysed through its pattern, not copied again
+COPY_COUNTS = {
+    "limit_q": (lambda p, m, h: homogeneous.limit_q(p, m, h), 4),
+    "homogeneous_rate_certificate": (
+        lambda p, m, h: homogeneous_rate_certificate(p, h, m=m), 3),
+    "stationary_distribution": (lambda p, m, h: homogeneous.stationary_distribution(h), 3),
+    "absorption_probabilities": (lambda p, m, h: homogeneous.absorption_probabilities(p), 1),
+    "limit_structure": (lambda p, m, h: homogeneous.limit_structure(p), 1),
+    "build_concepts": (
+        lambda p, m, h: homophily.build_concepts(m, homophily.HomophilyConfig(0.3, 0.2)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPY_COUNTS))
+def test_checked_inputs_are_copied_once(monkeypatch, name):
+    call, copies = COPY_COUNTS[name]
+    society = datasets.two_camp_society()
+    calls = []
+
+    def counted(m, as_matrix=stochastic.as_matrix):
+        calls.append(m)
+        return as_matrix(m)
+
+    monkeypatch.setattr(stochastic, "as_matrix", counted)
+    call(*society)
+    assert len(calls) == copies
 
 
 class TestMultiply:
