@@ -63,17 +63,9 @@ class ChainAnalysis:
         return all(d == 1 for d, rec in zip(self.periods, self.recurrent) if rec)
 
 
-def _pattern(p, zero_threshold):
-    """Boolean pattern ``p > zero_threshold`` of a square matrix."""
-    a = require_square(p)
-    if not zero_threshold >= 0:   # also rejects NaN
-        raise ValueError("zero_threshold must be nonnegative")
-    return a > zero_threshold
-
-
-def graph_of(p, zero_threshold=0.0):
-    """Edges (i, j) with p[i, j] > zero_threshold, as a sorted list of pairs."""
-    return list(map(tuple, np.argwhere(_pattern(p, zero_threshold)).tolist()))
+def graph_of(p):
+    """Edges (i, j) with p[i, j] > 0, as a sorted list of pairs."""
+    return list(map(tuple, np.argwhere(require_square(p) > 0).tolist()))
 
 
 def _search(rows, cols, n):
@@ -127,15 +119,16 @@ def _search(rows, cols, n):
     return comps, np.array(class_of, dtype=int), np.array(depth, dtype=int)
 
 
-def analyze(p, zero_threshold=0.0):
-    """Full structural analysis of a square stochastic matrix.
+def analyze(p):
+    """Full structural analysis of a square stochastic matrix's pattern
+    ``p > 0``, the one every layer reads: any positive entry is an edge.
 
     Returns a :class:`ChainAnalysis` of the classes, the leaf classes and
     the per-state labels.  Predicates ``is_irreducible``,
     ``is_indecomposable`` (at most one leaf class) and ``is_aperiodic``
     (every period equal to 1) hang off the result.
     """
-    return analyze_pattern(_pattern(p, zero_threshold))
+    return analyze_pattern(require_square(p) > 0)
 
 
 def analyze_pattern(adj):

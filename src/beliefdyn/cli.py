@@ -155,8 +155,7 @@ def _certificate_text(cert):
 
 def _mode_analyze(v, write, say):
     p = v["p"]
-    threshold = v["zero_threshold"]
-    result = analyze(p, zero_threshold=threshold)
+    result = analyze(p)
     classes = result.classes
     records = [
         {"record": "classes", "classes": [list(c) for c in classes]},
@@ -168,7 +167,7 @@ def _mode_analyze(v, write, say):
          "irreducible": result.is_irreducible,
          "indecomposable": result.is_indecomposable,
          "aperiodic": result.is_aperiodic},
-        {"record": "graph", "edges": graph_of(p, threshold)},
+        {"record": "graph", "edges": graph_of(p)},
     ]
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
     write("analysis.jsonl", text=text)
@@ -308,7 +307,7 @@ _COUNTS = {"steps": 0, "horizon": 0, "max_steps": 1, "nu": 1}
 # every default; a None default leaves the key unrecorded until it is given.
 _MODES = {
     "analyze": (_mode_analyze, "classes, leaves, periods, predicates", (
-        ("p", _load, _REQUIRED), ("zero_threshold", float, 0.0))),
+        ("p", _load, _REQUIRED),)),
     "evolve": (_mode_evolve, "static-structure evolution", (
         ("p", _load, _REQUIRED), ("m", _load, _REQUIRED), ("h", _load, _REQUIRED),
         ("steps", int, 200), ("tol", float, 1e-9), ("trace", bool, False),

@@ -28,10 +28,19 @@ def test_graph_requires_square():
         graph_of(np.ones((2, 3)) / 3)
 
 
-@pytest.mark.parametrize("fn", [graph_of, analyze])
-def test_negative_zero_threshold_rejected(fn):
-    with pytest.raises(ValueError, match="zero_threshold must be nonnegative"):
-        fn(np.eye(3), zero_threshold=-1)
+# state 0's only link into the closed class {1, 2} is an entry of 1e-300
+TINY_DRAIN = np.array([[1.0, 1e-300, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+
+
+def test_every_positive_entry_is_an_edge():
+    # analyze reads the pattern p > 0, as limit_q and the certificates do,
+    # however small the entry: state 0 is transient, not a closed class
+    result = analyze(TINY_DRAIN)
+    pattern = analyze_pattern(TINY_DRAIN > 0)
+    assert (result.classes, result.leaf_classes) == (pattern.classes, pattern.leaf_classes)
+    assert [result.classes[c] for c in result.leaf_classes] == [(1, 2)]
+    assert result.recurrent == (False, True, True)
+    assert (0, 1) in graph_of(TINY_DRAIN)
 
 
 def test_two_cycle_is_irreducible_period_two():

@@ -493,7 +493,7 @@ SINGLE_LEAF_SAMPLE = (f"mode=sample\nsp_dir={FIXTURES / 'single_leaf'}\n"
      f"h={TWO_CAMP / 'h.csv'}\n", "family_dir"),
     (f"mode=clusters\nm={FIXTURES / 'five_person' / 'm.csv'}\nepsilon=nan\n",
      "epsilon"),
-    (f"mode=analyze\np={TWO_CAMP / 'p.csv'}\nzero_threshold=nan\n", "zero_threshold"),
+    (f"mode=analyze\np={TWO_CAMP / 'p.csv'}\nzero_threshold=0\n", "zero_threshold"),
     (f"mode=homophily\nm={FIXTURES / 'five_person' / 'm.csv'}\neps_p=0.3\n"
      "eps_h=0.25\ntol=nan\n", "tol"),
     (f"mode=certify\nkind=inhomogeneous\nfamily_dir={FIXTURES / 'scrambling_pair'}\n"
@@ -514,7 +514,9 @@ def test_bad_config_value_fails_before_outputs(tmp_path, capsys, lines, key):
     cfg.write_text(lines)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err.split()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert key in err.split()
     assert not out.exists()
 
 
@@ -609,13 +611,12 @@ def test_zero_step_counts_run(tmp_path):
 
 def test_repeated_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"mode=analyze\np={TWO_CAMP / 'p.csv'}\nzero_threshold=0.5\n"
-                   "zero_threshold=0\n")
-    with pytest.raises(ParseError, match="run.cfg:4: second value for zero_threshold$"):
+    cfg.write_text(f"mode=analyze\np={TWO_CAMP / 'p.csv'}\np={TWO_CAMP / 'h.csv'}\n")
+    with pytest.raises(ParseError, match="run.cfg:3: second value for p$"):
         parse_config(cfg)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert "run.cfg:4:" in capsys.readouterr().err
+    assert "run.cfg:3:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -751,8 +752,8 @@ def test_bool_config_values_ignore_case(tmp_path):
 FLAG_RUNS = {
     "analyze": (
         ["analyze", "--p", "fixtures/two_camp/p.csv"],
-        {"p": "fixtures/two_camp/p.csv", "zero_threshold": "0.0"},
-        "5080dffab5d61c3906ecdb7bd4897e6884f2df23e73378e7e66c98276d38ee71"),
+        {"p": "fixtures/two_camp/p.csv"},
+        "422d73ee792b4c9bbdd5733fe7c743cc8497ef52cafca1f1113eb99548554447"),
     "evolve": (
         ["evolve", "--p", "fixtures/two_camp/p.csv", "--m", "fixtures/two_camp/m.csv",
          "--h", "fixtures/two_camp/h.csv", "--limit"],
@@ -1005,7 +1006,10 @@ TOP_USAGE = """usage: beliefdyn [-h]
     (["run", "x.cfg", "--eps-p", "0.1"], "unrecognized arguments: --eps-p 0.1"),
     (["evolve", "--p", "p.csv", "--m", "m.csv", "--h", "h.csv", "--zero-threshold", "0"],
      "unrecognized arguments: --zero-threshold 0"),
-], ids=["unknown-command", "analyze-steps", "run-eps-p", "evolve-zero-threshold"])
+    (["analyze", "--p", "p.csv", "--zero-threshold", "0"],
+     "unrecognized arguments: --zero-threshold 0"),
+], ids=["unknown-command", "analyze-steps", "run-eps-p", "evolve-zero-threshold",
+        "analyze-zero-threshold"])
 def test_command_line_errors_pinned(monkeypatch, capsys, argv, message):
     # an unknown subcommand, and a flag of another mode or of no mode
     monkeypatch.setenv("COLUMNS", "80")

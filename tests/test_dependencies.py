@@ -1,7 +1,7 @@
 """The package exports what it names, keeps only public names that
-something uses and only private names that its own code uses, and imports
-only its declared dependency, numpy, with no process pools and no
-dataclasses."""
+something uses, only private names that its own code uses and only CLI keys
+that some run sets, and imports only its declared dependency, numpy, with no
+process pools and no dataclasses."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import beliefdyn
+from beliefdyn import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,6 +33,15 @@ KEPT_WITHOUT_CALLER = {
     "clusters.kl_divergence": "bench/test_bench.py reads this re-export",
     "sampling.SampledRun.word_h": "the concept stream's drawn word, the other half "
                                   "of the reproducibility record beside word_p",
+}
+
+# CLI keys that no fixture config, README example or benchmark workload
+# sets, each with its reason for staying.
+KEPT_UNSET_KEYS = {
+    "homophily.tol": "the stabilization threshold, which evolve's fixture sets",
+    "homophily.freeze_network": "the frozen-network regime of demo 07 and ROADMAP item 11",
+    "homophily.freeze_concepts": "the frozen-concept regime of demo 07 and ROADMAP item 11",
+    "clusters.tol": "the solver gap behind the documented tie policy",
 }
 
 IMPORT_ALL = """
@@ -219,13 +230,19 @@ def test_every_kept_name_exists():
     assert missing == []
 
 
+def _bench_module(name):
+    """``bench/<name>.py``, imported from its path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_name_the_benchmark_traces_resolves():
     # bench/tracing.py rebinds each traced module.function, the RNG class's
     # next_index and __init__, and the CLI's own run_homophily binding; a
     # refactor that drops one of them would otherwise break only the benchmark
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_module("tracing")
     missing = []
     for name in tracing.traced_names():
         module, func = name.split(".")
@@ -237,3 +254,34 @@ def test_every_name_the_benchmark_traces_resolves():
     import beliefdyn.cli
     import beliefdyn.homophily
     assert beliefdyn.cli.run_homophily is beliefdyn.homophily.run_homophily
+
+
+def _cli_keys():
+    """``mode.key`` of every parameter in the CLI's mode table."""
+    return {f"{mode}.{key}" for mode, (_, _, params) in cli._MODES.items()
+            for key, _, _ in params}
+
+
+def _keys_set():
+    """``mode.key`` of every key that a fixture config, a ``beliefdyn``
+    example in the README or a benchmark workload's config sets."""
+    configs = [cli.parse_config(path) for path in sorted(ROOT.glob("fixtures/*/*.cfg"))]
+    keys = {f"{config.mode}.{key}" for config in configs for key in config.params}
+    readme = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    for mode, flags in re.findall(r"^beliefdyn (\w+) (.*)$", readme, re.M):
+        keys |= {f"{mode}.{flag.replace('-', '_')}" for flag in re.findall(r"--([\w-]+)", flags)}
+    for workload in _bench_module("workloads").WORKLOADS.values():
+        _, configs, _ = workload.build(random.Random(workload.name))
+        keys |= {f"{config['mode']}.{key}" for config in configs.values() for key in config}
+    return keys
+
+
+def test_every_cli_key_has_a_setter_or_a_reason():
+    # a key that no run sets is a knob whose other values nothing exercises
+    unset = sorted(_cli_keys() - _keys_set() - set(KEPT_UNSET_KEYS))
+    assert unset == []
+
+
+def test_every_kept_unset_key_exists_and_is_unset():
+    stale = sorted(set(KEPT_UNSET_KEYS) - (_cli_keys() - _keys_set()))
+    assert stale == []
